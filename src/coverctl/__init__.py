@@ -13,9 +13,7 @@ from .bandit import (
     BanditState,
     bandit_step,
     discretize_intervals,
-    discretize_threshold,
     select_arm,
-    ucb_bounds,
 )
 from .chains import BudgetState, ChainConfig, ChainStats, acog_step, budget_from_theta, select_chain
 from .control import (
@@ -44,6 +42,6 @@ from .oracles import (
     threshold_benchmark,
 )
 from .presets import ExperimentConfig, preset_catalog, preset_config
-from .threshold import NewsvendorConfig, ThresholdConfig, fill_rate, newsvendor_step, threshold_step
+from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
 
 __version__ = "0.1.0"

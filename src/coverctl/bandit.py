@@ -8,8 +8,8 @@ and when it is at or below zero the null arm is forced. A projected-dual
 variant (the classical construction) is included as an ablation baseline;
 it keeps the price in [0, cap] by clamping after the same increment.
 
-Also houses the grid reductions that turn continuous threshold and interval
-selection problems into finite arm sets.
+Also houses the grid reduction that turns continuous interval selection
+into a finite arm set.
 """
 
 from __future__ import annotations
@@ -32,32 +32,12 @@ class FeedbackError(RuntimeError):
 
 @dataclass
 class ArmStats:
-    """Running per-arm statistics: exact averages of every observation."""
+    """One arm's statistics read out of a bandit or chain table: play count
+    and exact averages of every observation."""
 
     plays: int = 0
     mean_reward: float = 0.0
     mean_cost: float = 0.0
-
-    def record(self, reward: float, cost: float) -> None:
-        self.plays += 1
-        self.mean_reward += (reward - self.mean_reward) / self.plays
-        self.mean_cost += (cost - self.mean_cost) / self.plays
-
-
-def ucb_bounds(stats: ArmStats, n: int, horizon_T: int, c_max: float) -> tuple[float, float]:
-    """Optimistic reward and pessimistic cost estimates for one arm.
-
-    With delta = sqrt(2 ln(n T) / plays), returns
-    (mean_reward + delta, mean_cost - c_max * delta). The values are left
-    unclipped: the selection rule consumes the raw bounds, and clipping
-    would change the argmin ordering.
-    """
-    if stats.plays < 1:
-        raise ValueError("arm has never been played; complete the warm-up pass first")
-    if n * horizon_T < 3:
-        raise ValueError("n * horizon_T must be at least 3")
-    delta = math.sqrt(2.0 * math.log(n * horizon_T) / stats.plays)
-    return stats.mean_reward + delta, stats.mean_cost - c_max * delta
 
 
 @dataclass
@@ -121,10 +101,6 @@ class BanditState:
             mean_reward=float(self.mean_reward[arm]),
             mean_cost=float(self.mean_cost[arm]),
         )
-
-    @property
-    def stats(self) -> list[ArmStats]:
-        return [self.arm_stats(i) for i in range(self.plays.size)]
 
 
 def select_arm(state: BanditState, cfg: BanditConfig) -> int:
@@ -190,22 +166,6 @@ def bandit_step(state: BanditState, cfg: BanditConfig, env) -> TraceRecord:
     )
 
 
-def discretize_threshold(tau_min: float, tau_max: float, delta: float) -> list[float]:
-    """Grid {tau_min, tau_min + delta, ...} with the last point forced to
-    tau_max. Each grid point is one arm."""
-    if tau_max <= tau_min:
-        raise ValueError("tau_max must exceed tau_min")
-    if not 0.0 < delta <= tau_max - tau_min:
-        raise ValueError("delta must lie in (0, tau_max - tau_min]")
-    steps = int(math.floor((tau_max - tau_min) / delta + 1e-9))
-    grid = [tau_min + k * delta for k in range(steps + 1)]
-    if abs(grid[-1] - tau_max) <= 1e-9 * max(1.0, abs(tau_max)):
-        grid[-1] = tau_max
-    else:
-        grid.append(tau_max)
-    return grid
-
-
 @dataclass(frozen=True)
 class IntervalArm:
     """A closed sub-interval of [0, 1]; cost equals its length.
@@ -223,9 +183,6 @@ class IntervalArm:
 
     def contains(self, y: float) -> bool:
         return (not self.empty) and self.lo <= y <= self.hi
-
-    def label(self) -> str:
-        return "empty" if self.empty else f"[{self.lo:g},{self.hi:g}]"
 
 
 @dataclass(frozen=True)

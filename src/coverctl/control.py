@@ -15,10 +15,27 @@ up to floating-point rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CONSTANT = "constant"
 POWER_DECAY = "power"
+
+
+class InvariantViolation(RuntimeError):
+    """A checked quantity left its band: ``value`` outside ``band`` at ``step``.
+
+    Raised instead of ``assert`` so the state bands, the budget discretization
+    and the no-returns identity stay enforced under ``python -O``.
+    """
+
+    def __init__(self, step: int, value: float, band: tuple[float, float],
+                 name: str = "state"):
+        super().__init__(step, value, band, name)  # args, so pool workers can pickle it
+        self.step, self.value, self.band, self.name = step, value, band, name
+
+    def __str__(self) -> str:
+        lo, hi = self.band
+        return f"{self.name} {self.value} escaped [{lo}, {hi}] at step {self.step}"
 
 
 @dataclass(frozen=True)
@@ -87,26 +104,16 @@ class StepSchedule:
 
 @dataclass
 class ControllerState:
-    """The controlled scalar, its target, and its position in the schedule.
-
-    ``anchor`` remembers the value at the last ledger reset so windowed
-    coverage checks can be evaluated without retaining the full history.
-    """
+    """The controlled scalar, its target, and its position in the schedule."""
 
     value: float
     phi: float
     schedule: StepSchedule
     step_index: int = 1
-    anchor: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not 0.0 < self.phi < 1.0:
             raise ValueError(f"coverage target must lie strictly in (0, 1), got {self.phi}")
-        if self.anchor is None:
-            self.anchor = self.value
-
-    def current_eta(self) -> float:
-        return self.schedule.eta(self.step_index)
 
     def drift(self, amount: float) -> float:
         """Move the state by eta_t * amount and advance the step index.
@@ -137,24 +144,18 @@ def aci_update(state: ControllerState, reward: float) -> ControllerState:
 class ValidityLedger:
     """Exact coverage accounting for one update window.
 
-    Accumulates the rewards fed to a controller since ``window_start`` so
-    the telescoping identity can be checked against the state trajectory.
+    Accumulates the rewards fed to a controller over its window so the
+    telescoping identity can be checked against the state trajectory.
     """
 
     phi: float
     schedule: StepSchedule
-    window_start: int = 1
     reward_sum: float = 0.0
     step_count: int = 0
 
     def record(self, reward: float) -> None:
         self.reward_sum += reward
         self.step_count += 1
-
-    def reset(self, window_start: int) -> None:
-        self.window_start = window_start
-        self.reward_sum = 0.0
-        self.step_count = 0
 
     def coverage(self) -> float:
         if self.step_count == 0:

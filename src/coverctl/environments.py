@@ -322,27 +322,3 @@ def draw_or_probabilities(n: int, lo: float, hi: float, seed: int) -> list[float
     run seed so the environment is reproducible from the config alone."""
     return [lo + (hi - lo) * uniform(seed, _C_SETUP, 0, i) for i in range(n)]
 
-
-def make_iid_arms(specs, seed: int) -> IidArmWorld:
-    return IidArmWorld(specs, seed)
-
-
-def make_interval_world(delta: float, point_dist, seed: int) -> IntervalWorld:
-    return IntervalWorld(delta, point_dist, seed)
-
-
-def make_adversarial_trap(seed: int, shift_window: tuple[int, int]) -> TrapWorld:
-    return TrapWorld(shift_window, seed)
-
-
-def make_score_world(inverse_cdf, cost_fn, seed: int, **kwargs) -> ScoreWorld:
-    return ScoreWorld(inverse_cdf, cost_fn, seed, **kwargs)
-
-
-def make_poisson_demand(before: float, after: float, shift_t: int, cap: float,
-                        seed: int) -> PoissonDemand:
-    return PoissonDemand(before, after, shift_t, cap, seed)
-
-
-def make_or_world(p, seed: int) -> OrWorld:
-    return OrWorld(p, seed)

@@ -34,20 +34,23 @@ def costs_of(trace) -> np.ndarray:
     return np.fromiter((r.cost for r in trace), dtype=float, count=len(trace))
 
 
-def coverage_series(trace) -> np.ndarray:
-    """Running mean of rewards: coverage_cum[t] = (1/t) * sum_{s<=t} Y_s."""
-    y = rewards_of(trace)
-    if y.size == 0:
+def coverage_series(trace, mode: str = "mean") -> np.ndarray:
+    """Running coverage of a trace.
+
+    ``mode='mean'``: coverage_cum[t] = (1/t) * sum_{s<=t} Y_s.
+    ``mode='fill'``: served over asked totals, sum_{s<=t} y_s / sum_{s<=t} a_s,
+    read from the inventory extras ``y`` and ``a``.
+    """
+    if len(trace) == 0:
         raise ValueError("trace is empty")
+    if mode == "fill":
+        served = np.cumsum([r.extras["y"] for r in trace])
+        asked = np.cumsum([r.extras["a"] for r in trace])
+        return served / asked
+    if mode != "mean":
+        raise ValueError(f"unknown coverage mode {mode!r}")
+    y = rewards_of(trace)
     return np.cumsum(y) / np.arange(1, y.size + 1)
-
-
-def window_coverage(trace, lo: int, hi: int) -> float:
-    """Mean reward over steps with lo <= t <= hi (t as recorded)."""
-    vals = [r.reward for r in trace if lo <= r.t <= hi]
-    if not vals:
-        raise ValueError(f"no records in window [{lo}, {hi}]")
-    return float(np.mean(vals))
 
 
 def regret_series(trace, c_star, positive_part: bool = False) -> np.ndarray:
@@ -143,9 +146,6 @@ class MetricsReport:
     regret_cum: np.ndarray
     regret_pos_cum: np.ndarray
     boundary_steps: int
-    greedy_deviation_steps: int | None = None
-    greedy_deviation_steps_ordered: int | None = None
-    slope_fit: SlopeFit | None = None
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -164,12 +164,5 @@ class MetricsReport:
             "regret_pos_final": float(self.regret_pos_cum[-1]),
             "boundary_steps": int(self.boundary_steps),
         }
-        if self.greedy_deviation_steps is not None:
-            out["greedy_deviation_steps"] = int(self.greedy_deviation_steps)
-            out["greedy_deviation_steps_ordered"] = int(self.greedy_deviation_steps_ordered)
-        if self.slope_fit is not None:
-            out["slope"] = self.slope_fit.slope
-            out["slope_r2"] = self.slope_fit.r2
-            out["slope_clipped"] = self.slope_fit.clipped
         out.update(self.extras)
         return out

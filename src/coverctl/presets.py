@@ -7,6 +7,7 @@ from the written effective config reproduces the trace files byte for byte.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -125,121 +126,90 @@ def preset_catalog() -> list[dict]:
     return [{"name": k, "description": v} for k, v in PRESETS.items()]
 
 
+# base settings per preset; name, seed, replicas and output_dir come from
+# the caller (replicas defaults to 1 unless the entry says otherwise)
+_PRESET_BASES = {
+    "interval-beta": dict(
+        algorithm="pd_bandit",
+        environment=_INTERVAL_ENV,
+        T=25000,
+        phi=0.8,
+        schedule=_constant(2.0 / math.sqrt(25000)),
+    ),
+    "interval-eta-sweep": dict(
+        algorithm="pd_bandit",
+        environment=_INTERVAL_ENV,
+        T=25000,
+        phi=0.8,
+        schedule=_constant(0.01),
+    ),
+    "adversarial-shift": dict(
+        algorithm="pd_bandit",
+        environment={"kind": "trap", "window": [7501, 12501]},
+        T=20000,
+        phi=0.5,
+        schedule=_constant(0.01),
+    ),
+    "threshold-primal": dict(
+        algorithm="primal_threshold",
+        environment={"kind": "score_uniform"},
+        T=20000,
+        phi=0.8,
+        schedule=_constant(1.0 / math.sqrt(20000)),
+    ),
+    "threshold-decay": dict(
+        algorithm="primal_threshold",
+        environment={"kind": "score_uniform"},
+        T=50000,
+        phi=0.8,
+        schedule=_power(1.0, 0.5),
+    ),
+    "newsvendor-shift": dict(
+        algorithm="newsvendor",
+        environment={
+            "kind": "poisson_demand",
+            "before": 20.0,
+            "after": 50.0,
+            "shift_t": 500,
+            "cap": 100.0,
+        },
+        T=1000,
+        phi=0.9,
+        schedule=_power(5.0, 0.5, offset=1),
+        # stock starts at the announced pre-shift demand rate; the decay
+        # schedule's early steps are too large for a cold start at zero
+        algorithm_params={"dynamic_carryover": False, "initial_level": 20.0},
+    ),
+    "combinatorial-or": dict(
+        algorithm="acog_position",
+        environment={"kind": "or_random", "n": 20, "p_low": 0.05, "p_high": 0.30},
+        T=20000,
+        phi=0.8,
+        schedule=_constant(20.0 / (2.0 * math.sqrt(20000))),
+    ),
+    # score world rather than the interval grid: at these horizons the
+    # 211-arm interval instance is still exploration-dominated (measured
+    # log-log slope ~0.97), while the threshold controller's
+    # positive-part regret shows its T^(3/4) rate cleanly
+    "regret-scaling": dict(
+        algorithm="primal_threshold",
+        environment={"kind": "score_uniform"},
+        T=2000,
+        phi=0.8,
+        schedule=_constant(1.0 / math.sqrt(2000)),
+        replicas=20,
+    ),
+}
+
+
 def preset_config(name: str, seed: int = 1, replicas: int | None = None,
                   output_dir: str | None = None) -> ExperimentConfig:
     """Resolve a preset name into its base config (variants expand later)."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see list-presets")
-    if name == "interval-beta":
-        cfg = ExperimentConfig(
-            preset=name,
-            algorithm="pd_bandit",
-            environment=dict(_INTERVAL_ENV),
-            T=25000,
-            phi=0.8,
-            schedule=_constant(2.0 / math.sqrt(25000)),
-            seed=seed,
-            replicas=replicas or 1,
-            output_dir=output_dir,
-        )
-    elif name == "interval-eta-sweep":
-        cfg = ExperimentConfig(
-            preset=name,
-            algorithm="pd_bandit",
-            environment=dict(_INTERVAL_ENV),
-            T=25000,
-            phi=0.8,
-            schedule=_constant(0.01),
-            seed=seed,
-            replicas=replicas or 1,
-            output_dir=output_dir,
-        )
-    elif name == "adversarial-shift":
-        cfg = ExperimentConfig(
-            preset=name,
-            algorithm="pd_bandit",
-            environment={"kind": "trap", "window": [7501, 12501]},
-            T=20000,
-            phi=0.5,
-            schedule=_constant(0.01),
-            seed=seed,
-            replicas=replicas or 1,
-            output_dir=output_dir,
-        )
-    elif name == "threshold-primal":
-        cfg = ExperimentConfig(
-            preset=name,
-            algorithm="primal_threshold",
-            environment={"kind": "score_uniform"},
-            T=20000,
-            phi=0.8,
-            schedule=_constant(1.0 / math.sqrt(20000)),
-            seed=seed,
-            replicas=replicas or 1,
-            output_dir=output_dir,
-        )
-    elif name == "threshold-decay":
-        cfg = ExperimentConfig(
-            preset=name,
-            algorithm="primal_threshold",
-            environment={"kind": "score_uniform"},
-            T=50000,
-            phi=0.8,
-            schedule=_power(1.0, 0.5),
-            seed=seed,
-            replicas=replicas or 1,
-            output_dir=output_dir,
-        )
-    elif name == "newsvendor-shift":
-        cfg = ExperimentConfig(
-            preset=name,
-            algorithm="newsvendor",
-            environment={
-                "kind": "poisson_demand",
-                "before": 20.0,
-                "after": 50.0,
-                "shift_t": 500,
-                "cap": 100.0,
-            },
-            T=1000,
-            phi=0.9,
-            schedule=_power(5.0, 0.5, offset=1),
-            seed=seed,
-            replicas=replicas or 1,
-            output_dir=output_dir,
-            # stock starts at the announced pre-shift demand rate; the decay
-            # schedule's early steps are too large for a cold start at zero
-            algorithm_params={"dynamic_carryover": False, "initial_level": 20.0},
-        )
-    elif name == "combinatorial-or":
-        cfg = ExperimentConfig(
-            preset=name,
-            algorithm="acog_position",
-            environment={"kind": "or_random", "n": 20, "p_low": 0.05, "p_high": 0.30},
-            T=20000,
-            phi=0.8,
-            schedule=_constant(20.0 / (2.0 * math.sqrt(20000))),
-            seed=seed,
-            replicas=replicas or 1,
-            output_dir=output_dir,
-        )
-    else:  # regret-scaling
-        # score world rather than the interval grid: at these horizons the
-        # 211-arm interval instance is still exploration-dominated (measured
-        # log-log slope ~0.97), while the threshold controller's
-        # positive-part regret shows its T^(3/4) rate cleanly
-        cfg = ExperimentConfig(
-            preset=name,
-            algorithm="primal_threshold",
-            environment={"kind": "score_uniform"},
-            T=2000,
-            phi=0.8,
-            schedule=_constant(1.0 / math.sqrt(2000)),
-            seed=seed,
-            replicas=replicas or 20,
-            output_dir=output_dir,
-        )
-    return cfg
+    base = copy.deepcopy(_PRESET_BASES[name])
+    base["replicas"] = replicas or base.get("replicas", 1)
+    return ExperimentConfig(preset=name, seed=seed, output_dir=output_dir, **base)
 
 
 def expand_variants(cfg: ExperimentConfig) -> list[ExperimentConfig]:

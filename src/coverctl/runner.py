@@ -1,9 +1,11 @@
 """Simulation drivers and the artifact pipeline.
 
-Drivers loop one controller against one environment, enforce the state
-invariants on every step, and keep an exact coverage ledger. The experiment
-layer turns an :class:`~coverctl.presets.ExperimentConfig` plus a replica
-index into a trace CSV, a metrics summary, and benchmark values; replicas
+Drivers loop one controller against one environment through one shared
+per-step loop, which enforces the state invariants on every step and keeps
+an exact coverage ledger. The experiment layer resolves an
+:class:`~coverctl.presets.ExperimentConfig` through one setup table (world,
+oracle, driver) and turns it plus a replica index into a trace CSV, a
+metrics summary, and benchmark values; replicas
 derive independent substreams from the master seed and may run in any order
 or in parallel without changing a byte of output.
 """
@@ -15,6 +17,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +26,8 @@ from . import metrics as mt
 from . import oracles
 from .bandit import BOUNDARY_RULE, PROJECTED_BASELINE, BanditConfig, BanditState, bandit_step
 from .chains import POSITION_KEYED, PREFIX_KEYED, BudgetState, ChainConfig, ChainStats, acog_step
-from .control import ControllerState, StepSchedule, ValidityLedger, telescoping_check
+from .control import (ControllerState, InvariantViolation, StepSchedule, ValidityLedger,
+                      telescoping_check)
 from .presets import ExperimentConfig, expand_variants
 from .rng import replica_seed
 from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
@@ -38,44 +42,57 @@ class SimulationResult:
     info: dict
 
 
+def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
+           keep_trace: bool, window_start: int = 1, exact: bool = True) -> SimulationResult:
+    """The per-step loop behind every driver: call ``step()`` T times.
+
+    From step ``window_start`` on, each record's reward feeds the coverage
+    ledger and its decision-time state must lie in ``band``, as must the
+    final ``state``; an escape raises InvariantViolation, under ``python -O``
+    too. ``info`` holds the window coverage and, for a constant step where
+    the ledger identity is ``exact``, its residual.
+    """
+    lo, hi = band
+    start = state.value
+    ledger = ValidityLedger(state.phi, state.schedule)
+    records: list[mt.TraceRecord] = []
+    for _ in range(T):
+        rec = step()
+        if rec.t >= window_start:
+            ledger.record(rec.reward)
+            if not lo <= rec.state <= hi:
+                raise InvariantViolation(rec.t, rec.state, band)
+        if keep_trace:
+            records.append(rec)
+    info = {}
+    if ledger.step_count:
+        if not lo <= state.value <= hi:
+            raise InvariantViolation(rec.t + 1, state.value, band)
+        info["coverage"] = ledger.coverage()
+        if exact and state.schedule.is_constant:
+            info["ledger_residual"] = telescoping_check(ledger, start, state.value)
+    return SimulationResult(records, state.value, info)
+
+
 def drive_bandit(cfg: BanditConfig, schedule: StepSchedule, env, T: int,
                  keep_trace: bool = True) -> SimulationResult:
     """Run the primal-dual loop for T steps.
 
-    In boundary mode the dual is asserted to stay inside
+    In boundary mode the dual is checked to stay inside
     [-eta_max, cap + eta_max] on every step after the warm-up pass. The
     coverage ledger covers the controlled window (warm-up plays excluded,
     since the dual does not move during them).
     """
     state = BanditState(cfg, schedule)
-    ledger = ValidityLedger(cfg.phi, schedule, window_start=cfg.n + 1)
     eta_max = schedule.max_eta()
-    lo = -eta_max - _TOL
-    hi = cfg.lambda_cap + eta_max + _TOL
-    check = cfg.mode == BOUNDARY_RULE
-    records: list[mt.TraceRecord] = []
-    boundary_steps = 0
-    for _ in range(T):
-        rec = bandit_step(state, cfg, env)
-        if rec.t > cfg.n:
-            ledger.record(rec.reward)
-            if check:
-                assert lo <= rec.state <= hi, (
-                    f"dual {rec.state} escaped [{lo}, {hi}] at step {rec.t}"
-                )
-        boundary_steps += int(rec.extras["boundary"])
-        if keep_trace:
-            records.append(rec)
-    final = state.dual.value
-    if check and T > cfg.n:
-        assert lo <= final <= hi, f"final dual {final} escaped [{lo}, {hi}]"
-    info = {"boundary_steps": boundary_steps}
-    if T > cfg.n:
-        info["window_coverage"] = ledger.coverage()
-        info["window_len"] = ledger.step_count
-        if schedule.is_constant and cfg.mode == BOUNDARY_RULE:
-            info["ledger_residual"] = telescoping_check(ledger, 0.0, final)
-    return SimulationResult(records, final, info)
+    boundary = cfg.mode == BOUNDARY_RULE
+    band = (-eta_max - _TOL, cfg.lambda_cap + eta_max + _TOL) if boundary else (-math.inf, math.inf)
+    sim = _drive(lambda: bandit_step(state, cfg, env), state.dual, T, band, keep_trace,
+                 window_start=cfg.n + 1, exact=boundary)
+    if sim.info:
+        sim.info["window_coverage"] = sim.info.pop("coverage")
+        sim.info["window_len"] = T - cfg.n
+    return sim
 
 
 def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True,
@@ -85,65 +102,47 @@ def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True,
         phi=cfg.phi,
         schedule=cfg.schedule,
     )
-    start = state.value
-    ledger = ValidityLedger(cfg.phi, cfg.schedule)
     eta_max = cfg.schedule.max_eta()
-    lo = cfg.tau_min - eta_max - _TOL
-    hi = cfg.tau_max + eta_max + _TOL
-    records: list[mt.TraceRecord] = []
-    for _ in range(T):
-        rec = threshold_step(state, cfg, env)
-        ledger.record(rec.reward)
-        assert lo <= rec.state <= hi, (
-            f"threshold {rec.state} escaped [{lo}, {hi}] at step {rec.t}"
-        )
-        if keep_trace:
-            records.append(rec)
-    info = {"coverage": ledger.coverage()}
-    if cfg.schedule.is_constant:
-        info["ledger_residual"] = telescoping_check(ledger, start, state.value)
-    return SimulationResult(records, state.value, info)
+    band = (cfg.tau_min - eta_max - _TOL, cfg.tau_max + eta_max + _TOL)
+    return _drive(lambda: threshold_step(state, cfg, env), state, T, band, keep_trace)
 
 
 def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
                      keep_trace: bool = True, q_init: float = 0.0) -> SimulationResult:
+    """Run the inventory controller for T periods; the level never goes
+    negative. ``info['fill_rate']`` is total served over total demanded."""
+    if T < 1:
+        raise ValueError("a fill rate needs at least one period")
     state = ControllerState(value=q_init, phi=cfg.phi, schedule=cfg.schedule)
-    records: list[mt.TraceRecord] = []
-    served = 0.0
-    asked = 0.0
-    for _ in range(T):
-        demand = demand_stream.draw(state.step_index)
-        rec = newsvendor_step(state, cfg, demand)
-        assert state.value >= -1e-9, f"inventory went negative at step {rec.t}"
-        served += rec.extras["y"]
-        asked += rec.extras["a"]
-        if keep_trace:
-            records.append(rec)
-    return SimulationResult(records, state.value, {"fill_rate": served / asked})
+    totals = [0.0, 0.0]  # served, asked
+
+    def step():
+        rec = newsvendor_step(state, cfg, demand_stream.draw(state.step_index))
+        totals[0] += rec.extras["y"]
+        totals[1] += rec.extras["a"]
+        return rec
+
+    sim = _drive(step, state, T, (-1e-9, math.inf), keep_trace, exact=False)
+    sim.info = {"fill_rate": totals[0] / totals[1]}
+    return sim
 
 
 def drive_acog(cfg: ChainConfig, schedule: StepSchedule, env, T: int,
                variant: str = PREFIX_KEYED, keep_trace: bool = True) -> SimulationResult:
     budget = BudgetState(theta=ControllerState(value=0.0, phi=cfg.phi, schedule=schedule))
     stats = ChainStats(cfg.n, cfg.horizon_T, variant)
-    ledger = ValidityLedger(cfg.phi, schedule)
-    eta_max = schedule.max_eta()
-    records: list[mt.TraceRecord] = []
-    for _ in range(T):
+
+    def step():
         rec = acog_step(budget, stats, cfg, env)
-        ledger.record(rec.reward)
-        assert -eta_max - _TOL <= rec.state <= cfg.n + _TOL, (
-            f"budget state {rec.state} escaped [-{eta_max}, {cfg.n}] at step {rec.t}"
-        )
-        assert budget.K == min(cfg.n, math.ceil(budget.theta.value))
-        if keep_trace:
-            records.append(rec)
-    final = budget.theta.value
-    assert -eta_max - _TOL <= final <= cfg.n + _TOL
-    info = {"coverage": ledger.coverage(), "contexts": stats.context_count()}
-    if schedule.is_constant:
-        info["ledger_residual"] = telescoping_check(ledger, 0.0, final)
-    return SimulationResult(records, final, {**info, "stats": stats})
+        k = min(cfg.n, math.ceil(budget.theta.value))
+        if budget.K != k:
+            raise InvariantViolation(rec.t, budget.K, (k, k), "budget K")
+        return rec
+
+    band = (-schedule.max_eta() - _TOL, cfg.n + _TOL)
+    sim = _drive(step, budget.theta, T, band, keep_trace)
+    sim.info.update(contexts=stats.context_count(), stats=stats)
+    return sim
 
 
 # --- experiment layer -------------------------------------------------------
@@ -164,33 +163,20 @@ def _fmt_action(a) -> str:
     return _f17(a)
 
 
-def render_csv(records, c_star, coverage_mode: str = "mean") -> str:
-    """Serialize a trace with the cumulative metric columns.
+def render_csv(records, coverage_cum, regret_cum, regret_pos_cum) -> str:
+    """Serialize a trace with its cumulative metric columns.
 
-    Floats carry 17 significant digits so the file round-trips exactly.
-    ``c_star`` may be a scalar or one value per step (phase-wise oracles).
-    ``coverage_mode='fill'`` tracks served/asked totals instead of a mean.
+    The three series hold one value per record, as built by
+    :func:`~coverctl.metrics.coverage_series` and
+    :func:`~coverctl.metrics.regret_series`. Floats carry 17 significant
+    digits so the file round-trips exactly.
     """
     if not records:
         raise ValueError("cannot serialize an empty trace")
     extra_cols = sorted(records[0].extras) if records[0].extras else []
     lines = [",".join(BASE_COLUMNS + tuple(extra_cols))]
-    per_step = np.ndim(c_star) > 0
-    num = 0.0
-    den = 0.0
-    cum_r = 0.0
-    cum_rp = 0.0
-    for idx, rec in enumerate(records):
-        if coverage_mode == "fill":
-            num += rec.extras["y"]
-            den += rec.extras["a"]
-        else:
-            num += rec.reward
-            den = idx + 1.0
-        cs = float(c_star[idx]) if per_step else float(c_star)
-        gap = rec.cost - cs
-        cum_r += gap
-        cum_rp += max(gap, 0.0)
+    rows = zip(records, coverage_cum, regret_cum, regret_pos_cum, strict=True)
+    for rec, coverage, regret, regret_pos in rows:
         row = [
             str(rec.t),
             _fmt_action(rec.action),
@@ -198,13 +184,23 @@ def render_csv(records, c_star, coverage_mode: str = "mean") -> str:
             _f17(rec.cost),
             _f17(rec.state),
             str(rec.k),
-            _f17(num / den),
-            _f17(cum_r),
-            _f17(cum_rp),
+            _f17(coverage),
+            _f17(regret),
+            _f17(regret_pos),
         ]
         row.extend(_f17(rec.extras[k]) for k in extra_cols)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+class _Setup(NamedTuple):
+    """One config resolved for one replica, before anything runs."""
+
+    bench: dict  # the benchmark block of metrics.json
+    c_star: object  # cost benchmark: a scalar, or one value per step
+    drive: Callable[[], SimulationResult]
+    coverage_mode: str = "mean"  # see metrics.coverage_series
+    summary: Callable[[list], dict] = lambda records: {}  # extra summary fields
 
 
 def _interval_cdf(points):
@@ -214,13 +210,12 @@ def _interval_cdf(points):
     return lambda x: oracles.beta_cdf(x, int(points[1]), int(points[2]))
 
 
-def _bandit_setup(config: ExperimentConfig, seed: int):
+def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
     envd = config.environment
     kind = envd["kind"]
     if kind == "interval":
         world = envs.IntervalWorld(envd["delta"], tuple(envd["points"]), seed)
         bench = oracles.interval_benchmark(envd["delta"], _interval_cdf(envd["points"]), config.phi)
-        c_star = bench.c_star
         bench_dict = {
             "benchmark": "grid_interval",
             "c_star": bench.c_star,
@@ -235,7 +230,6 @@ def _bandit_setup(config: ExperimentConfig, seed: int):
         p = [1.0, 1.0 - fail / config.T, 0.0]
         omega = [1.0, world.trap_cost, 0.0]
         sol = oracles.lp_benchmark(p, omega, config.phi)
-        c_star = sol.c_star
         bench_dict = {
             "benchmark": "stationary_lp_of_average_rates",
             "c_star": sol.c_star,
@@ -247,7 +241,6 @@ def _bandit_setup(config: ExperimentConfig, seed: int):
         world = envs.IidArmWorld(specs, seed)
         p_vec, omega = world.means()
         sol = oracles.lp_benchmark(p_vec, omega, config.phi)
-        c_star = sol.c_star
         bench_dict = {
             "benchmark": "arm_mixture_lp",
             "c_star": sol.c_star,
@@ -266,7 +259,109 @@ def _bandit_setup(config: ExperimentConfig, seed: int):
         lambda_cap=config.algorithm_params.get("lambda_cap"),
         mode=mode,
     )
-    return world, cfg, c_star, bench_dict
+    bench_dict["lambda_cap"] = cfg.lambda_cap
+    schedule = StepSchedule.from_dict(config.schedule)
+    return _Setup(bench_dict, bench_dict["c_star"],
+                  lambda: drive_bandit(cfg, schedule, world, config.T))
+
+
+def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
+    if config.environment["kind"] != "score_uniform":
+        raise ValueError("primal_threshold expects the score_uniform environment")
+    world = envs.uniform_score_world(seed)
+    tau_star, c_star = oracles.threshold_benchmark(
+        world.expected_reward, lambda tau: tau, config.phi,
+        world.tau_min, world.tau_max,
+    )
+    bench = {"benchmark": "threshold_root", "tau_star": tau_star, "c_star": c_star}
+    cfg = ThresholdConfig(world.tau_min, world.tau_max, config.phi,
+                          StepSchedule.from_dict(config.schedule))
+    return _Setup(bench, c_star, lambda: drive_threshold(cfg, world, config.T))
+
+
+def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
+    envd = config.environment
+    if envd["kind"] != "poisson_demand":
+        raise ValueError("newsvendor expects the poisson_demand environment")
+    stream = envs.PoissonDemand(envd["before"], envd["after"], envd["shift_t"],
+                                envd["cap"], seed)
+    cap = int(envd["cap"])
+    q1, mu1 = oracles.newsvendor_benchmark(
+        oracles.truncated_poisson_pmf(envd["before"], cap), config.phi)
+    q2, mu2 = oracles.newsvendor_benchmark(
+        oracles.truncated_poisson_pmf(envd["after"], cap), config.phi)
+    bench = {
+        "benchmark": "phase_base_stock",
+        "q_star_before": q1,
+        "q_star_after": q2,
+        "mu_before": mu1,
+        "mu_after": mu2,
+    }
+    cfg = NewsvendorConfig(
+        demand_cap=envd["cap"],
+        phi=config.phi,
+        schedule=StepSchedule.from_dict(config.schedule),
+        dynamic_carryover=bool(config.algorithm_params.get("dynamic_carryover", False)),
+    )
+    q_init = float(config.algorithm_params.get("initial_level", 0.0))
+    c_star = np.where(np.arange(1, config.T + 1) <= envd["shift_t"], q1, q2)
+    return _Setup(bench, c_star,
+                  lambda: drive_newsvendor(cfg, stream, config.T, q_init=q_init), "fill")
+
+
+def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
+    envd = config.environment
+    if envd["kind"] == "or_random":
+        p = envs.draw_or_probabilities(envd["n"], envd["p_low"], envd["p_high"], seed)
+    elif envd["kind"] == "or_fixed":
+        p = [float(x) for x in envd["p"]]
+    else:
+        raise ValueError("chain algorithms expect an any-success environment")
+    world = envs.OrWorld(p, seed)
+    report = oracles.greedy_chain(world.value_oracle(), world.n)
+    k_star = report.budget_for(config.phi)
+    if k_star is None:
+        raise oracles.InfeasibleBenchmarkError(
+            f"greedy-chain benchmark infeasible: full-set value "
+            f"{report.prefix_values[-1]:.4f} below phi={config.phi}"
+        )
+    bench = {
+        "benchmark": "greedy_budget",
+        "k_star": k_star,
+        "gap_delta": report.gap_delta,
+        "degenerate_margin": report.is_degenerate(config.phi),
+        "p": list(p),
+        "greedy_chain": list(report.chain),
+        "prefix_values": list(report.prefix_values),
+    }
+    cfg = ChainConfig(n=world.n, phi=config.phi, horizon_T=config.T)
+    variant = PREFIX_KEYED if config.algorithm == "acog_prefix" else POSITION_KEYED
+    schedule = StepSchedule.from_dict(config.schedule)
+
+    def summary(records) -> dict:
+        return {
+            "greedy_deviation_steps": mt.deviation_counter(records, report),
+            "greedy_deviation_steps_ordered": mt.deviation_counter(
+                records, report, order_sensitive=True),
+            "steps_above_k_star_plus_1": sum(1 for r in records if r.k > k_star + 1),
+            "late_steps_above_k_star_plus_1": sum(
+                1 for r in records if r.k > k_star + 1 and r.t > config.T // 2),
+        }
+
+    return _Setup(bench, float(k_star),
+                  lambda: drive_acog(cfg, schedule, world, config.T, variant=variant),
+                  summary=summary)
+
+
+# the one place that maps a config to its world, oracle and driver
+_SETUPS = {
+    "pd_bandit": _bandit_setup,
+    "pd_bandit_projected": _bandit_setup,
+    "primal_threshold": _threshold_setup,
+    "newsvendor": _newsvendor_setup,
+    "acog_prefix": _chain_setup,
+    "acog_position": _chain_setup,
+}
 
 
 def run_replica(config: ExperimentConfig, replica: int) -> dict:
@@ -276,116 +371,19 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     independent of execution order.
     """
     seed = replica_seed(config.seed, replica)
-    schedule = StepSchedule.from_dict(config.schedule)
-    algorithm = config.algorithm
-    coverage_mode = "mean"
-    greedy_fields = {}
-
-    if algorithm in ("pd_bandit", "pd_bandit_projected"):
-        world, bcfg, c_star, bench = _bandit_setup(config, seed)
-        sim = drive_bandit(bcfg, schedule, world, config.T)
-        bench["lambda_cap"] = bcfg.lambda_cap
-    elif algorithm == "primal_threshold":
-        if config.environment["kind"] != "score_uniform":
-            raise ValueError("primal_threshold expects the score_uniform environment")
-        world = envs.uniform_score_world(seed)
-        tau_star, c_val = oracles.threshold_benchmark(
-            world.expected_reward, lambda tau: tau, config.phi,
-            world.tau_min, world.tau_max,
-        )
-        c_star = c_val
-        bench = {"benchmark": "threshold_root", "tau_star": tau_star, "c_star": c_val}
-        tcfg = ThresholdConfig(world.tau_min, world.tau_max, config.phi, schedule)
-        sim = drive_threshold(tcfg, world, config.T)
-    elif algorithm == "newsvendor":
-        envd = config.environment
-        if envd["kind"] != "poisson_demand":
-            raise ValueError("newsvendor expects the poisson_demand environment")
-        stream = envs.PoissonDemand(envd["before"], envd["after"], envd["shift_t"],
-                                    envd["cap"], seed)
-        cap = int(envd["cap"])
-        q1, mu1 = oracles.newsvendor_benchmark(
-            oracles.truncated_poisson_pmf(envd["before"], cap), config.phi)
-        q2, mu2 = oracles.newsvendor_benchmark(
-            oracles.truncated_poisson_pmf(envd["after"], cap), config.phi)
-        c_star = np.where(np.arange(1, config.T + 1) <= envd["shift_t"], q1, q2)
-        bench = {
-            "benchmark": "phase_base_stock",
-            "q_star_before": q1,
-            "q_star_after": q2,
-            "mu_before": mu1,
-            "mu_after": mu2,
-        }
-        ncfg = NewsvendorConfig(
-            demand_cap=envd["cap"],
-            phi=config.phi,
-            schedule=schedule,
-            dynamic_carryover=bool(config.algorithm_params.get("dynamic_carryover", False)),
-        )
-        sim = drive_newsvendor(
-            ncfg, stream, config.T,
-            q_init=float(config.algorithm_params.get("initial_level", 0.0)),
-        )
-        coverage_mode = "fill"
-    elif algorithm in ("acog_prefix", "acog_position"):
-        envd = config.environment
-        if envd["kind"] == "or_random":
-            p = envs.draw_or_probabilities(envd["n"], envd["p_low"], envd["p_high"], seed)
-        elif envd["kind"] == "or_fixed":
-            p = [float(x) for x in envd["p"]]
-        else:
-            raise ValueError("chain algorithms expect an any-success environment")
-        world = envs.OrWorld(p, seed)
-        report = oracles.greedy_chain(world.value_oracle(), world.n)
-        k_star = report.budget_for(config.phi)
-        if k_star is None:
-            raise oracles.InfeasibleBenchmarkError(
-                f"greedy-chain benchmark infeasible: full-set value "
-                f"{report.prefix_values[-1]:.4f} below phi={config.phi}"
-            )
-        c_star = float(k_star)
-        bench = {
-            "benchmark": "greedy_budget",
-            "k_star": k_star,
-            "gap_delta": report.gap_delta,
-            "degenerate_margin": report.is_degenerate(config.phi),
-            "p": list(p),
-            "greedy_chain": list(report.chain),
-            "prefix_values": list(report.prefix_values),
-        }
-        ccfg = ChainConfig(n=world.n, phi=config.phi, horizon_T=config.T)
-        variant = PREFIX_KEYED if algorithm == "acog_prefix" else POSITION_KEYED
-        sim = drive_acog(ccfg, schedule, world, config.T, variant=variant)
-        sim.info.pop("stats", None)
-        greedy_fields = {
-            "greedy_deviation_steps": mt.deviation_counter(sim.records, report),
-            "greedy_deviation_steps_ordered": mt.deviation_counter(
-                sim.records, report, order_sensitive=True),
-            "steps_above_k_star_plus_1": sum(1 for r in sim.records if r.k > k_star + 1),
-            "late_steps_above_k_star_plus_1": sum(
-                1 for r in sim.records if r.k > k_star + 1 and r.t > config.T // 2),
-        }
-    else:  # pragma: no cover - guarded by ExperimentConfig validation
-        raise ValueError(f"unhandled algorithm {algorithm}")
-
-    csv_text = render_csv(sim.records, c_star, coverage_mode)
-    if coverage_mode == "fill":
-        served = np.cumsum([r.extras["y"] for r in sim.records])
-        asked = np.cumsum([r.extras["a"] for r in sim.records])
-        coverage = served / asked
-    else:
-        coverage = mt.coverage_series(sim.records)
+    setup = _SETUPS[config.algorithm](config, seed)
+    sim = setup.drive()
+    coverage = mt.coverage_series(sim.records, setup.coverage_mode)
+    regret = mt.regret_series(sim.records, setup.c_star)
+    regret_pos = mt.regret_series(sim.records, setup.c_star, positive_part=True)
     report = mt.MetricsReport(
         coverage_cum=coverage,
         coverage_final=float(coverage[-1]),
-        regret_cum=mt.regret_series(sim.records, c_star),
-        regret_pos_cum=mt.regret_series(sim.records, c_star, positive_part=True),
+        regret_cum=regret,
+        regret_pos_cum=regret_pos,
         boundary_steps=sum(int(r.extras.get("boundary", 0.0))
                            for r in sim.records if r.extras),
-        greedy_deviation_steps=greedy_fields.get("greedy_deviation_steps"),
-        greedy_deviation_steps_ordered=greedy_fields.get("greedy_deviation_steps_ordered"),
-        extras={k: v for k, v in greedy_fields.items()
-                if not k.startswith("greedy_deviation")},
+        extras=setup.summary(sim.records),
     )
     summary = {
         "replica": replica,
@@ -396,7 +394,8 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     for key in ("ledger_residual", "fill_rate", "window_coverage", "window_len"):
         if key in sim.info:
             summary[key] = sim.info[key]
-    return {"replica": replica, "csv": csv_text, "summary": summary, "benchmark": bench}
+    csv_text = render_csv(sim.records, coverage, regret, regret_pos)
+    return {"replica": replica, "csv": csv_text, "summary": summary, "benchmark": setup.bench}
 
 
 def _worker(args) -> dict:
@@ -488,41 +487,10 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
 
 
 def benchmark_values(config: ExperimentConfig) -> dict:
-    """Benchmark values per variant for replica 0, without running anything."""
-    out = {}
-    for var in expand_variants(config):
-        seed = replica_seed(var.seed, 0)
-        if var.algorithm in ("pd_bandit", "pd_bandit_projected"):
-            _, _, _, bench = _bandit_setup(var, seed)
-        elif var.algorithm == "primal_threshold":
-            world = envs.uniform_score_world(seed)
-            tau_star, c_val = oracles.threshold_benchmark(
-                world.expected_reward, lambda tau: tau, var.phi,
-                world.tau_min, world.tau_max)
-            bench = {"benchmark": "threshold_root", "tau_star": tau_star, "c_star": c_val}
-        elif var.algorithm == "newsvendor":
-            envd = var.environment
-            cap = int(envd["cap"])
-            q1, mu1 = oracles.newsvendor_benchmark(
-                oracles.truncated_poisson_pmf(envd["before"], cap), var.phi)
-            q2, mu2 = oracles.newsvendor_benchmark(
-                oracles.truncated_poisson_pmf(envd["after"], cap), var.phi)
-            bench = {"benchmark": "phase_base_stock", "q_star_before": q1,
-                     "q_star_after": q2, "mu_before": mu1, "mu_after": mu2}
-        else:
-            envd = var.environment
-            if envd["kind"] == "or_random":
-                p = envs.draw_or_probabilities(envd["n"], envd["p_low"], envd["p_high"], seed)
-            else:
-                p = [float(x) for x in envd["p"]]
-            report = oracles.greedy_chain(envs.OrWorld(p, seed).value_oracle(), len(p))
-            bench = {
-                "benchmark": "greedy_budget",
-                "k_star": report.budget_for(var.phi),
-                "gap_delta": report.gap_delta,
-                "p": list(p),
-                "greedy_chain": list(report.chain),
-                "prefix_values": list(report.prefix_values),
-            }
-        out[var.variant or "run"] = bench
-    return out
+    """Benchmark values per variant for replica 0, without running anything.
+
+    Each value is the ``benchmark`` block that ``run`` writes to the
+    variant's metrics.json.
+    """
+    return {var.variant or "run": _SETUPS[var.algorithm](var, replica_seed(var.seed, 0)).bench
+            for var in expand_variants(config)}

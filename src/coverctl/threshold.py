@@ -9,9 +9,10 @@ state raw preserves the exact coverage ledger identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .control import ControllerState, StepSchedule, aci_update
+from .control import ControllerState, InvariantViolation, StepSchedule, aci_update
 from .metrics import TraceRecord
 
 
@@ -90,7 +91,7 @@ def newsvendor_step(q: ControllerState, cfg: NewsvendorConfig, demand: float) ->
     empty inventory and strictly negative above D, so the state needs no
     projection. In dynamic mode the no-returns identity
     q_next - leftover = y (1 - eta) + eta phi a >= 0
-    is asserted on every step.
+    is checked on every step (:class:`~coverctl.control.InvariantViolation`).
     """
     if not 1.0 <= demand <= cfg.demand_cap:
         raise ValueError(f"demand {demand} outside [1, {cfg.demand_cap}]")
@@ -102,10 +103,11 @@ def newsvendor_step(q: ControllerState, cfg: NewsvendorConfig, demand: float) ->
     eta = q.drift(cfg.phi * demand - y)
     if cfg.dynamic_carryover:
         order_up = y * (1.0 - eta) + eta * cfg.phi * demand
-        assert order_up >= 0.0, "no-returns identity violated"
-        assert q.value - leftover >= -1e-9, (
-            f"prescribed level {q.value} below carried inventory {leftover} at step {t}"
-        )
+        if order_up < 0.0:
+            raise InvariantViolation(t, order_up, (0.0, math.inf), "no-returns order")
+        if q.value - leftover < -1e-9:
+            raise InvariantViolation(t, q.value - leftover, (-1e-9, math.inf),
+                                     "prescribed level over carried inventory")
     return TraceRecord(
         t=t,
         action=float(q_eff),
@@ -115,15 +117,3 @@ def newsvendor_step(q: ControllerState, cfg: NewsvendorConfig, demand: float) ->
         extras={"a": float(demand), "y": float(y), "leftover": float(leftover)},
     )
 
-
-def fill_rate(trace) -> float:
-    """Total fulfilled over total demanded, sum(y) / sum(a).
-
-    For a constant step size this equals
-    phi - (q_end - q_start) / (eta * sum(a)) up to floating rounding.
-    """
-    if not trace:
-        raise ValueError("trace is empty")
-    served = sum(r.extras["y"] for r in trace)
-    asked = sum(r.extras["a"] for r in trace)
-    return served / asked

@@ -6,49 +6,15 @@ import pytest
 from coverctl.bandit import (
     BOUNDARY_RULE,
     PROJECTED_BASELINE,
-    ArmStats,
     BanditConfig,
     BanditState,
     FeedbackError,
     bandit_step,
     discretize_intervals,
-    discretize_threshold,
     select_arm,
-    ucb_bounds,
 )
 from coverctl.control import StepSchedule, ValidityLedger, telescoping_check
 from coverctl.environments import TrapWorld
-
-
-def test_ucb_bounds_reference_value():
-    # delta = sqrt(2 ln 16 / 4), evaluated independently
-    stats = ArmStats(plays=4, mean_reward=0.5, mean_cost=0.3)
-    r_ucb, c_lcb = ucb_bounds(stats, n=2, horizon_T=8, c_max=1.0)
-    delta = math.sqrt(2.0 * math.log(16.0) / 4.0)
-    assert delta == pytest.approx(1.1774100225154747, abs=1e-12)
-    assert r_ucb == pytest.approx(0.5 + delta, abs=1e-12)
-    assert c_lcb == pytest.approx(0.3 - delta, abs=1e-12)
-
-
-def test_ucb_bounds_vanishing_width():
-    stats = ArmStats(plays=10**12, mean_reward=1.0, mean_cost=0.7)
-    r_ucb, c_lcb = ucb_bounds(stats, n=2, horizon_T=10, c_max=0.7)
-    assert r_ucb == pytest.approx(1.0, abs=1e-5)
-    assert c_lcb == pytest.approx(0.7, abs=1e-5)
-
-
-def test_ucb_bounds_single_arm_small_horizon():
-    stats = ArmStats(plays=1, mean_reward=0.0, mean_cost=0.0)
-    r_ucb, c_lcb = ucb_bounds(stats, n=1, horizon_T=3, c_max=2.0)
-    width = math.sqrt(2.0 * math.log(3.0))
-    assert width == pytest.approx(1.4823038073675112, abs=1e-12)
-    assert r_ucb == pytest.approx(width, abs=1e-12)
-    assert c_lcb == pytest.approx(-2.0 * width, abs=1e-12)
-
-
-def test_ucb_bounds_requires_plays():
-    with pytest.raises(ValueError):
-        ucb_bounds(ArmStats(), n=2, horizon_T=10, c_max=1.0)
 
 
 def _loaded_state(cfg, bounds):
@@ -179,8 +145,8 @@ def test_coverage_identity_on_trap_run():
     env = TrapWorld((2000, 3200), seed=0)
     state = BanditState(cfg, StepSchedule.constant(0.02))
     # the ledger window starts once the warm-up pass (and with it the
-    # controlled dual) begins
-    ledger = ValidityLedger(0.5, state.dual.schedule, window_start=cfg.n + 1)
+    # controlled dual) begins: only steps t > n are recorded below
+    ledger = ValidityLedger(0.5, state.dual.schedule)
     eta_max = 0.02
     for _ in range(5000):
         rec = bandit_step(state, cfg, env)
@@ -204,18 +170,6 @@ def test_ucb_concentration_on_bernoulli_draws():
         delta = width_scale / np.sqrt(counts)
         violations += int(np.sum(np.abs(means - p) > delta))
     assert violations / (runs * horizon * n_arms) < 0.05
-
-
-def test_discretize_threshold_grids():
-    assert discretize_threshold(0.0, 1.0, 0.25) == pytest.approx([0, 0.25, 0.5, 0.75, 1.0])
-    assert discretize_threshold(0.0, 1.0, 1.0) == pytest.approx([0.0, 1.0])
-    grid = discretize_threshold(0.0, 1.0, 0.3)
-    assert grid == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
-    assert len(grid) == 5
-    with pytest.raises(ValueError):
-        discretize_threshold(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        discretize_threshold(1.0, 0.0, 0.1)
 
 
 def test_discretize_intervals_counts():

@@ -5,6 +5,7 @@ import pytest
 
 from coverctl.control import (
     ControllerState,
+    InvariantViolation,
     StepSchedule,
     ValidityLedger,
     aci_update,
@@ -171,22 +172,30 @@ def test_coverage_bound_values():
         coverage_bound(1.0, 0.1, 0)
 
 
-def test_ledger_reset_and_anchor():
+def test_ledger_window_started_mid_run():
+    # a window may open at any step: its identity uses the state at the
+    # window's first step, not the controller's initial value
     s = make_state(0.0, 0.5, 0.1)
-    assert s.anchor == 0.0
-    ledger = ValidityLedger(0.5, s.schedule)
     for y in (1.0, 1.0, 0.0):
         aci_update(s, y)
-        ledger.record(y)
-    ledger.reset(window_start=s.step_index)
-    s.anchor = s.value
-    assert ledger.step_count == 0
+    start = s.value
+    ledger = ValidityLedger(0.5, s.schedule)
     for y in (0.0, 1.0):
         aci_update(s, y)
         ledger.record(y)
-    assert telescoping_check(ledger, s.anchor, s.value) == pytest.approx(0.0, abs=1e-12)
+    assert ledger.step_count == 2
+    assert telescoping_check(ledger, start, s.value) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_schedule_round_trip():
     sched = StepSchedule.power(5.0, 0.5, index_offset=1)
     assert StepSchedule.from_dict(sched.to_dict()) == sched
+
+
+def test_invariant_violation_names_step_and_survives_pickling():
+    import pickle
+
+    err = InvariantViolation(12, -90.5, (-1e-9, math.inf))
+    assert str(err) == "state -90.5 escaped [-1e-09, inf] at step 12"
+    back = pickle.loads(pickle.dumps(err))  # pool workers send errors this way
+    assert (back.step, back.value, back.band, str(back)) == (12, -90.5, (-1e-9, math.inf), str(err))

@@ -10,8 +10,8 @@ from coverctl.presets import (
     preset_catalog,
     preset_config,
 )
-from coverctl.runner import execute, render_csv, run_replica
-from coverctl.metrics import TraceRecord
+from coverctl.runner import benchmark_values, execute, render_csv, run_replica
+from coverctl.metrics import TraceRecord, coverage_series, regret_series
 
 EXPECTED_PRESETS = {
     "interval-beta",
@@ -88,7 +88,8 @@ def test_csv_schema_and_round_trip_precision():
         TraceRecord(t=2, action=5, reward=0.0, cost=2 / 7, state=-0.05,
                     extras={"boundary": 1.0}),
     ]
-    csv_text = render_csv(records, c_star=0.25)
+    csv_text = render_csv(records, coverage_series(records), regret_series(records, 0.25),
+                          regret_series(records, 0.25, positive_part=True))
     lines = csv_text.strip().split("\n")
     assert lines[0] == "t,action,reward,cost,state,K,coverage_cum,regret_cum,regret_pos_cum,boundary"
     cost_back = float(lines[1].split(",")[3])
@@ -190,11 +191,14 @@ def test_every_preset_executes_end_to_end(tmp_path):
             assert (out / "manifest.json").exists()
             for var in variants:
                 assert (out / var.variant / "trace_0.csv").exists()
+        # `oracle` prints exactly the benchmark block that `run` writes
+        oracle = benchmark_values(cfg)
+        for var in variants:
+            metrics = json.loads((out / var.variant / "metrics.json").read_text())
+            assert oracle[var.variant or "run"] == metrics["benchmark"], (name, var.variant)
 
 
 def test_oracle_values_available_for_every_preset():
-    from coverctl.runner import benchmark_values
-
     for name in sorted(EXPECTED_PRESETS):
         values = benchmark_values(preset_config(name, seed=2))
         assert values
@@ -245,6 +249,30 @@ def test_cli_reports_infeasible_benchmark(tmp_path, capsys):
     path.write_text(cfg.to_json())
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "infeasible" in capsys.readouterr().err
+    assert main(["oracle", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "infeasible" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("algorithm,environment", [
+    ("primal_threshold", {"kind": "interval", "delta": 0.05, "points": ["beta", 2, 5]}),
+    ("newsvendor", {"kind": "score_uniform"}),
+], ids=["threshold-on-interval", "newsvendor-on-scores"])
+def test_run_and_oracle_reject_a_mismatched_environment(tmp_path, capsys, algorithm,
+                                                         environment):
+    cfg = ExperimentConfig.from_dict(dict(
+        algorithm=algorithm, environment=environment, T=20, phi=0.8,
+        schedule={"kind": "constant", "c": 0.1}, seed=1,
+    ))
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    run_err = capsys.readouterr().err
+    assert main(["oracle", "--config", str(path)]) == 2
+    oracle_err = capsys.readouterr().err
+    assert run_err == oracle_err
+    assert run_err.startswith("error: ") and "environment" in run_err
+    assert "Traceback" not in run_err
 
 
 def test_svg_plots_are_self_contained(tmp_path):

@@ -11,7 +11,6 @@ from coverctl.metrics import (
     parse_chain,
     regret_series,
     sublinearity_fit,
-    window_coverage,
 )
 from coverctl.oracles import GreedyReport
 
@@ -33,12 +32,43 @@ def test_coverage_series_alternating():
     assert all(cov[2 * k - 1] == pytest.approx(0.5) for k in range(1, 51))
 
 
-def test_window_coverage():
-    trace = [rec(t, reward=float(t <= 5)) for t in range(1, 11)]
-    assert window_coverage(trace, 1, 5) == 1.0
-    assert window_coverage(trace, 6, 10) == 0.0
+def test_coverage_series_fill_mode():
+    # served over asked totals: large demands weigh more than a per-step mean
+    trace = [rec(1, reward=0.5, extras={"y": 5.0, "a": 10.0}),
+             rec(2, reward=1.0, extras={"y": 30.0, "a": 30.0})]
+    assert coverage_series(trace, "fill").tolist() == [0.5, 35.0 / 40.0]
+    assert coverage_series(trace).tolist() == [0.5, 0.75]
     with pytest.raises(ValueError):
-        window_coverage(trace, 11, 20)
+        coverage_series(trace, "median")
+    with pytest.raises(ValueError):
+        coverage_series([], "fill")
+
+
+def test_series_equal_running_sums_exactly():
+    # the trace CSV columns come from these series; a left-to-right Python
+    # accumulation is the reference and must match bit for bit
+    rng = random.Random(3)
+    trace = [rec(t, reward=float(rng.random() < 0.7), cost=rng.uniform(0, 2),
+                 extras={"y": rng.uniform(0, 5), "a": rng.uniform(5, 9)})
+             for t in range(1, 3001)]
+    c_star = [rng.uniform(0, 2) for _ in trace]
+    num = served = asked = cum = cum_pos = 0.0
+    mean, fill, plain, pos = [], [], [], []
+    for idx, r in enumerate(trace):
+        num += r.reward
+        served += r.extras["y"]
+        asked += r.extras["a"]
+        gap = r.cost - c_star[idx]
+        cum += gap
+        cum_pos += max(gap, 0.0)
+        mean.append(num / (idx + 1.0))
+        fill.append(served / asked)
+        plain.append(cum)
+        pos.append(cum_pos)
+    assert coverage_series(trace).tolist() == mean
+    assert coverage_series(trace, "fill").tolist() == fill
+    assert regret_series(trace, c_star).tolist() == plain
+    assert regret_series(trace, c_star, positive_part=True).tolist() == pos
 
 
 def test_regret_series_zero_at_benchmark():

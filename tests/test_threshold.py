@@ -1,14 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from coverctl.control import ControllerState, StepSchedule
-from coverctl.environments import uniform_score_world
-from coverctl.runner import drive_threshold
+import coverctl
+from coverctl.control import ControllerState, InvariantViolation, StepSchedule
+from coverctl.environments import PoissonDemand, uniform_score_world
+from coverctl.runner import drive_newsvendor, drive_threshold
 from coverctl.threshold import (
     NewsvendorConfig,
     ThresholdConfig,
-    fill_rate,
     newsvendor_step,
     threshold_step,
 )
@@ -23,6 +27,16 @@ class _ScriptedScores:
     def evaluate(self, t, tau):
         tau_x = self.cutoffs[(t - 1) % len(self.cutoffs)]
         return (1.0 if tau >= tau_x else 0.0, tau)
+
+
+class _ScriptedDemand:
+    """Demand a_t read from a fixed list, one entry per period."""
+
+    def __init__(self, demands):
+        self.demands = demands
+
+    def draw(self, t):
+        return self.demands[t - 1]
 
 
 def test_threshold_step_basic_update():
@@ -139,43 +153,66 @@ def test_nonnegative_inventory_under_small_steps():
 
 def test_fill_rate_identity_single_step():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
-    q = ControllerState(20.0, 0.9, cfg.schedule)
-    trace = [newsvendor_step(q, cfg, 25.0)]
-    assert fill_rate(trace) == pytest.approx(0.8, abs=1e-12)
-    rhs = 0.9 - (q.value - 20.0) / (0.5 * 25.0)
+    sim = drive_newsvendor(cfg, _ScriptedDemand([25.0]), 1, q_init=20.0)
+    assert sim.info["fill_rate"] == pytest.approx(0.8, abs=1e-12)
+    rhs = 0.9 - (sim.final_state - 20.0) / (0.5 * 25.0)
     assert rhs == pytest.approx(0.8, abs=1e-12)
 
 
 def test_fill_rate_identity_long_run():
     rng = random.Random(11)
+    demands = [rng.uniform(1.0, 80.0) for _ in range(20000)]
     cfg = NewsvendorConfig(80.0, 0.9, StepSchedule.constant(0.3))
-    q = ControllerState(0.0, 0.9, cfg.schedule)
-    trace = [newsvendor_step(q, cfg, rng.uniform(1.0, 80.0)) for _ in range(20000)]
-    total_a = sum(r.extras["a"] for r in trace)
-    rhs = 0.9 - (q.value - 0.0) / (0.3 * total_a)
-    assert fill_rate(trace) == pytest.approx(rhs, abs=1e-9)
+    sim = drive_newsvendor(cfg, _ScriptedDemand(demands), len(demands))
+    rhs = 0.9 - (sim.final_state - 0.0) / (0.3 * sum(demands))
+    assert sim.info["fill_rate"] == pytest.approx(rhs, abs=1e-9)
 
 
 def test_fill_rate_full_service_when_stocked():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
-    q = ControllerState(90.0, 0.9, cfg.schedule)
-    trace = []
-    values = []
-    for a in (10.0, 12.0, 9.0):
-        values.append(q.value)
-        trace.append(newsvendor_step(q, cfg, a))
-    assert fill_rate(trace) == 1.0
+    sim = drive_newsvendor(cfg, _ScriptedDemand([10.0, 12.0, 9.0]), 3, q_init=90.0)
+    assert sim.info["fill_rate"] == 1.0
+    values = [r.state for r in sim.records]
     assert values == sorted(values, reverse=True)  # state falls while over-serving
 
 
 def test_fill_rate_positive_after_two_steps():
     # the positive drift at empty inventory makes an all-zero fill impossible
     cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
-    q = ControllerState(0.0, 0.9, cfg.schedule)
-    trace = [newsvendor_step(q, cfg, 10.0), newsvendor_step(q, cfg, 10.0)]
-    assert fill_rate(trace) > 0.0
+    sim = drive_newsvendor(cfg, _ScriptedDemand([10.0, 10.0]), 2)
+    assert sim.info["fill_rate"] > 0.0
 
 
 def test_fill_rate_rejects_empty_trace():
+    cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
     with pytest.raises(ValueError):
-        fill_rate([])
+        drive_newsvendor(cfg, _ScriptedDemand([]), 0)
+
+
+_OVERSHOOT = """
+from coverctl.control import InvariantViolation, StepSchedule
+from coverctl.environments import PoissonDemand
+from coverctl.runner import drive_newsvendor
+from coverctl.threshold import NewsvendorConfig
+
+assert not __debug__, "asserts are on"
+cfg = NewsvendorConfig(100, 0.9, StepSchedule.constant(50.0))
+try:
+    drive_newsvendor(cfg, PoissonDemand(20, 50, 500, 100, seed=1), 1000)
+except InvariantViolation as err:
+    print(err.step)
+"""
+
+
+def test_negative_inventory_raises_in_every_mode():
+    # a step of 50 overshoots: the level goes negative within a few periods
+    cfg = NewsvendorConfig(100, 0.9, StepSchedule.constant(50.0))
+    with pytest.raises(InvariantViolation) as err:
+        drive_newsvendor(cfg, PoissonDemand(20, 50, 500, 100, seed=1), 1000)
+    assert err.value.value < 0.0
+    # python -O strips assert statements; the check must not be one
+    env = dict(os.environ, PYTHONPATH=str(Path(coverctl.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", _OVERSHOOT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [str(err.value.step)]
