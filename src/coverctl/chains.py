@@ -75,25 +75,14 @@ class ChainStats:
         plays[:] = float(_EXACT_PLAYS)
         mean[:] = np.asarray(means, dtype=float)
 
-    def ucb(self, position: int, prefix, arm: int) -> float:
-        ctx = self._table.get(self._key(position, prefix))
-        if ctx is None or ctx[0][arm] == 0.0:
-            return math.inf
-        plays, mean = ctx
-        return float(mean[arm] + math.sqrt(self._log_term / plays[arm]))
-
     def arm_stats(self, position: int, prefix, arm: int) -> ArmStats:
         ctx = self._table.get(self._key(position, prefix))
         if ctx is None:
             return ArmStats()
         return ArmStats(plays=int(ctx[0][arm]), mean_reward=float(ctx[1][arm]))
 
-    def context_count(self) -> int:
-        return len(self._table)
 
-
-def select_chain(stats: ChainStats, budget: int, n: int | None = None,
-                 explore: bool = True) -> list[int]:
+def select_chain(stats: ChainStats, budget: int, explore: bool = True) -> list[int]:
     """Greedy fill of ``budget`` slots by optimistic marginal-gain score.
 
     Ties (including between unplayed pairs, which all score +inf) break to
@@ -101,14 +90,10 @@ def select_chain(stats: ChainStats, budget: int, n: int | None = None,
     learned means alone (unplayed pairs score -inf), which reads out the
     converged chain without the exploration bonus.
     """
-    if n is None:
-        n = stats.n
-    elif n != stats.n:
-        raise ValueError("arm count does not match the statistics table")
-    if not 0 <= budget <= n:
-        raise ValueError(f"budget {budget} outside [0, {n}]")
+    if not 0 <= budget <= stats.n:
+        raise ValueError(f"budget {budget} outside [0, {stats.n}]")
     chain: list[int] = []
-    chosen = np.zeros(n, dtype=bool)
+    chosen = np.zeros(stats.n, dtype=bool)
     for position in range(1, budget + 1):
         ctx = stats._table.get(stats._key(position, chain))
         if ctx is None:

@@ -7,7 +7,8 @@
 
 Config files are flat JSON with the documented key set; command-line flags
 override file keys and the merged effective config is always written back
-next to the traces.
+next to the traces. Exit codes: 2 bad config, 3 infeasible benchmark, 4 broken
+invariant.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+from .control import InvariantViolation
 from .oracles import InfeasibleBenchmarkError
 from .presets import ConfigError, ExperimentConfig, preset_catalog, preset_config
 from .runner import benchmark_values, execute
@@ -102,6 +104,9 @@ def main(argv=None) -> int:
     except InfeasibleBenchmarkError as err:
         print(f"oracle error: {err}", file=sys.stderr)
         return 3
+    except InvariantViolation as err:
+        print(f"invariant violation: {err}", file=sys.stderr)
+        return 4
     except (FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -7,8 +7,8 @@ perturb each other's streams.
 
 Feedback is deliberately minimal. The observation bundle handed to an
 algorithm carries exactly a reward and a cost; in particular the interval
-world never reveals the arriving point, only the containment bit. Debug
-inspection goes through side-channel methods that no controller touches.
+world never reveals the arriving point, only the containment bit. True laws
+are read through benchmark-only methods that no controller touches.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bandit import IntervalGrid, discretize_intervals
+from .oracles import beta_cdf
 from .rng import uniform
 
 # component ids for substream separation
@@ -69,15 +70,13 @@ class ArmSpec:
 class IidArmWorld:
     """Independent Bernoulli rewards per arm; only the played arm's draw is
     revealed. If the spec list lacks a null arm (p=0, cost 0) or a
-    guaranteed arm (p=1, cost c_max) they are appended."""
+    guaranteed arm (p=1, the largest spec cost c_max) they are appended."""
 
-    def __init__(self, specs, seed: int, c_max: float | None = None):
+    def __init__(self, specs, seed: int):
         specs = list(specs)
         if not specs:
             raise ValueError("need at least one arm spec")
-        if c_max is None:
-            c_max = max(s.max_cost for s in specs)
-            c_max = max(c_max, 1e-12)
+        c_max = max(max(s.max_cost for s in specs), 1e-12)
         i_min = next((i for i, s in enumerate(specs) if s.p == 0.0 and s.max_cost == 0.0), None)
         i_max = next((i for i, s in enumerate(specs) if s.p == 1.0 and s.cost == c_max), None)
         if i_min is None:
@@ -132,7 +131,7 @@ class IntervalWorld:
         self.seed = seed
         kind = point_dist[0]
         if kind == "beta":
-            a, b = point_dist[1], point_dist[2]
+            _, a, b = point_dist
             if int(a) != a or int(b) != b or a < 1 or b < 1:
                 raise ValueError("beta point distribution needs integer shapes >= 1")
             self._dist = ("beta", int(a), int(b))
@@ -155,9 +154,11 @@ class IntervalWorld:
         y = self._point(t)
         return Observation(1.0 if a.contains(y) else 0.0, a.length)
 
-    def debug_point(self, t: int) -> float:
-        """Side channel for diagnostics; never part of an observation."""
-        return self._point(t)
+    def cdf(self, x: float) -> float:
+        """True CDF of the hidden point, for benchmarks only."""
+        if self._dist[0] == "uniform":
+            return min(max(x, 0.0), 1.0)
+        return beta_cdf(x, self._dist[1], self._dist[2])
 
 
 class TrapWorld:
@@ -194,33 +195,27 @@ class TrapWorld:
 
 
 class ScoreWorld:
-    """Monotone score-threshold world.
+    """Monotone score-threshold world with uniform cutoffs.
 
-    Each step hides a cutoff tau_x; the submitted threshold succeeds iff it
-    reaches the cutoff (success at equality), so for fixed context the
-    outcome is a single-jump non-decreasing step function of the threshold.
-    ``inverse_cdf`` maps a uniform draw to tau_x; ``cost_fn(tau_x, tau)``
-    must be non-decreasing in tau.
+    Each step hides a cutoff tau_x uniform on [0, 1]; the submitted
+    threshold succeeds iff it reaches the cutoff (success at equality), so
+    for fixed context the outcome is a single-jump non-decreasing step
+    function of the threshold. The cost is the submitted threshold.
     """
 
-    def __init__(self, inverse_cdf, cost_fn, seed: int, tau_min: float = 0.0,
-                 tau_max: float = 1.0, cdf=None):
-        self.inverse_cdf = inverse_cdf
-        self.cost_fn = cost_fn
+    tau_min = 0.0
+    tau_max = 1.0
+
+    def __init__(self, seed: int):
         self.seed = seed
-        self.tau_min = tau_min
-        self.tau_max = tau_max
-        self.cdf = cdf  # known CDF, for benchmarks only
 
     def evaluate(self, t: int, tau: float) -> Observation:
-        tau_x = self.inverse_cdf(uniform(self.seed, _C_SCORE, t, 0))
-        y = 1.0 if tau >= tau_x else 0.0
-        return Observation(y, float(self.cost_fn(tau_x, tau)))
+        tau_x = uniform(self.seed, _C_SCORE, t, 0)
+        return Observation(1.0 if tau >= tau_x else 0.0, float(tau))
 
     def expected_reward(self, tau: float) -> float:
-        if self.cdf is None:
-            raise ValueError("this world has no declared CDF")
-        return self.cdf(tau)
+        """True success probability r(tau), for benchmarks only."""
+        return min(max(tau, self.tau_min), self.tau_max)
 
 
 def uniform_score_world(seed: int) -> ScoreWorld:
@@ -229,12 +224,7 @@ def uniform_score_world(seed: int) -> ScoreWorld:
     Expected reward r(tau) = tau, so the reward margin constant is 1 and the
     cost Lipschitz constant is 1.
     """
-    return ScoreWorld(
-        inverse_cdf=lambda u: u,
-        cost_fn=lambda x, tau: tau,
-        seed=seed,
-        cdf=lambda tau: min(max(tau, 0.0), 1.0),
-    )
+    return ScoreWorld(seed)
 
 
 class PoissonDemand:

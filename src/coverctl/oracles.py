@@ -26,9 +26,6 @@ class LpSolution:
     c_star: float
     mixture: tuple[float, ...]
 
-    def support(self) -> list[int]:
-        return [i for i, x in enumerate(self.mixture) if x > 0.0]
-
 
 def lp_benchmark(p, omega, phi: float) -> LpSolution:
     """Minimize sum x_i omega_i over the simplex s.t. sum x_i p_i >= phi.
@@ -82,43 +79,13 @@ def lp_benchmark(p, omega, phi: float) -> LpSolution:
     return LpSolution(c_star=float(best_cost), mixture=tuple(best_mix))
 
 
-def _beta_density_integral(a: int, b: int, lo: float, hi: float, tol: float) -> float:
-    """Adaptive Simpson integration of x^(a-1) (1-x)^(b-1) over [lo, hi]."""
-
-    def f(x: float) -> float:
-        return x ** (a - 1) * (1.0 - x) ** (b - 1)
-
-    def simpson(x0, x2, f0, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = f(x1)
-        return x1, f1, (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    def recurse(x0, x2, f0, f2, whole, x1, f1, eps, depth):
-        lm, flm, left = simpson(x0, x1, f0, f1)
-        rm, frm, right = simpson(x1, x2, f1, f2)
-        if depth > 60 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, x1, f0, f1, left, lm, flm, eps / 2.0, depth + 1) + recurse(
-            x1, x2, f1, f2, right, rm, frm, eps / 2.0, depth + 1
-        )
-
-    if hi <= lo:
-        return 0.0
-    f0, f2 = f(lo), f(hi)
-    x1, f1, whole = simpson(lo, hi, f0, f2)
-    return recurse(lo, hi, f0, f2, whole, x1, f1, tol, 0)
-
-
-def beta_cdf(x: float, a: int, b: int, tol: float = 1e-10) -> float:
-    """CDF of Beta(a, b) for integer shapes, by adaptive integration."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    norm = (
-        math.factorial(a - 1) * math.factorial(b - 1) / math.factorial(a + b - 1)
-    )
-    return _beta_density_integral(a, b, 0.0, x, tol * norm) / norm
+def beta_cdf(x: float, a: int, b: int) -> float:
+    """CDF of Beta(a, b) for integer shapes, in closed form: the a-th smallest
+    of a+b-1 uniforms is Beta(a, b), so I_x(a, b) is the binomial tail
+    P(at least a of them fall below x)."""
+    x = min(max(x, 0.0), 1.0)
+    n = a + b - 1
+    return sum(math.comb(n, j) * x**j * (1.0 - x) ** (n - j) for j in range(a, n + 1))
 
 
 def threshold_benchmark(r_curve, c_curve, phi: float, tau_min: float = 0.0,

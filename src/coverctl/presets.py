@@ -40,6 +40,13 @@ class ConfigError(ValueError):
     """A config file or flag set fails validation."""
 
 
+def checked(path: str, value, kind: type = float):
+    """``value`` if a ``kind`` (ints count as floats, never bools); else ConfigError at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"key '{path}': expected {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     preset: str
@@ -59,14 +66,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
-        if self.T < 1:
+        if checked("T", self.T, int) < 1:
             raise ConfigError("key 'T': horizon must be at least 1")
-        if not 0.0 < self.phi < 1.0:
+        if not 0.0 < checked("phi", self.phi) < 1.0:
             raise ConfigError("key 'phi': target must lie strictly in (0, 1)")
-        if self.replicas < 1:
+        if checked("replicas", self.replicas, int) < 1:
             raise ConfigError("key 'replicas': must be at least 1")
-        if "kind" not in self.environment:
+        checked("seed", self.seed, int)
+        if not isinstance(self.environment, dict) or "kind" not in self.environment:
             raise ConfigError("key 'environment': missing 'kind' tag")
+        schedule = checked("schedule", self.schedule, dict)
+        for key, kind, default in (("kind", str, None), ("c", float, None),
+                                   ("p", float, 0.0), ("index_offset", int, 0)):
+            checked(f"schedule.{key}", schedule.get(key, default), kind)
 
     def to_dict(self) -> dict:
         return asdict(self)

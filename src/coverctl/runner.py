@@ -28,7 +28,7 @@ from .bandit import BOUNDARY_RULE, PROJECTED_BASELINE, BanditConfig, BanditState
 from .chains import POSITION_KEYED, PREFIX_KEYED, BudgetState, ChainConfig, ChainStats, acog_step
 from .control import (ControllerState, InvariantViolation, StepSchedule, ValidityLedger,
                       telescoping_check)
-from .presets import ExperimentConfig, expand_variants
+from .presets import ExperimentConfig, checked, expand_variants
 from .rng import replica_seed
 from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
 
@@ -140,9 +140,7 @@ def drive_acog(cfg: ChainConfig, schedule: StepSchedule, env, T: int,
         return rec
 
     band = (-schedule.max_eta() - _TOL, cfg.n + _TOL)
-    sim = _drive(step, budget.theta, T, band, keep_trace)
-    sim.info.update(contexts=stats.context_count(), stats=stats)
-    return sim
+    return _drive(step, budget.theta, T, band, keep_trace)
 
 
 # --- experiment layer -------------------------------------------------------
@@ -203,19 +201,15 @@ class _Setup(NamedTuple):
     summary: Callable[[list], dict] = lambda records: {}  # extra summary fields
 
 
-def _interval_cdf(points):
-    kind = points[0]
-    if kind == "uniform":
-        return lambda x: min(max(x, 0.0), 1.0)
-    return lambda x: oracles.beta_cdf(x, int(points[1]), int(points[2]))
+def _env(config: ExperimentConfig, key: str, kind: type = float):
+    return checked(f"environment.{key}", config.environment.get(key), kind)
 
 
 def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    envd = config.environment
-    kind = envd["kind"]
+    kind = config.environment["kind"]
     if kind == "interval":
-        world = envs.IntervalWorld(envd["delta"], tuple(envd["points"]), seed)
-        bench = oracles.interval_benchmark(envd["delta"], _interval_cdf(envd["points"]), config.phi)
+        world = envs.IntervalWorld(_env(config, "delta"), tuple(_env(config, "points", list)), seed)
+        bench = oracles.interval_benchmark(world.grid.delta, world.cdf, config.phi)
         bench_dict = {
             "benchmark": "grid_interval",
             "c_star": bench.c_star,
@@ -224,7 +218,7 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
             "discretization_gap": bench.discretization_gap,
         }
     elif kind == "trap":
-        world = envs.TrapWorld(tuple(envd["window"]), seed)
+        world = envs.TrapWorld(tuple(_env(config, "window", list)), seed)
         start, end = world.window
         fail = max(0, min(end, config.T + 1) - max(start, 1))
         p = [1.0, 1.0 - fail / config.T, 0.0]
@@ -237,7 +231,7 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
         }
     elif kind == "iid":
         specs = [envs.ArmSpec(p, tuple(c) if isinstance(c, list) else c)
-                 for p, c in envd["specs"]]
+                 for p, c in _env(config, "specs", list)]
         world = envs.IidArmWorld(specs, seed)
         p_vec, omega = world.means()
         sol = oracles.lp_benchmark(p_vec, omega, config.phi)
@@ -280,16 +274,15 @@ def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
 
 
 def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    envd = config.environment
-    if envd["kind"] != "poisson_demand":
+    if config.environment["kind"] != "poisson_demand":
         raise ValueError("newsvendor expects the poisson_demand environment")
-    stream = envs.PoissonDemand(envd["before"], envd["after"], envd["shift_t"],
-                                envd["cap"], seed)
-    cap = int(envd["cap"])
+    before, after, cap = (_env(config, key) for key in ("before", "after", "cap"))
+    shift_t = _env(config, "shift_t", int)
+    stream = envs.PoissonDemand(before, after, shift_t, cap, seed)
     q1, mu1 = oracles.newsvendor_benchmark(
-        oracles.truncated_poisson_pmf(envd["before"], cap), config.phi)
+        oracles.truncated_poisson_pmf(before, int(cap)), config.phi)
     q2, mu2 = oracles.newsvendor_benchmark(
-        oracles.truncated_poisson_pmf(envd["after"], cap), config.phi)
+        oracles.truncated_poisson_pmf(after, int(cap)), config.phi)
     bench = {
         "benchmark": "phase_base_stock",
         "q_star_before": q1,
@@ -298,23 +291,24 @@ def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
         "mu_after": mu2,
     }
     cfg = NewsvendorConfig(
-        demand_cap=envd["cap"],
+        demand_cap=cap,
         phi=config.phi,
         schedule=StepSchedule.from_dict(config.schedule),
         dynamic_carryover=bool(config.algorithm_params.get("dynamic_carryover", False)),
     )
     q_init = float(config.algorithm_params.get("initial_level", 0.0))
-    c_star = np.where(np.arange(1, config.T + 1) <= envd["shift_t"], q1, q2)
+    c_star = np.where(np.arange(1, config.T + 1) <= shift_t, q1, q2)
     return _Setup(bench, c_star,
                   lambda: drive_newsvendor(cfg, stream, config.T, q_init=q_init), "fill")
 
 
 def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    envd = config.environment
-    if envd["kind"] == "or_random":
-        p = envs.draw_or_probabilities(envd["n"], envd["p_low"], envd["p_high"], seed)
-    elif envd["kind"] == "or_fixed":
-        p = [float(x) for x in envd["p"]]
+    kind = config.environment["kind"]
+    if kind == "or_random":
+        p = envs.draw_or_probabilities(_env(config, "n", int), _env(config, "p_low"),
+                                       _env(config, "p_high"), seed)
+    elif kind == "or_fixed":
+        p = [float(x) for x in _env(config, "p", list)]
     else:
         raise ValueError("chain algorithms expect an any-success environment")
     world = envs.OrWorld(p, seed)
@@ -405,10 +399,8 @@ def _worker(args) -> dict:
 
 def execute_variant(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
                     plot: bool = False) -> dict:
-    """Run every replica of one resolved config and write its artifacts."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(config.to_json() + "\n")
+    """Run every replica of one resolved config, then write its artifacts
+    (nothing before every replica has returned, so a failed run leaves none)."""
     tasks = [(config.to_dict(), k) for k in range(config.replicas)]
     if jobs > 1 and config.replicas > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -416,6 +408,9 @@ def execute_variant(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
     else:
         outputs = [_worker(t) for t in tasks]
     outputs.sort(key=lambda o: o["replica"])
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.json").write_text(config.to_json() + "\n")
     for out in outputs:
         (out_dir / f"trace_{out['replica']}.csv").write_text(out["csv"])
     summaries = [o["summary"] for o in outputs]

@@ -82,6 +82,9 @@ def test_interval_world_containment_rate_matches_cdf():
     truth = beta25_cdf(0.45)
     assert truth == pytest.approx(0.836432578125, abs=1e-12)
     assert abs(hits / n - truth) < 3.0 * math.sqrt(truth * (1 - truth) / n)
+    law = IntervalWorld(0.05, ("beta", 2, 5), 1).cdf
+    for x in np.linspace(-0.1, 1.1, 49):
+        assert law(float(x)) == pytest.approx(beta25_cdf(min(max(x, 0.0), 1.0)), abs=1e-12)
 
 
 def test_interval_world_uniform_points():
@@ -95,9 +98,7 @@ def test_interval_world_uniform_points():
 
 def test_interval_world_debug_point_not_in_observation():
     world = IntervalWorld(0.5, ("uniform",), seed=6)
-    y = world.debug_point(17)
     obs = world.pull(17, world.i_max)
-    assert 0.0 <= y <= 1.0
     assert obs == Observation(1.0, 1.0)  # nothing but the bit and the cost
 
 

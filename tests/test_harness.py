@@ -275,6 +275,38 @@ def test_run_and_oracle_reject_a_mismatched_environment(tmp_path, capsys, algori
     assert "Traceback" not in run_err
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("override,key", [
+    ({"environment": {"kind": "interval", "points": ["beta", 2, 5]}}, "environment.delta"),
+    ({"T": 100.5}, "T"),
+    ({"schedule": {"kind": "constant", "c": "0.1"}}, "schedule.c"),
+], ids=["missing-delta", "fractional-T", "string-step"])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
+    doc = dict(algorithm="pd_bandit", T=100, phi=0.8, seed=1,
+               environment={"kind": "interval", "delta": 0.25, "points": ["beta", 2, 5]},
+               schedule={"kind": "constant", "c": 0.1})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**doc, **override}))
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, "--config", str(path), *out]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_invariant_violation_exits_4_and_writes_nothing(tmp_path, capsys):
+    # a constant step of 50 overshoots the stock far below zero; step 7 is the
+    # first whose decision-time level is negative
+    path = tmp_path / "cfg.json"
+    path.write_text(small_config(replicas=1, schedule={"kind": "constant", "c": 50.0}).to_json())
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: state ") and "at step 7" in err
+    assert "Traceback" not in err
+    assert not (out_dir / "config.json").exists()
+
+
 def test_svg_plots_are_self_contained(tmp_path):
     execute(small_config(replicas=1), tmp_path, jobs=1, plot=True)
     svg = (tmp_path / "coverage.svg").read_text()

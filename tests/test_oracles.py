@@ -19,7 +19,7 @@ from coverctl.oracles import (
 
 
 def closed_form_beta_cdf(x, a, b):
-    # binomial-sum identity for integer shapes, the independent reference
+    # binomial-sum identity for integer shapes, the formula beta_cdf uses
     n = a + b - 1
     return sum(math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(a, n + 1))
 
@@ -31,6 +31,13 @@ def test_beta_cdf_matches_closed_form():
                 closed_form_beta_cdf(float(x), a, b), abs=1e-9
             )
     assert beta_cdf(0.45, 2, 5) == pytest.approx(0.836432578125, abs=1e-9)
+    # independent reference
+    scipy_beta = pytest.importorskip("scipy.stats").beta
+    for a in range(1, 7):
+        for b in range(1, 7):
+            for x in np.linspace(0.0, 1.0, 41):
+                assert beta_cdf(float(x), a, b) == pytest.approx(
+                    scipy_beta.cdf(x, a, b), abs=1e-12)
 
 
 def test_lp_benchmark_two_point_mixture():
@@ -43,7 +50,6 @@ def test_lp_benchmark_three_arm_instance():
     sol = lp_benchmark([1.0, 0.5, 0.0], [1.0, 0.2, 0.0], 0.8)
     assert sol.c_star == pytest.approx(0.68, abs=1e-12)
     assert sol.mixture == pytest.approx((0.6, 0.4, 0.0))
-    assert sol.support() == [0, 1]
 
 
 def test_lp_benchmark_slack_constraint():

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coverctl
 from coverctl.control import ControllerState, InvariantViolation, StepSchedule
@@ -85,6 +87,19 @@ def test_threshold_adversarial_cutoffs_stay_bounded():
     sim = drive_threshold(cfg, _ScriptedScores(cutoffs), 20000)
     # the driver asserts the [-eta, 1 + eta] band on every step
     assert sim.records[-1].t == 20000
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=st.floats(0.01, 0.99), eta=st.floats(1e-3, 0.5),
+       script=st.lists(st.booleans(), min_size=1, max_size=64))
+def test_ledger_and_band_hold_for_any_reward_script(phi, eta, script):
+    # bit 1: a cutoff every threshold above the floor reaches; bit 0: one only
+    # the ceiling reaches. Away from the clamps the reward is the scripted bit.
+    cutoffs = [1e-9 if bit else 1.0 for bit in script]
+    cfg = ThresholdConfig(0.0, 1.0, phi, StepSchedule.constant(eta))
+    sim = drive_threshold(cfg, _ScriptedScores(cutoffs), 500, keep_trace=False)
+    assert abs(sim.info["ledger_residual"]) <= 1e-9
+    assert cfg.tau_min - eta <= sim.final_state <= cfg.tau_max + eta
 
 
 def test_newsvendor_step_served_and_update():
