@@ -8,11 +8,9 @@ CLI harness that reproduce the reference experiments.
 """
 
 from .bandit import (
-    ArmStats,
     BanditConfig,
     BanditState,
     bandit_step,
-    discretize_intervals,
     select_arm,
 )
 from .chains import BudgetState, ChainConfig, ChainStats, acog_step, budget_from_theta, select_chain

@@ -7,9 +7,6 @@ when the price is at or above its cap the guaranteed-success arm is forced,
 and when it is at or below zero the null arm is forced. A projected-dual
 variant (the classical construction) is included as an ablation baseline;
 it keeps the price in [0, cap] by clamping after the same increment.
-
-Also houses the grid reduction that turns continuous interval selection
-into a finite arm set.
 """
 
 from __future__ import annotations
@@ -28,16 +25,6 @@ PROJECTED_BASELINE = "projected"
 
 class FeedbackError(RuntimeError):
     """The environment returned feedback outside its declared range."""
-
-
-@dataclass
-class ArmStats:
-    """One arm's statistics read out of a bandit or chain table: play count
-    and exact averages of every observation."""
-
-    plays: int = 0
-    mean_reward: float = 0.0
-    mean_cost: float = 0.0
 
 
 @dataclass
@@ -94,13 +81,6 @@ class BanditState:
         k = self.plays[arm]
         self.mean_reward[arm] += (reward - self.mean_reward[arm]) / k
         self.mean_cost[arm] += (cost - self.mean_cost[arm]) / k
-
-    def arm_stats(self, arm: int) -> ArmStats:
-        return ArmStats(
-            plays=int(self.plays[arm]),
-            mean_reward=float(self.mean_reward[arm]),
-            mean_cost=float(self.mean_cost[arm]),
-        )
 
 
 def select_arm(state: BanditState, cfg: BanditConfig) -> int:
@@ -164,62 +144,3 @@ def bandit_step(state: BanditState, cfg: BanditConfig, env) -> TraceRecord:
         state=lam,
         extras={"boundary": 1.0 if boundary else 0.0},
     )
-
-
-@dataclass(frozen=True)
-class IntervalArm:
-    """A closed sub-interval of [0, 1]; cost equals its length.
-
-    The empty arm (reward 0, cost 0) carries ``empty=True``.
-    """
-
-    lo: float
-    hi: float
-    empty: bool = False
-
-    @property
-    def length(self) -> float:
-        return 0.0 if self.empty else self.hi - self.lo
-
-    def contains(self, y: float) -> bool:
-        return (not self.empty) and self.lo <= y <= self.hi
-
-
-@dataclass(frozen=True)
-class IntervalGrid:
-    """All grid intervals [i*delta, j*delta] with 0 <= i < j <= m, plus an
-    empty arm at index 0. The empty arm is the null arm; the full interval
-    [0, 1] (index ``cells``) is the guaranteed arm."""
-
-    delta: float
-    cells: int
-    arms: tuple[IntervalArm, ...]
-
-    @property
-    def i_min(self) -> int:
-        return 0
-
-    @property
-    def i_max(self) -> int:
-        return self.cells
-
-    @property
-    def c_max(self) -> float:
-        return self.arms[self.i_max].length
-
-
-def discretize_intervals(delta: float) -> IntervalGrid:
-    """Build the interval arm grid for a mesh width that divides 1.
-
-    Arm count is m(m+1)/2 + 1 where m = 1/delta.
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    m = round(1.0 / delta)
-    if m < 1 or abs(m * delta - 1.0) > 1e-12:
-        raise ValueError(f"delta={delta} does not divide 1")
-    arms = [IntervalArm(0.0, 0.0, empty=True)]
-    for i in range(m):
-        for j in range(i + 1, m + 1):
-            arms.append(IntervalArm(i * delta, j * delta))
-    return IntervalGrid(delta=delta, cells=m, arms=tuple(arms))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import ArmStats
 from .control import ControllerState, aci_update
 from .metrics import TraceRecord
 
@@ -75,20 +74,12 @@ class ChainStats:
         plays[:] = float(_EXACT_PLAYS)
         mean[:] = np.asarray(means, dtype=float)
 
-    def arm_stats(self, position: int, prefix, arm: int) -> ArmStats:
-        ctx = self._table.get(self._key(position, prefix))
-        if ctx is None:
-            return ArmStats()
-        return ArmStats(plays=int(ctx[0][arm]), mean_reward=float(ctx[1][arm]))
 
-
-def select_chain(stats: ChainStats, budget: int, explore: bool = True) -> list[int]:
+def select_chain(stats: ChainStats, budget: int) -> list[int]:
     """Greedy fill of ``budget`` slots by optimistic marginal-gain score.
 
     Ties (including between unplayed pairs, which all score +inf) break to
-    the lowest arm index. With ``explore=False`` the selection ranks by
-    learned means alone (unplayed pairs score -inf), which reads out the
-    converged chain without the exploration bonus.
+    the lowest arm index.
     """
     if not 0 <= budget <= stats.n:
         raise ValueError(f"budget {budget} outside [0, {stats.n}]")
@@ -100,11 +91,8 @@ def select_chain(stats: ChainStats, budget: int, explore: bool = True) -> list[i
             arm = int(np.argmin(chosen))  # first not-yet-chosen arm
         else:
             plays, mean = ctx
-            if explore:
-                with np.errstate(divide="ignore"):
-                    score = mean + np.sqrt(stats._log_term / plays)
-            else:
-                score = np.where(plays > 0, mean, -np.inf)
+            with np.errstate(divide="ignore"):
+                score = mean + np.sqrt(stats._log_term / plays)
             score[chosen] = -np.inf
             arm = int(np.argmax(score))
         chain.append(arm)
@@ -170,7 +158,7 @@ def acog_step(budget: BudgetState, stats: ChainStats, cfg: ChainConfig, env) -> 
     budget.sync(cfg.n)
     return TraceRecord(
         t=t,
-        action="|".join(str(a) for a in chain) if chain else "-",
+        action=tuple(chain),
         reward=y,
         cost=float(k_now),
         state=theta_now,

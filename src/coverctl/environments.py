@@ -14,10 +14,11 @@ are read through benchmark-only methods that no controller touches.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
-from .bandit import IntervalGrid, discretize_intervals
 from .oracles import beta_cdf
 from .rng import uniform
 
@@ -121,13 +122,23 @@ def _beta_point(seed: int, t: int, a: int, b: int) -> float:
 class IntervalWorld:
     """Interval selection over a delta grid of sub-intervals of [0, 1].
 
-    Playing an arm reveals only whether the hidden point landed in that
-    closed interval, plus the interval's length as cost. The point itself
-    stays hidden from the feedback channel.
+    ``arms`` is the empty null arm (None) and then every (i*delta, j*delta)
+    with 0 <= i < j <= m = 1/delta in (i, j) order; index m is [0, 1], the
+    guaranteed arm. Playing an arm reveals only whether the hidden point
+    landed in that closed interval, plus the interval's length as cost.
     """
 
+    i_min = 0
+
     def __init__(self, delta: float, point_dist, seed: int):
-        self.grid: IntervalGrid = discretize_intervals(delta)
+        if delta <= 0.0:
+            raise ValueError("delta must be positive")
+        m = round(1.0 / delta)
+        if m < 1 or abs(m * delta - 1.0) > 1e-12:
+            raise ValueError(f"delta={delta} does not divide 1")
+        self.delta = delta
+        self.arms = [None] + [(i * delta, j * delta)
+                              for i in range(m) for j in range(i + 1, m + 1)]
         self.seed = seed
         kind = point_dist[0]
         if kind == "beta":
@@ -139,10 +150,9 @@ class IntervalWorld:
             self._dist = ("uniform",)
         else:
             raise ValueError(f"unknown point distribution {point_dist!r}")
-        self.n = len(self.grid.arms)
-        self.c_max = self.grid.c_max
-        self.i_min = self.grid.i_min
-        self.i_max = self.grid.i_max
+        self.n = len(self.arms)
+        self.c_max = m * delta
+        self.i_max = m
 
     def _point(self, t: int) -> float:
         if self._dist[0] == "uniform":
@@ -150,9 +160,11 @@ class IntervalWorld:
         return _beta_point(self.seed, t, self._dist[1], self._dist[2])
 
     def pull(self, t: int, arm: int) -> Observation:
-        a = self.grid.arms[arm]
         y = self._point(t)
-        return Observation(1.0 if a.contains(y) else 0.0, a.length)
+        if self.arms[arm] is None:
+            return Observation(0.0, 0.0)
+        lo, hi = self.arms[arm]
+        return Observation(1.0 if lo <= y <= hi else 0.0, hi - lo)
 
     def cdf(self, x: float) -> float:
         """True CDF of the hidden point, for benchmarks only."""
@@ -177,12 +189,11 @@ class TrapWorld:
     i_max = SAFE
     trap_cost = 0.05
 
-    def __init__(self, window: tuple[int, int], seed: int = 0):
+    def __init__(self, window: tuple[int, int]):
         start, end = window
         if not 0 <= start < end:
             raise ValueError("window must satisfy 0 <= start < end")
         self.window = (int(start), int(end))
-        self.seed = seed
 
     def pull(self, t: int, arm: int) -> Observation:
         if arm == self.SAFE:
@@ -192,6 +203,12 @@ class TrapWorld:
         start, end = self.window
         failing = start <= t < end
         return Observation(0.0 if failing else 1.0, self.trap_cost)
+
+    def means(self, T: int) -> tuple[list[float], list[float]]:
+        """Average (reward, cost) per arm over steps 1..T, for benchmarks only."""
+        start, end = self.window
+        fail = max(0, min(end, T + 1) - max(start, 1))
+        return [1.0, 1.0 - fail / T, 0.0], [1.0, self.trap_cost, 0.0]
 
 
 class ScoreWorld:
@@ -227,12 +244,20 @@ def uniform_score_world(seed: int) -> ScoreWorld:
     return ScoreWorld(seed)
 
 
+def _poisson_law(lam: float, n: int) -> tuple[list[float], list[float]]:
+    """P(Poisson(lam) = k) for k < n, and their running sums."""
+    terms = [math.exp(-lam)]
+    for k in range(1, n):
+        terms.append(terms[-1] * (lam / k))
+    return terms, list(accumulate(terms))
+
+
 class PoissonDemand:
     """Truncated Poisson demand with a mid-horizon rate shift.
 
     a_t = clamp(Poisson(lam_t), 1, cap) with lam_t = ``before`` for
-    t <= shift_t and ``after`` beyond. Sampled by CDF inversion; the clamp
-    realizes the truncation.
+    t <= shift_t and ``after`` beyond. Sampled by CDF inversion over the
+    terms k < cap; the clamp realizes the truncation.
     """
 
     def __init__(self, before: float, after: float, shift_t: int, cap: float, seed: int):
@@ -245,21 +270,25 @@ class PoissonDemand:
         self.shift_t = shift_t
         self.cap = cap
         self.seed = seed
+        self._cdf = {lam: _poisson_law(lam, int(cap))[1] for lam in (before, after)}
 
     def rate(self, t: int) -> float:
         return self.before if t <= self.shift_t else self.after
 
     def draw(self, t: int) -> float:
-        lam = self.rate(t)
         u = uniform(self.seed, _C_DEMAND, t, 0)
-        k, term = 0, math.exp(-lam)
-        cum = term
+        return float(min(max(bisect_left(self._cdf[self.rate(t)], u), 1), self.cap))
+
+    def pmf(self, lam: float) -> dict[int, float]:
+        """Law of clamp(Poisson(lam), 1, int(cap)) as {demand: probability}, for
+        benchmarks only: the mass below 1 moves to 1, the rest of the tail to int(cap)."""
         top = int(self.cap)
-        while u > cum and k < top:
-            k += 1
-            term *= lam / k
-            cum += term
-        return float(min(max(k, 1), self.cap))
+        terms, cdf = _poisson_law(lam, top)
+        law = {1: terms[0]}  # P(X = 0) clamps up to 1
+        for k in range(1, top):
+            law[k] = law.get(k, 0.0) + terms[k]
+        law[top] = law.get(top, 0.0) + max(1.0 - cdf[-1], 0.0)
+        return law
 
 
 class OrWorld:

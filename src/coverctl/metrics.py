@@ -12,9 +12,9 @@ class TraceRecord:
     """One row of per-step experiment output.
 
     ``action`` is an arm index, an effective threshold, an inventory level,
-    or a compact chain string depending on the setting. ``state`` is the raw
-    controller value at decision time. ``k`` is the probing budget for chain
-    settings and 0 elsewhere.
+    or the probed chain as a tuple of arm indices depending on the setting.
+    ``state`` is the raw controller value at decision time. ``k`` is the
+    probing budget for chain settings and 0 elsewhere.
     """
 
     t: int
@@ -98,15 +98,6 @@ def sublinearity_fit(end_regrets) -> SlopeFit:
     return SlopeFit(float(slope), float(intercept), r2, clipped)
 
 
-def parse_chain(action) -> tuple[int, ...]:
-    """Decode the compact chain string used in trace rows ('-' is empty)."""
-    if isinstance(action, str):
-        if action in ("", "-"):
-            return ()
-        return tuple(int(a) for a in action.split("|"))
-    raise ValueError(f"not a chain action: {action!r}")
-
-
 def deviation_counter(trace, report, order_sensitive: bool = False) -> int:
     """Count steps whose played chain differs from the greedy prefix.
 
@@ -118,7 +109,7 @@ def deviation_counter(trace, report, order_sensitive: bool = False) -> int:
     n = len(report.chain)
     count = 0
     for rec in trace:
-        chain = parse_chain(rec.action)
+        chain = rec.action
         if any(a >= n or a < 0 for a in chain):
             raise ValueError("trace chain references an arm outside the benchmark's arm set")
         if not chain:

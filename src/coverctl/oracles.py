@@ -205,22 +205,6 @@ def newsvendor_benchmark(pmf, phi: float) -> tuple[float, float]:
     return 0.5 * (lo + hi), mu
 
 
-def truncated_poisson_pmf(lam: float, cap: int) -> dict[int, float]:
-    """Law of clamp(Poisson(lam), 1, cap): the mass below 1 moves to 1 and
-    the tail above cap moves to cap."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    term = math.exp(-lam)
-    pmf = {1: term}  # P(X = 0) clamps up to 1
-    cum = term
-    for k in range(1, cap):
-        term *= lam / k
-        pmf[k] = pmf.get(k, 0.0) + term
-        cum += term
-    pmf[cap] = pmf.get(cap, 0.0) + max(1.0 - cum, 0.0)
-    return pmf
-
-
 @dataclass(frozen=True)
 class GreedyReport:
     """Greedy chain of a monotone set function with its value profile.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 ALGORITHMS = (
     "pd_bandit",
@@ -21,28 +21,16 @@ ALGORITHMS = (
     "acog_position",
 )
 
-_CONFIG_KEYS = {
-    "preset",
-    "variant",
-    "algorithm",
-    "environment",
-    "T",
-    "phi",
-    "schedule",
-    "seed",
-    "replicas",
-    "output_dir",
-    "algorithm_params",
-}
-
 
 class ConfigError(ValueError):
     """A config file or flag set fails validation."""
 
 
 def checked(path: str, value, kind: type = float):
-    """``value`` if a ``kind`` (ints count as floats, never bools); else ConfigError at ``path``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+    """``value`` if a ``kind`` (ints count as floats; bools only as bools); else
+    ConfigError at ``path``."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"key '{path}': expected {kind.__name__}, got {value!r}")
     return value
 
@@ -75,6 +63,7 @@ class ExperimentConfig:
         checked("seed", self.seed, int)
         if not isinstance(self.environment, dict) or "kind" not in self.environment:
             raise ConfigError("key 'environment': missing 'kind' tag")
+        checked("algorithm_params", self.algorithm_params, dict)
         schedule = checked("schedule", self.schedule, dict)
         for key, kind, default in (("kind", str, None), ("c", float, None),
                                    ("p", float, 0.0), ("index_offset", int, 0)):
@@ -88,7 +77,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - _CONFIG_KEYS
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = {"algorithm", "environment", "T", "phi", "schedule", "seed"} - set(d)
@@ -112,114 +101,107 @@ def _power(c: float, p: float, offset: int = 0) -> dict:
     return {"kind": "power", "c": c, "p": p, "index_offset": offset}
 
 
-_INTERVAL_ENV = {"kind": "interval", "delta": 0.05, "points": ["beta", 2, 5]}
+# settings shared by the interval presets and by the score-world presets
+_INTERVAL = dict(algorithm="pd_bandit", T=25000, phi=0.8,
+                 environment={"kind": "interval", "delta": 0.05, "points": ["beta", 2, 5]})
+_SCORES = dict(algorithm="primal_threshold", phi=0.8, environment={"kind": "score_uniform"})
 
-PRESETS = {
-    "interval-beta": "interval selection over a 0.05 grid, skewed input points, "
-    "dual-price controller, T=25000",
-    "interval-eta-sweep": "interval-beta at step sizes 0.01 / 0.05 / 0.2",
-    "adversarial-shift": "three-arm trap world, boundary rule vs projected dual, "
-    "T=20000, target 0.5",
-    "threshold-primal": "uniform score world, direct threshold calibration, "
-    "constant step 1/sqrt(T)",
-    "threshold-decay": "uniform score world with decaying steps t^-p, "
-    "p in {0.3, 0.5, 0.7}, T=50000",
-    "newsvendor-shift": "truncated-Poisson demand shifting 20 -> 50 mid-horizon, "
-    "fill target 0.9, steps 5/sqrt(t+1)",
-    "combinatorial-or": "20-arm any-success world, position-keyed chain learner, "
-    "budget controller, T=20000",
-    "regret-scaling": "threshold controller on the score world across T in "
-    "{2000..32000}, 20 replicas each, feeds the log-log regret slope fit",
-}
-
-
-def preset_catalog() -> list[dict]:
-    """Names and one-line descriptions of the built-in presets."""
-    return [{"name": k, "description": v} for k, v in PRESETS.items()]
-
-
-# base settings per preset; name, seed, replicas and output_dir come from
-# the caller (replicas defaults to 1 unless the entry says otherwise)
-_PRESET_BASES = {
-    "interval-beta": dict(
-        algorithm="pd_bandit",
-        environment=_INTERVAL_ENV,
-        T=25000,
-        phi=0.8,
-        schedule=_constant(2.0 / math.sqrt(25000)),
+# name -> (description, base settings, [(variant label, overrides), ...]).
+# The base omits name, seed, replicas and output_dir, which come from the
+# caller (replicas defaults to 1 unless the base says otherwise); a preset
+# with no variants runs its base once, under an empty label.
+_PRESETS = {
+    "interval-beta": (
+        "interval selection over a 0.05 grid, skewed input points, "
+        "dual-price controller, T=25000",
+        dict(_INTERVAL, schedule=_constant(2.0 / math.sqrt(25000))),
+        [],
     ),
-    "interval-eta-sweep": dict(
-        algorithm="pd_bandit",
-        environment=_INTERVAL_ENV,
-        T=25000,
-        phi=0.8,
-        schedule=_constant(0.01),
+    "interval-eta-sweep": (
+        "interval-beta at step sizes 0.01 / 0.05 / 0.2",
+        dict(_INTERVAL, schedule=_constant(0.01)),
+        [(f"eta-{eta:g}", {"schedule": _constant(eta)}) for eta in (0.01, 0.05, 0.2)],
     ),
-    "adversarial-shift": dict(
-        algorithm="pd_bandit",
-        environment={"kind": "trap", "window": [7501, 12501]},
-        T=20000,
-        phi=0.5,
-        schedule=_constant(0.01),
+    "adversarial-shift": (
+        "three-arm trap world, boundary rule vs projected dual, T=20000, target 0.5",
+        dict(
+            algorithm="pd_bandit",
+            environment={"kind": "trap", "window": [7501, 12501]},
+            T=20000,
+            phi=0.5,
+            schedule=_constant(0.01),
+        ),
+        [("boundary", {"algorithm": "pd_bandit"}),
+         ("projected", {"algorithm": "pd_bandit_projected"})],
     ),
-    "threshold-primal": dict(
-        algorithm="primal_threshold",
-        environment={"kind": "score_uniform"},
-        T=20000,
-        phi=0.8,
-        schedule=_constant(1.0 / math.sqrt(20000)),
+    "threshold-primal": (
+        "uniform score world, direct threshold calibration, constant step 1/sqrt(T)",
+        dict(_SCORES, T=20000, schedule=_constant(1.0 / math.sqrt(20000))),
+        [],
     ),
-    "threshold-decay": dict(
-        algorithm="primal_threshold",
-        environment={"kind": "score_uniform"},
-        T=50000,
-        phi=0.8,
-        schedule=_power(1.0, 0.5),
+    "threshold-decay": (
+        "uniform score world with decaying steps t^-p, p in {0.3, 0.5, 0.7}, T=50000",
+        dict(_SCORES, T=50000, schedule=_power(1.0, 0.5)),
+        [(f"p-{p:g}", {"schedule": _power(1.0, p)}) for p in (0.3, 0.5, 0.7)],
     ),
-    "newsvendor-shift": dict(
-        algorithm="newsvendor",
-        environment={
-            "kind": "poisson_demand",
-            "before": 20.0,
-            "after": 50.0,
-            "shift_t": 500,
-            "cap": 100.0,
-        },
-        T=1000,
-        phi=0.9,
-        schedule=_power(5.0, 0.5, offset=1),
-        # stock starts at the announced pre-shift demand rate; the decay
-        # schedule's early steps are too large for a cold start at zero
-        algorithm_params={"dynamic_carryover": False, "initial_level": 20.0},
+    "newsvendor-shift": (
+        "truncated-Poisson demand shifting 20 -> 50 mid-horizon, "
+        "fill target 0.9, steps 5/sqrt(t+1)",
+        dict(
+            algorithm="newsvendor",
+            environment={
+                "kind": "poisson_demand",
+                "before": 20.0,
+                "after": 50.0,
+                "shift_t": 500,
+                "cap": 100.0,
+            },
+            T=1000,
+            phi=0.9,
+            schedule=_power(5.0, 0.5, offset=1),
+            # stock starts at the announced pre-shift demand rate; the decay
+            # schedule's early steps are too large for a cold start at zero
+            algorithm_params={"dynamic_carryover": False, "initial_level": 20.0},
+        ),
+        [],
     ),
-    "combinatorial-or": dict(
-        algorithm="acog_position",
-        environment={"kind": "or_random", "n": 20, "p_low": 0.05, "p_high": 0.30},
-        T=20000,
-        phi=0.8,
-        schedule=_constant(20.0 / (2.0 * math.sqrt(20000))),
+    "combinatorial-or": (
+        "20-arm any-success world, position-keyed chain learner, "
+        "budget controller, T=20000",
+        dict(
+            algorithm="acog_position",
+            environment={"kind": "or_random", "n": 20, "p_low": 0.05, "p_high": 0.30},
+            T=20000,
+            phi=0.8,
+            schedule=_constant(20.0 / (2.0 * math.sqrt(20000))),
+        ),
+        [],
     ),
     # score world rather than the interval grid: at these horizons the
     # 211-arm interval instance is still exploration-dominated (measured
     # log-log slope ~0.97), while the threshold controller's
     # positive-part regret shows its T^(3/4) rate cleanly
-    "regret-scaling": dict(
-        algorithm="primal_threshold",
-        environment={"kind": "score_uniform"},
-        T=2000,
-        phi=0.8,
-        schedule=_constant(1.0 / math.sqrt(2000)),
-        replicas=20,
+    "regret-scaling": (
+        "threshold controller on the score world across T in "
+        "{2000..32000}, 20 replicas each, feeds the log-log regret slope fit",
+        dict(_SCORES, T=2000, schedule=_constant(1.0 / math.sqrt(2000)), replicas=20),
+        [(f"T-{T}", {"T": T, "schedule": _constant(1.0 / math.sqrt(T))})
+         for T in (2000, 4000, 8000, 16000, 32000)],
     ),
 }
+
+
+def preset_catalog() -> list[dict]:
+    """Names and one-line descriptions of the built-in presets."""
+    return [{"name": k, "description": v[0]} for k, v in _PRESETS.items()]
 
 
 def preset_config(name: str, seed: int = 1, replicas: int | None = None,
                   output_dir: str | None = None) -> ExperimentConfig:
     """Resolve a preset name into its base config (variants expand later)."""
-    if name not in PRESETS:
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see list-presets")
-    base = copy.deepcopy(_PRESET_BASES[name])
+    base = copy.deepcopy(_PRESETS[name][1])
     base["replicas"] = replicas or base.get("replicas", 1)
     return ExperimentConfig(preset=name, seed=seed, output_dir=output_dir, **base)
 
@@ -229,28 +211,5 @@ def expand_variants(cfg: ExperimentConfig) -> list[ExperimentConfig]:
 
     Single presets return themselves (with an empty variant label).
     """
-    if cfg.preset == "interval-eta-sweep":
-        return [
-            cfg.replace(variant=f"eta-{eta:g}", schedule=_constant(eta))
-            for eta in (0.01, 0.05, 0.2)
-        ]
-    if cfg.preset == "adversarial-shift":
-        return [
-            cfg.replace(variant="boundary", algorithm="pd_bandit"),
-            cfg.replace(variant="projected", algorithm="pd_bandit_projected"),
-        ]
-    if cfg.preset == "threshold-decay":
-        return [
-            cfg.replace(variant=f"p-{p:g}", schedule=_power(1.0, p))
-            for p in (0.3, 0.5, 0.7)
-        ]
-    if cfg.preset == "regret-scaling":
-        return [
-            cfg.replace(
-                variant=f"T-{T}",
-                T=T,
-                schedule=_constant(1.0 / math.sqrt(T)),
-            )
-            for T in (2000, 4000, 8000, 16000, 32000)
-        ]
-    return [cfg]
+    variants = _PRESETS[cfg.preset][2] if cfg.preset in _PRESETS else []
+    return [cfg.replace(variant=label, **copy.deepcopy(over)) for label, over in variants] or [cfg]

@@ -95,13 +95,8 @@ def drive_bandit(cfg: BanditConfig, schedule: StepSchedule, env, T: int,
     return sim
 
 
-def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True,
-                    tau_init: float | None = None) -> SimulationResult:
-    state = ControllerState(
-        value=cfg.tau_min if tau_init is None else tau_init,
-        phi=cfg.phi,
-        schedule=cfg.schedule,
-    )
+def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True) -> SimulationResult:
+    state = ControllerState(value=cfg.tau_min, phi=cfg.phi, schedule=cfg.schedule)
     eta_max = cfg.schedule.max_eta()
     band = (cfg.tau_min - eta_max - _TOL, cfg.tau_max + eta_max + _TOL)
     return _drive(lambda: threshold_step(state, cfg, env), state, T, band, keep_trace)
@@ -154,8 +149,8 @@ def _f17(x: float) -> str:
 
 
 def _fmt_action(a) -> str:
-    if isinstance(a, str):
-        return a
+    if isinstance(a, tuple):  # a probed chain: "a|b|c", or "-" when empty
+        return "|".join(map(str, a)) or "-"
     if isinstance(a, (int, np.integer)):
         return str(int(a))
     return _f17(a)
@@ -205,11 +200,23 @@ def _env(config: ExperimentConfig, key: str, kind: type = float):
     return checked(f"environment.{key}", config.environment.get(key), kind)
 
 
+def _numbers(path: str, values: list, first: int = 0) -> list:
+    """``values[first:]``, each checked as a number at ``path[i]``."""
+    return [checked(f"{path}[{i}]", values[i]) for i in range(first, len(values))]
+
+
+def _param(config: ExperimentConfig, key: str, default, kind: type = float):
+    return checked(f"algorithm_params.{key}", config.algorithm_params.get(key, default), kind)
+
+
 def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
     kind = config.environment["kind"]
     if kind == "interval":
-        world = envs.IntervalWorld(_env(config, "delta"), tuple(_env(config, "points", list)), seed)
-        bench = oracles.interval_benchmark(world.grid.delta, world.cdf, config.phi)
+        points = _env(config, "points", list)
+        dist = checked("environment.points[0]", points[0] if points else None, str)
+        world = envs.IntervalWorld(_env(config, "delta"),
+                                   (dist, *_numbers("environment.points", points, 1)), seed)
+        bench = oracles.interval_benchmark(world.delta, world.cdf, config.phi)
         bench_dict = {
             "benchmark": "grid_interval",
             "c_star": bench.c_star,
@@ -217,32 +224,27 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
             "continuous_c_star": bench.continuous_c_star,
             "discretization_gap": bench.discretization_gap,
         }
-    elif kind == "trap":
-        world = envs.TrapWorld(tuple(_env(config, "window", list)), seed)
-        start, end = world.window
-        fail = max(0, min(end, config.T + 1) - max(start, 1))
-        p = [1.0, 1.0 - fail / config.T, 0.0]
-        omega = [1.0, world.trap_cost, 0.0]
-        sol = oracles.lp_benchmark(p, omega, config.phi)
-        bench_dict = {
-            "benchmark": "stationary_lp_of_average_rates",
-            "c_star": sol.c_star,
-            "mixture": list(sol.mixture),
-        }
-    elif kind == "iid":
-        specs = [envs.ArmSpec(p, tuple(c) if isinstance(c, list) else c)
-                 for p, c in _env(config, "specs", list)]
-        world = envs.IidArmWorld(specs, seed)
-        p_vec, omega = world.means()
-        sol = oracles.lp_benchmark(p_vec, omega, config.phi)
-        bench_dict = {
-            "benchmark": "arm_mixture_lp",
-            "c_star": sol.c_star,
-            "mixture": list(sol.mixture),
-        }
+    elif kind in ("trap", "iid"):
+        if kind == "trap":
+            world = envs.TrapWorld(tuple(_numbers("environment.window",
+                                                  _env(config, "window", list))))
+            rates, label = world.means(config.T), "stationary_lp_of_average_rates"
+        else:
+            specs = []
+            for i, spec in enumerate(_env(config, "specs", list)):
+                path = f"environment.specs[{i}]"
+                p, cost = checked(path, spec, list)
+                cost = (tuple(_numbers(f"{path}[1]", cost)) if isinstance(cost, list)
+                        else checked(f"{path}[1]", cost))
+                specs.append(envs.ArmSpec(checked(f"{path}[0]", p), cost))
+            world = envs.IidArmWorld(specs, seed)
+            rates, label = world.means(), "arm_mixture_lp"
+        sol = oracles.lp_benchmark(*rates, config.phi)
+        bench_dict = {"benchmark": label, "c_star": sol.c_star, "mixture": list(sol.mixture)}
     else:
         raise ValueError(f"environment kind {kind!r} does not feed an arm selector")
     mode = PROJECTED_BASELINE if config.algorithm == "pd_bandit_projected" else BOUNDARY_RULE
+    lambda_cap = config.algorithm_params.get("lambda_cap")  # null: c_max / (1 - phi)
     cfg = BanditConfig(
         n=world.n,
         c_max=world.c_max,
@@ -250,7 +252,7 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
         horizon_T=config.T,
         i_min=world.i_min,
         i_max=world.i_max,
-        lambda_cap=config.algorithm_params.get("lambda_cap"),
+        lambda_cap=lambda_cap if lambda_cap is None else _param(config, "lambda_cap", None),
         mode=mode,
     )
     bench_dict["lambda_cap"] = cfg.lambda_cap
@@ -279,10 +281,8 @@ def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
     before, after, cap = (_env(config, key) for key in ("before", "after", "cap"))
     shift_t = _env(config, "shift_t", int)
     stream = envs.PoissonDemand(before, after, shift_t, cap, seed)
-    q1, mu1 = oracles.newsvendor_benchmark(
-        oracles.truncated_poisson_pmf(before, int(cap)), config.phi)
-    q2, mu2 = oracles.newsvendor_benchmark(
-        oracles.truncated_poisson_pmf(after, int(cap)), config.phi)
+    q1, mu1 = oracles.newsvendor_benchmark(stream.pmf(before), config.phi)
+    q2, mu2 = oracles.newsvendor_benchmark(stream.pmf(after), config.phi)
     bench = {
         "benchmark": "phase_base_stock",
         "q_star_before": q1,
@@ -294,9 +294,9 @@ def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
         demand_cap=cap,
         phi=config.phi,
         schedule=StepSchedule.from_dict(config.schedule),
-        dynamic_carryover=bool(config.algorithm_params.get("dynamic_carryover", False)),
+        dynamic_carryover=_param(config, "dynamic_carryover", False, bool),
     )
-    q_init = float(config.algorithm_params.get("initial_level", 0.0))
+    q_init = float(_param(config, "initial_level", 0.0))
     c_star = np.where(np.arange(1, config.T + 1) <= shift_t, q1, q2)
     return _Setup(bench, c_star,
                   lambda: drive_newsvendor(cfg, stream, config.T, q_init=q_init), "fill")
@@ -308,7 +308,7 @@ def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
         p = envs.draw_or_probabilities(_env(config, "n", int), _env(config, "p_low"),
                                        _env(config, "p_high"), seed)
     elif kind == "or_fixed":
-        p = [float(x) for x in _env(config, "p", list)]
+        p = [float(x) for x in _numbers("environment.p", _env(config, "p", list))]
     else:
         raise ValueError("chain algorithms expect an any-success environment")
     world = envs.OrWorld(p, seed)
@@ -465,9 +465,10 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
         for var in variants:
             docs.append(execute_variant(var, out_dir / var.variant, jobs=jobs, plot=plot))
         manifest = {"preset": config.preset, "variants": [v.variant for v in variants]}
-        if config.preset == "regret-scaling":
-            # positive-part regret: the per-sequence cost overshoot that the
-            # threshold setting's rate statement is about
+        if len({v.T for v in variants}) >= 3:
+            # a horizon sweep gets the log-log fit of positive-part regret: the
+            # per-sequence cost overshoot that the threshold setting's rate
+            # statement is about
             pts = [(d["T"], d["aggregate"]["regret_pos_final_mean"]) for d in docs]
             fit = mt.sublinearity_fit(pts)
             manifest["slope_fit"] = {

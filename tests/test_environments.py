@@ -12,9 +12,11 @@ from coverctl.environments import (
     PoissonDemand,
     ScoreWorld,
     TrapWorld,
+    _C_DEMAND,
     draw_or_probabilities,
     uniform_score_world,
 )
+from coverctl.rng import uniform
 
 # Beta(2, 5) CDF in closed form (order statistics of six uniforms); this is
 # the independent reference the sampled worlds are checked against.
@@ -75,8 +77,8 @@ def test_interval_world_anchor_arms():
 def test_interval_world_containment_rate_matches_cdf():
     world = IntervalWorld(0.05, ("beta", 2, 5), seed=8)
     # arm [0, 0.45]: true containment probability is the Beta(2,5) CDF there
-    arm = next(i for i, a in enumerate(world.grid.arms)
-               if not a.empty and a.lo == 0.0 and abs(a.hi - 0.45) < 1e-12)
+    arm = next(i for i, a in enumerate(world.arms)
+               if a is not None and a[0] == 0.0 and abs(a[1] - 0.45) < 1e-12)
     n = 100_000
     hits = sum(world.pull(t, arm).reward for t in range(1, n + 1))
     truth = beta25_cdf(0.45)
@@ -90,8 +92,7 @@ def test_interval_world_containment_rate_matches_cdf():
 def test_interval_world_uniform_points():
     world = IntervalWorld(0.25, ("uniform",), seed=5)
     n = 50_000
-    arm = next(i for i, a in enumerate(world.grid.arms)
-               if not a.empty and a.lo == 0.25 and a.hi == 0.75)
+    arm = world.arms.index((0.25, 0.75))
     hits = sum(world.pull(t, arm).reward for t in range(1, n + 1))
     assert abs(hits / n - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
@@ -102,6 +103,28 @@ def test_interval_world_debug_point_not_in_observation():
     assert obs == Observation(1.0, 1.0)  # nothing but the bit and the cost
 
 
+def test_interval_world_arm_grid():
+    assert len(IntervalWorld(1.0, ("uniform",), seed=1).arms) == 2
+    assert len(IntervalWorld(0.05, ("uniform",), seed=1).arms) == 211
+    world = IntervalWorld(0.25, ("uniform",), seed=1)
+    assert len(world.arms) == 11
+    assert world.arms[world.i_min] is None
+    assert world.arms[world.i_max] == (0.0, 1.0)
+    assert world.arms[1:] == sorted(world.arms[1:])  # ordered by (i, j)
+    with pytest.raises(ValueError):
+        IntervalWorld(0.3, ("uniform",), seed=1)
+    with pytest.raises(ValueError):
+        IntervalWorld(0.0, ("uniform",), seed=1)
+
+
+def test_interval_world_arm_costs_are_lengths():
+    world = IntervalWorld(0.2, ("uniform",), seed=1)
+    assert world.pull(1, world.i_min).cost == 0.0
+    for arm, (lo, hi) in enumerate(world.arms[1:], start=1):
+        assert world.pull(arm, arm).cost == hi - lo
+    assert world.c_max == pytest.approx(1.0)
+
+
 def test_interval_world_rejects_bad_dist():
     with pytest.raises(ValueError):
         IntervalWorld(0.25, ("beta", 1.5, 5), seed=1)
@@ -110,7 +133,7 @@ def test_interval_world_rejects_bad_dist():
 
 
 def test_trap_world_schedule():
-    world = TrapWorld((50, 100), seed=0)
+    world = TrapWorld((50, 100))
     assert world.pull(10, world.TRAP) == Observation(1.0, 0.05)
     assert world.pull(50, world.TRAP) == Observation(0.0, 0.05)
     assert world.pull(99, world.TRAP) == Observation(0.0, 0.05)
@@ -118,6 +141,9 @@ def test_trap_world_schedule():
     for t in (1, 75, 200):
         assert world.pull(t, world.SAFE) == Observation(1.0, 1.0)
         assert world.pull(t, world.ZERO) == Observation(0.0, 0.0)
+    # steps 50..99 fail: a quarter of 1..200, none of 1..49
+    assert world.means(200) == ([1.0, 0.75, 0.0], [1.0, 0.05, 0.0])
+    assert world.means(49) == ([1.0, 1.0, 0.0], [1.0, 0.05, 0.0])
 
 
 def test_score_world_boundaries_and_rate():
@@ -144,6 +170,47 @@ def test_poisson_demand_clamps():
     squeezed = PoissonDemand(50.0, 50.0, 10, 10.0, seed=3)
     draws = [squeezed.draw(t) for t in range(1, 500)]
     assert max(draws) == 10.0 and min(draws) >= 1.0
+
+
+def _loop_draw(stream, t):
+    # the sequential inversion loop PoissonDemand.draw replaced, kept as a
+    # bit-exact reference
+    lam = stream.rate(t)
+    u = uniform(stream.seed, _C_DEMAND, t, 0)
+    k, term = 0, math.exp(-lam)
+    cum = term
+    top = int(stream.cap)
+    while u > cum and k < top:
+        k += 1
+        term *= lam / k
+        cum += term
+    return float(min(max(k, 1), stream.cap))
+
+
+def _reference_pmf(lam, cap):
+    # the former oracles.truncated_poisson_pmf, kept as a bit-exact reference
+    term = math.exp(-lam)
+    pmf = {1: term}  # P(X = 0) clamps up to 1
+    cum = term
+    for k in range(1, cap):
+        term *= lam / k
+        pmf[k] = pmf.get(k, 0.0) + term
+        cum += term
+    pmf[cap] = pmf.get(cap, 0.0) + max(1.0 - cum, 0.0)
+    return pmf
+
+
+def test_poisson_demand_matches_the_sequential_loop_exactly():
+    for stream in (PoissonDemand(20.0, 50.0, 2500, 100.0, seed=9),
+                   PoissonDemand(0.5, 8.0, 2500, 10.5, seed=4),
+                   PoissonDemand(50.0, 0.5, 2500, 1.0, seed=2)):
+        assert all(stream.draw(t) == _loop_draw(stream, t) for t in range(1, 5001))
+
+
+def test_poisson_pmf_matches_the_reference_exactly():
+    for lam in (0.5, 20.0, 50.0):
+        for cap in (1, 2, 100):
+            assert PoissonDemand(lam, lam, 0, float(cap), seed=1).pmf(lam) == _reference_pmf(lam, cap)
 
 
 def test_poisson_demand_mean_and_shift():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -94,6 +95,14 @@ def test_csv_schema_and_round_trip_precision():
     assert lines[0] == "t,action,reward,cost,state,K,coverage_cum,regret_cum,regret_pos_cum,boundary"
     cost_back = float(lines[1].split(",")[3])
     assert cost_back == 1 / 3  # 17 significant digits round-trip exactly
+
+
+def test_csv_writes_chain_actions():
+    records = [TraceRecord(t=1, action=(2, 0), reward=1.0, cost=2.0, state=1.5, k=2),
+               TraceRecord(t=2, action=(), reward=0.0, cost=0.0, state=-0.1, k=0)]
+    csv_text = render_csv(records, coverage_series(records), regret_series(records, 1.0),
+                          regret_series(records, 1.0, positive_part=True))
+    assert [line.split(",")[1] for line in csv_text.split("\n")[1:3]] == ["2|0", "-"]
 
 
 def test_execute_writes_artifacts_and_is_deterministic(tmp_path):
@@ -275,12 +284,33 @@ def test_run_and_oracle_reject_a_mismatched_environment(tmp_path, capsys, algori
     assert "Traceback" not in run_err
 
 
+_OR_FIXED = {"algorithm": "acog_position", "environment": {"kind": "or_fixed", "p": [0.9, 0.5]}}
+_POISSON = {"algorithm": "newsvendor", "environment": {
+    "kind": "poisson_demand", "before": 20.0, "after": 50.0, "shift_t": 50, "cap": 100.0}}
+
+
 @pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("override,key", [
     ({"environment": {"kind": "interval", "points": ["beta", 2, 5]}}, "environment.delta"),
     ({"T": 100.5}, "T"),
     ({"schedule": {"kind": "constant", "c": "0.1"}}, "schedule.c"),
-], ids=["missing-delta", "fractional-T", "string-step"])
+    ({"environment": {"kind": "trap", "window": ["a", 5]}}, "environment.window[0]"),
+    ({"environment": {"kind": "interval", "delta": 0.25, "points": ["beta", None, 5]}},
+     "environment.points[1]"),
+    ({"environment": {"kind": "interval", "delta": 0.25, "points": []}}, "environment.points[0]"),
+    ({"environment": {"kind": "iid", "specs": [[0.5, 0.2], [0.3, [0.1, "x"]]]}},
+     "environment.specs[1][1][1]"),
+    ({"environment": {"kind": "iid", "specs": [[0.5, 0.2], [None, 0.1]]}},
+     "environment.specs[1][0]"),
+    ({**_OR_FIXED, "environment": {"kind": "or_fixed", "p": [None, 0.9]}}, "environment.p[0]"),
+    ({"algorithm_params": {"lambda_cap": "x"}}, "algorithm_params.lambda_cap"),
+    ({"algorithm_params": [1]}, "algorithm_params"),
+    ({**_POISSON, "algorithm_params": {"initial_level": "x"}}, "algorithm_params.initial_level"),
+    ({**_POISSON, "algorithm_params": {"dynamic_carryover": "false"}},
+     "algorithm_params.dynamic_carryover"),
+], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
+        "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
+        "list-params", "string-initial-level", "string-carryover"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = dict(algorithm="pd_bandit", T=100, phi=0.8, seed=1,
                environment={"kind": "interval", "delta": 0.25, "points": ["beta", 2, 5]},
@@ -312,3 +342,38 @@ def test_svg_plots_are_self_contained(tmp_path):
     svg = (tmp_path / "coverage.svg").read_text()
     assert svg.startswith("<svg")
     assert "polyline" in svg and "</svg>" in svg
+
+
+# SHA-256 of every artifact but config.json, plus the `oracle` values, per
+# preset at seed 3 with 2 replicas, plots on and T capped at 3000 (except
+# regret-scaling, whose variants set their own T). A refactor that claims the
+# same bytes out must leave this table unchanged.
+PRESET_SHA256 = {
+    "adversarial-shift": "0cbd41dff8ad4bb76c5d6d3b88ac9a5826bcd2e736006650aeed9360d9d6444c",
+    "combinatorial-or": "2628dfdc5fa0377db41a0a7e32ab12cdc3cf9f7be654766a5f53018b728e0572",
+    "interval-beta": "f5fa341d4955fd5a424096a191c92d752096f71f3dc362a96fdc1ea79694a9af",
+    "interval-eta-sweep": "dcfde05ccf9ac4a9b661addbfca27bfbc0edd7a01f16bbd2c9f120b39427d616",
+    "newsvendor-shift": "11991e73294e98504e6bf97b78d7d353d66860aa16a4eb38edd506508e32b8a3",
+    "regret-scaling": "dacbe3b1d9482007e3bece94fa651c4524c2256a81414cc8b9427f1f713ac4ce",
+    "threshold-decay": "b504f922d0b13a4a74c1cf8612106996eb07a796d33b0cb834b1551e6fbf8536",
+    "threshold-primal": "421015e21e6c9279edeb58d4b3df81cef0371cac795abb0b1a22e34ae8160917",
+}
+
+
+def _preset_digest(name, out_dir):
+    cfg = preset_config(name, seed=3, replicas=2)
+    if name != "regret-scaling":
+        cfg = cfg.replace(T=min(cfg.T, 3000))
+    execute(cfg, out_dir, jobs=1, plot=True)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        if path.name != "config.json":
+            digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    digest.update(json.dumps(benchmark_values(cfg), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS))
+def test_preset_artifacts_match_pinned_hashes(tmp_path, name):
+    assert _preset_digest(name, tmp_path) == PRESET_SHA256[name]

@@ -8,7 +8,6 @@ from coverctl.metrics import (
     TraceRecord,
     coverage_series,
     deviation_counter,
-    parse_chain,
     regret_series,
     sublinearity_fit,
 )
@@ -118,13 +117,6 @@ def test_slope_fit_needs_three_points():
         sublinearity_fit([(100, 1.0), (200, 2.0)])
 
 
-def test_parse_chain():
-    assert parse_chain("3|7|1") == (3, 7, 1)
-    assert parse_chain("-") == ()
-    with pytest.raises(ValueError):
-        parse_chain(4)
-
-
 def _report(chain, values):
     return GreedyReport(chain=tuple(chain), prefix_values=tuple(values), gap_delta=0.1)
 
@@ -132,10 +124,10 @@ def _report(chain, values):
 def test_deviation_counter_set_based():
     report = _report([2, 0, 1], [0.0, 0.5, 0.7, 0.8])
     trace = [
-        rec(1, action="2|0", k=2),   # matches as a set
-        rec(2, action="0|2", k=2),   # order swap still matches as a set
-        rec(3, action="1|2", k=2),   # wrong membership
-        rec(4, action="-", k=0),     # empty budget never counts
+        rec(1, action=(2, 0), k=2),  # matches as a set
+        rec(2, action=(0, 2), k=2),  # order swap still matches as a set
+        rec(3, action=(1, 2), k=2),  # wrong membership
+        rec(4, action=(), k=0),      # empty budget never counts
     ]
     assert deviation_counter(trace, report) == 1
     assert deviation_counter(trace, report, order_sensitive=True) == 2
@@ -144,7 +136,7 @@ def test_deviation_counter_set_based():
 def test_deviation_counter_rejects_foreign_arms():
     report = _report([0, 1], [0.0, 0.5, 0.7])
     with pytest.raises(ValueError):
-        deviation_counter([rec(1, action="5", k=1)], report)
+        deviation_counter([rec(1, action=(5,), k=1)], report)
 
 
 def test_metrics_report_checks_invariants():

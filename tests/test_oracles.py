@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from coverctl.environments import OrWorld
+from coverctl.environments import OrWorld, PoissonDemand
 from coverctl.oracles import (
     GreedyReport,
     InfeasibleBenchmarkError,
@@ -14,7 +14,6 @@ from coverctl.oracles import (
     lp_benchmark,
     newsvendor_benchmark,
     threshold_benchmark,
-    truncated_poisson_pmf,
 )
 
 
@@ -153,7 +152,7 @@ def test_newsvendor_benchmark_infeasible_weights():
 
 
 def test_truncated_poisson_pmf_mass_and_mean():
-    pmf = truncated_poisson_pmf(20.0, 100)
+    pmf = PoissonDemand(20.0, 20.0, 0, 100.0, seed=0).pmf(20.0)
     assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
     assert min(pmf) == 1 and max(pmf) == 100
     mean = sum(v * w for v, w in pmf.items())
@@ -161,7 +160,7 @@ def test_truncated_poisson_pmf_mass_and_mean():
 
 
 def test_expected_fulfillment_concave_for_poisson():
-    pmf = truncated_poisson_pmf(20.0, 100)
+    pmf = PoissonDemand(20.0, 20.0, 0, 100.0, seed=0).pmf(20.0)
 
     def r(q):
         return sum(w * min(v, q) for v, w in pmf.items())
