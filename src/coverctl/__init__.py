@@ -13,13 +13,12 @@ from .bandit import (
     bandit_step,
     select_arm,
 )
-from .chains import BudgetState, ChainConfig, ChainStats, acog_step, budget_from_theta, select_chain
+from .chains import ChainConfig, ChainStats, acog_step, budget_from_theta, select_chain
 from .control import (
     ControllerState,
     StepSchedule,
     ValidityLedger,
     aci_update,
-    coverage_bound,
     telescoping_check,
 )
 from .metrics import (

@@ -50,6 +50,8 @@ class ChainStats:
         self.variant = variant
         self._log_term = 2.0 * math.log(n * horizon_T)
         self._table: dict = {}
+        # read, never written, for a context with no plays yet: every arm scores +inf
+        self._unplayed = (np.zeros(n), np.zeros(n))
 
     def _key(self, position: int, prefix) -> object:
         if self.variant == POSITION_KEYED:
@@ -86,15 +88,11 @@ def select_chain(stats: ChainStats, budget: int) -> list[int]:
     chain: list[int] = []
     chosen = np.zeros(stats.n, dtype=bool)
     for position in range(1, budget + 1):
-        ctx = stats._table.get(stats._key(position, chain))
-        if ctx is None:
-            arm = int(np.argmin(chosen))  # first not-yet-chosen arm
-        else:
-            plays, mean = ctx
-            with np.errstate(divide="ignore"):
-                score = mean + np.sqrt(stats._log_term / plays)
-            score[chosen] = -np.inf
-            arm = int(np.argmax(score))
+        plays, mean = stats._table.get(stats._key(position, chain), stats._unplayed)
+        with np.errstate(divide="ignore"):
+            score = mean + np.sqrt(stats._log_term / plays)
+        score[chosen] = -np.inf
+        arm = int(np.argmax(score))
         chain.append(arm)
         chosen[arm] = True
     return chain
@@ -108,17 +106,6 @@ def budget_from_theta(theta: float, n: int) -> int:
     return min(n, math.ceil(theta))
 
 
-@dataclass
-class BudgetState:
-    """Continuous budget variable and its discretization."""
-
-    theta: ControllerState
-    K: int = 0
-
-    def sync(self, n: int) -> None:
-        self.K = budget_from_theta(self.theta.value, n)
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     n: int
@@ -126,17 +113,18 @@ class ChainConfig:
     horizon_T: int
 
 
-def acog_step(budget: BudgetState, stats: ChainStats, cfg: ChainConfig, env) -> TraceRecord:
-    """Probe the current chain, update experts from realized marginal gains,
-    then move theta by the calibration update on the observed set value.
+def acog_step(theta: ControllerState, stats: ChainStats, cfg: ChainConfig, env) -> TraceRecord:
+    """Probe the chain of budget K = budget_from_theta(theta), update experts
+    from realized marginal gains, then move theta by the calibration update on
+    the observed set value.
 
     The environment returns the value of every prefix of the played ordered
     chain (semi-bandit feedback). Strictly negative marginals indicate a
     non-monotone environment; they are warned about and recorded as-is.
     """
-    t = budget.theta.step_index
-    theta_now = budget.theta.value
-    k_now = budget.K
+    t = theta.step_index
+    theta_now = theta.value
+    k_now = budget_from_theta(theta_now, cfg.n)
     chain = select_chain(stats, k_now)
     prefix_values = env.probe(t, chain)
     if len(prefix_values) != len(chain):
@@ -154,8 +142,7 @@ def acog_step(budget: BudgetState, stats: ChainStats, cfg: ChainConfig, env) -> 
             )
         stats.record(position, chain[: position - 1], arm, gain)
         prev = val
-    aci_update(budget.theta, y)
-    budget.sync(cfg.n)
+    aci_update(theta, y)
     return TraceRecord(
         t=t,
         action=tuple(chain),

@@ -24,8 +24,8 @@ POWER_DECAY = "power"
 class InvariantViolation(RuntimeError):
     """A checked quantity left its band: ``value`` outside ``band`` at ``step``.
 
-    Raised instead of ``assert`` so the state bands, the budget discretization
-    and the no-returns identity stay enforced under ``python -O``.
+    Raised instead of ``assert`` so the state bands and the no-returns identity
+    stay enforced under ``python -O``.
     """
 
     def __init__(self, step: int, value: float, band: tuple[float, float],
@@ -181,17 +181,3 @@ def telescoping_check(ledger: ValidityLedger, state_start: float, state_end: flo
     drift_term = (state_end - state_start) / (eta * ledger.step_count)
     return (ledger.reward_sum / ledger.step_count - ledger.phi) + drift_term
 
-
-def coverage_bound(state_range: float, eta: float, window_len: int) -> float:
-    """Worst-case deviation of windowed coverage from the target.
-
-    ``state_range`` is an a-priori bound on |state_end - state_start| over
-    the window; the guaranteed deviation is state_range / (eta * L).
-    """
-    if state_range < 0.0:
-        raise ValueError("state range must be non-negative")
-    if eta <= 0.0:
-        raise ValueError("step size must be positive")
-    if window_len < 1:
-        raise ValueError("window length must be at least 1")
-    return state_range / (eta * window_len)

@@ -95,12 +95,7 @@ class IidArmWorld:
 
     def pull(self, t: int, arm: int) -> Observation:
         spec = self.specs[arm]
-        if spec.p >= 1.0:
-            r = 1.0
-        elif spec.p <= 0.0:
-            r = 0.0
-        else:
-            r = 1.0 if uniform(self.seed, _C_REWARD, t, arm) < spec.p else 0.0
+        r = 1.0 if uniform(self.seed, _C_REWARD, t, arm) < spec.p else 0.0
         if isinstance(spec.cost, (tuple, list)):
             lo, hi = spec.cost
             c = lo + (hi - lo) * uniform(self.seed, _C_COST, t, arm)
@@ -113,12 +108,6 @@ class IidArmWorld:
         return [s.p for s in self.specs], [s.mean_cost for s in self.specs]
 
 
-def _beta_point(seed: int, t: int, a: int, b: int) -> float:
-    # a-th smallest of a+b-1 uniforms has the Beta(a, b) law for integer a, b
-    draws = sorted(uniform(seed, _C_POINT, t, lane) for lane in range(a + b - 1))
-    return draws[a - 1]
-
-
 class IntervalWorld:
     """Interval selection over a delta grid of sub-intervals of [0, 1].
 
@@ -126,6 +115,8 @@ class IntervalWorld:
     with 0 <= i < j <= m = 1/delta in (i, j) order; index m is [0, 1], the
     guaranteed arm. Playing an arm reveals only whether the hidden point
     landed in that closed interval, plus the interval's length as cost.
+    The point law is ``("beta", a, b)`` with integer shapes, or ``("uniform",)``,
+    which is Beta(1, 1).
     """
 
     i_min = 0
@@ -140,27 +131,22 @@ class IntervalWorld:
         self.arms = [None] + [(i * delta, j * delta)
                               for i in range(m) for j in range(i + 1, m + 1)]
         self.seed = seed
-        kind = point_dist[0]
-        if kind == "beta":
-            _, a, b = point_dist
-            if int(a) != a or int(b) != b or a < 1 or b < 1:
-                raise ValueError("beta point distribution needs integer shapes >= 1")
-            self._dist = ("beta", int(a), int(b))
-        elif kind == "uniform":
-            self._dist = ("uniform",)
-        else:
+        if tuple(point_dist) == ("uniform",):
+            point_dist = ("beta", 1, 1)
+        if len(point_dist) != 3 or point_dist[0] != "beta":
             raise ValueError(f"unknown point distribution {point_dist!r}")
+        _, a, b = point_dist
+        if int(a) != a or int(b) != b or a < 1 or b < 1:
+            raise ValueError("beta point distribution needs integer shapes >= 1")
+        self._shape = (int(a), int(b))
         self.n = len(self.arms)
         self.c_max = m * delta
         self.i_max = m
 
-    def _point(self, t: int) -> float:
-        if self._dist[0] == "uniform":
-            return uniform(self.seed, _C_POINT, t, 0)
-        return _beta_point(self.seed, t, self._dist[1], self._dist[2])
-
     def pull(self, t: int, arm: int) -> Observation:
-        y = self._point(t)
+        a, b = self._shape
+        # the a-th smallest of a+b-1 uniforms has the Beta(a, b) law
+        y = sorted(uniform(self.seed, _C_POINT, t, lane) for lane in range(a + b - 1))[a - 1]
         if self.arms[arm] is None:
             return Observation(0.0, 0.0)
         lo, hi = self.arms[arm]
@@ -168,9 +154,7 @@ class IntervalWorld:
 
     def cdf(self, x: float) -> float:
         """True CDF of the hidden point, for benchmarks only."""
-        if self._dist[0] == "uniform":
-            return min(max(x, 0.0), 1.0)
-        return beta_cdf(x, self._dist[1], self._dist[2])
+        return beta_cdf(x, *self._shape)
 
 
 class TrapWorld:
@@ -245,9 +229,12 @@ def uniform_score_world(seed: int) -> ScoreWorld:
 
 
 def _poisson_law(lam: float, n: int) -> tuple[list[float], list[float]]:
-    """P(Poisson(lam) = k) for k < n, and their running sums."""
+    """P(Poisson(lam) = k) for k < n, and their running sums, ending early at
+    the first term that underflows to 0.0: every later term is 0.0 as well."""
     terms = [math.exp(-lam)]
     for k in range(1, n):
+        if terms[-1] == 0.0:
+            break
         terms.append(terms[-1] * (lam / k))
     return terms, list(accumulate(terms))
 
@@ -257,7 +244,8 @@ class PoissonDemand:
 
     a_t = clamp(Poisson(lam_t), 1, cap) with lam_t = ``before`` for
     t <= shift_t and ``after`` beyond. Sampled by CDF inversion over the
-    terms k < cap; the clamp realizes the truncation.
+    terms k < cap; a draw past the last nonzero term is int(cap), and the
+    clamp realizes the truncation.
     """
 
     def __init__(self, before: float, after: float, shift_t: int, cap: float, seed: int):
@@ -276,8 +264,9 @@ class PoissonDemand:
         return self.before if t <= self.shift_t else self.after
 
     def draw(self, t: int) -> float:
-        u = uniform(self.seed, _C_DEMAND, t, 0)
-        return float(min(max(bisect_left(self._cdf[self.rate(t)], u), 1), self.cap))
+        cdf = self._cdf[self.rate(t)]
+        k = bisect_left(cdf, uniform(self.seed, _C_DEMAND, t, 0))
+        return float(min(max(k, 1), self.cap) if k < len(cdf) else int(self.cap))
 
     def pmf(self, lam: float) -> dict[int, float]:
         """Law of clamp(Poisson(lam), 1, int(cap)) as {demand: probability}, for
@@ -285,7 +274,7 @@ class PoissonDemand:
         top = int(self.cap)
         terms, cdf = _poisson_law(lam, top)
         law = {1: terms[0]}  # P(X = 0) clamps up to 1
-        for k in range(1, top):
+        for k in range(1, len(terms)):
             law[k] = law.get(k, 0.0) + terms[k]
         law[top] = law.get(top, 0.0) + max(1.0 - cdf[-1], 0.0)
         return law
@@ -312,13 +301,7 @@ class OrWorld:
         values = []
         hit = 0.0
         for arm in chain:
-            if self.p[arm] >= 1.0:
-                success = True
-            elif self.p[arm] <= 0.0:
-                success = False
-            else:
-                success = uniform(self.seed, _C_BITS, t, arm) < self.p[arm]
-            if success:
+            if uniform(self.seed, _C_BITS, t, arm) < self.p[arm]:
                 hit = 1.0
             values.append(hit)
         return values

@@ -133,7 +133,6 @@ class MetricsReport:
     """
 
     coverage_cum: np.ndarray
-    coverage_final: float
     regret_cum: np.ndarray
     regret_pos_cum: np.ndarray
     boundary_steps: int
@@ -150,7 +149,7 @@ class MetricsReport:
     def summary(self) -> dict:
         out = {
             "steps": int(self.coverage_cum.size),
-            "coverage_final": float(self.coverage_final),
+            "coverage_final": float(self.coverage_cum[-1]),
             "regret_final": float(self.regret_cum[-1]),
             "regret_pos_final": float(self.regret_pos_cum[-1]),
             "boundary_steps": int(self.boundary_steps),

@@ -88,6 +88,18 @@ def beta_cdf(x: float, a: int, b: int) -> float:
     return sum(math.comb(n, j) * x**j * (1.0 - x) ** (n - j) for j in range(a, n + 1))
 
 
+def _bisect(f, target: float, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the bracket [lo, hi] of f(x) = target for a non-decreasing
+    f, halved until it is no wider than ``tol``."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def threshold_benchmark(r_curve, c_curve, phi: float, tau_min: float = 0.0,
                         tau_max: float = 1.0) -> tuple[float, float]:
     """Cheapest stationary threshold meeting the target in expectation.
@@ -101,14 +113,7 @@ def threshold_benchmark(r_curve, c_curve, phi: float, tau_min: float = 0.0,
         raise InfeasibleBenchmarkError(
             f"threshold benchmark infeasible: phi={phi} outside [{r_lo}, {r_hi}]"
         )
-    lo, hi = tau_min, tau_max
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if r_curve(mid) < phi:
-            lo = mid
-        else:
-            hi = mid
-    tau_star = 0.5 * (lo + hi)
+    tau_star = _bisect(r_curve, phi, tau_min, tau_max, 1e-10)
     return tau_star, float(c_curve(tau_star))
 
 
@@ -195,14 +200,7 @@ def newsvendor_benchmark(pmf, phi: float) -> tuple[float, float]:
         raise InfeasibleBenchmarkError(
             f"inventory benchmark infeasible: phi*mu={target} exceeds E[a]={r(hi)}"
         )
-    lo = 0.0
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if r(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), mu
+    return _bisect(r, target, 0.0, hi, 1e-8), mu
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ from . import environments as envs
 from . import metrics as mt
 from . import oracles
 from .bandit import BOUNDARY_RULE, PROJECTED_BASELINE, BanditConfig, BanditState, bandit_step
-from .chains import POSITION_KEYED, PREFIX_KEYED, BudgetState, ChainConfig, ChainStats, acog_step
+from .chains import POSITION_KEYED, PREFIX_KEYED, ChainConfig, ChainStats, acog_step
 from .control import (ControllerState, InvariantViolation, StepSchedule, ValidityLedger,
                       telescoping_check)
-from .presets import ExperimentConfig, checked, expand_variants
+from .presets import ConfigError, ExperimentConfig, checked, expand_variants
 from .rng import replica_seed
 from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
 
@@ -104,38 +104,18 @@ def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True) 
 
 def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
                      keep_trace: bool = True, q_init: float = 0.0) -> SimulationResult:
-    """Run the inventory controller for T periods; the level never goes
-    negative. ``info['fill_rate']`` is total served over total demanded."""
-    if T < 1:
-        raise ValueError("a fill rate needs at least one period")
+    """Run the inventory controller for T periods; the level never goes negative."""
     state = ControllerState(value=q_init, phi=cfg.phi, schedule=cfg.schedule)
-    totals = [0.0, 0.0]  # served, asked
-
-    def step():
-        rec = newsvendor_step(state, cfg, demand_stream.draw(state.step_index))
-        totals[0] += rec.extras["y"]
-        totals[1] += rec.extras["a"]
-        return rec
-
-    sim = _drive(step, state, T, (-1e-9, math.inf), keep_trace, exact=False)
-    sim.info = {"fill_rate": totals[0] / totals[1]}
-    return sim
+    return _drive(lambda: newsvendor_step(state, cfg, demand_stream.draw(state.step_index)),
+                  state, T, (-1e-9, math.inf), keep_trace, exact=False)
 
 
 def drive_acog(cfg: ChainConfig, schedule: StepSchedule, env, T: int,
                variant: str = PREFIX_KEYED, keep_trace: bool = True) -> SimulationResult:
-    budget = BudgetState(theta=ControllerState(value=0.0, phi=cfg.phi, schedule=schedule))
+    theta = ControllerState(value=0.0, phi=cfg.phi, schedule=schedule)
     stats = ChainStats(cfg.n, cfg.horizon_T, variant)
-
-    def step():
-        rec = acog_step(budget, stats, cfg, env)
-        k = min(cfg.n, math.ceil(budget.theta.value))
-        if budget.K != k:
-            raise InvariantViolation(rec.t, budget.K, (k, k), "budget K")
-        return rec
-
     band = (-schedule.max_eta() - _TOL, cfg.n + _TOL)
-    return _drive(step, budget.theta, T, band, keep_trace)
+    return _drive(lambda: acog_step(theta, stats, cfg, env), theta, T, band, keep_trace)
 
 
 # --- experiment layer -------------------------------------------------------
@@ -205,6 +185,13 @@ def _numbers(path: str, values: list, first: int = 0) -> list:
     return [checked(f"{path}[{i}]", values[i]) for i in range(first, len(values))]
 
 
+def _sized(path: str, values, size: int) -> list:
+    """``values`` checked as a list of ``size`` entries at ``path``."""
+    if len(checked(path, values, list)) != size:
+        raise ConfigError(f"key '{path}': expected {size} entries, got {len(values)}")
+    return values
+
+
 def _param(config: ExperimentConfig, key: str, default, kind: type = float):
     return checked(f"algorithm_params.{key}", config.algorithm_params.get(key, default), kind)
 
@@ -214,6 +201,8 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
     if kind == "interval":
         points = _env(config, "points", list)
         dist = checked("environment.points[0]", points[0] if points else None, str)
+        # an unknown law keeps its length here; IntervalWorld rejects it
+        _sized("environment.points", points, {"beta": 3, "uniform": 1}.get(dist, len(points)))
         world = envs.IntervalWorld(_env(config, "delta"),
                                    (dist, *_numbers("environment.points", points, 1)), seed)
         bench = oracles.interval_benchmark(world.delta, world.cdf, config.phi)
@@ -226,16 +215,16 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
         }
     elif kind in ("trap", "iid"):
         if kind == "trap":
-            world = envs.TrapWorld(tuple(_numbers("environment.window",
-                                                  _env(config, "window", list))))
+            window = _sized("environment.window", _env(config, "window", list), 2)
+            world = envs.TrapWorld(tuple(_numbers("environment.window", window)))
             rates, label = world.means(config.T), "stationary_lp_of_average_rates"
         else:
             specs = []
             for i, spec in enumerate(_env(config, "specs", list)):
                 path = f"environment.specs[{i}]"
-                p, cost = checked(path, spec, list)
-                cost = (tuple(_numbers(f"{path}[1]", cost)) if isinstance(cost, list)
-                        else checked(f"{path}[1]", cost))
+                p, cost = _sized(path, spec, 2)
+                cost = (tuple(_numbers(f"{path}[1]", _sized(f"{path}[1]", cost, 2)))
+                        if isinstance(cost, list) else checked(f"{path}[1]", cost))
                 specs.append(envs.ArmSpec(checked(f"{path}[0]", p), cost))
             world = envs.IidArmWorld(specs, seed)
             rates, label = world.means(), "arm_mixture_lp"
@@ -372,7 +361,6 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     regret_pos = mt.regret_series(sim.records, setup.c_star, positive_part=True)
     report = mt.MetricsReport(
         coverage_cum=coverage,
-        coverage_final=float(coverage[-1]),
         regret_cum=regret,
         regret_pos_cum=regret_pos,
         boundary_steps=sum(int(r.extras.get("boundary", 0.0))
@@ -385,9 +373,11 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
         "final_state": sim.final_state,
         **report.summary(),
     }
-    for key in ("ledger_residual", "fill_rate", "window_coverage", "window_len"):
+    for key in ("ledger_residual", "window_coverage", "window_len"):
         if key in sim.info:
             summary[key] = sim.info[key]
+    if setup.coverage_mode == "fill":
+        summary["fill_rate"] = float(coverage[-1])
     csv_text = render_csv(sim.records, coverage, regret, regret_pos)
     return {"replica": replica, "csv": csv_text, "summary": summary, "benchmark": setup.bench}
 

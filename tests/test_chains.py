@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from coverctl.chains import (
     POSITION_KEYED,
     PREFIX_KEYED,
-    BudgetState,
     ChainConfig,
     ChainStats,
     NonMonotoneFeedbackWarning,
@@ -44,8 +43,13 @@ def test_select_chain_empty_budget():
 
 
 def test_select_chain_unplayed_ties_take_lowest_indices():
-    stats = ChainStats(3, 100)
-    assert select_chain(stats, 2) == [0, 1]
+    # on an empty table every arm scores +inf, so each slot takes the
+    # lowest arm not yet chosen
+    for variant in (PREFIX_KEYED, POSITION_KEYED):
+        stats = ChainStats(5, 100, variant)
+        for k in range(6):
+            assert select_chain(stats, k) == list(range(k))
+        assert stats._table == {}
 
 
 def test_select_chain_budget_validation():
@@ -89,69 +93,68 @@ class _ScriptedSets:
 def test_acog_step_marginal_gains_and_theta():
     cfg = ChainConfig(n=3, phi=0.8, horizon_T=100)
     sched = StepSchedule.constant(0.1)
-    budget = BudgetState(theta=ControllerState(1.2, 0.8, sched), K=2)
+    theta = ControllerState(1.2, 0.8, sched)
     stats = ChainStats(3, 100)
     env = _ScriptedSets([[0.0, 1.0, 1.0]])  # second element flips the set value
-    rec = acog_step(budget, stats, cfg, env)
+    rec = acog_step(theta, stats, cfg, env)
     assert rec.k == 2
     assert rec.reward == 1.0
     chain = list(rec.action)
     assert len(chain) == 2
     assert _cell(stats, 2, chain[:1], chain[1])[1] == 1.0
     assert _cell(stats, 1, [], chain[0]) == (1.0, 0.0)
-    assert budget.theta.value == pytest.approx(1.2 + 0.1 * (0.8 - 1.0), abs=1e-12)
-    assert budget.K == budget_from_theta(budget.theta.value, 3)
+    assert theta.value == pytest.approx(1.2 + 0.1 * (0.8 - 1.0), abs=1e-12)
 
 
 def test_acog_positive_drift_at_empty_budget():
     cfg = ChainConfig(n=3, phi=0.8, horizon_T=100)
-    budget = BudgetState(theta=ControllerState(-0.05, 0.8, StepSchedule.constant(0.1)))
+    theta = ControllerState(-0.05, 0.8, StepSchedule.constant(0.1))
     stats = ChainStats(3, 100)
-    rec = acog_step(budget, stats, cfg, _ScriptedSets([[1.0, 1.0, 1.0]]))
+    rec = acog_step(theta, stats, cfg, _ScriptedSets([[1.0, 1.0, 1.0]]))
     assert rec.k == 0
     assert rec.action == ()
     assert rec.reward == 0.0
-    assert budget.theta.value == pytest.approx(-0.05 + 0.08, abs=1e-12)
+    assert theta.value == pytest.approx(-0.05 + 0.08, abs=1e-12)
 
 
 def test_acog_warns_on_negative_marginal():
     cfg = ChainConfig(n=2, phi=0.5, horizon_T=100)
-    budget = BudgetState(theta=ControllerState(1.5, 0.5, StepSchedule.constant(0.1)), K=2)
+    theta = ControllerState(1.5, 0.5, StepSchedule.constant(0.1))
     stats = ChainStats(2, 100)
     env = _ScriptedSets([[0.8, 0.3]])  # value drops along the chain
     with pytest.warns(NonMonotoneFeedbackWarning):
-        acog_step(budget, stats, cfg, env)
+        acog_step(theta, stats, cfg, env)
 
 
 def test_acog_fractional_rewards_keep_ledger_exact():
     cfg = ChainConfig(n=4, phi=0.6, horizon_T=2000)
     sched = StepSchedule.constant(0.05)
-    budget = BudgetState(theta=ControllerState(0.0, 0.6, sched))
+    theta = ControllerState(0.0, 0.6, sched)
     stats = ChainStats(4, 2000)
     rows = [[0.1, 0.35, 0.5, 0.5], [0.0, 0.7, 0.7, 0.9], [0.25, 0.25, 0.8, 1.0]]
     env = _ScriptedSets(rows)
     ledger = ValidityLedger(0.6, sched)
     for _ in range(2000):
-        rec = acog_step(budget, stats, cfg, env)
+        rec = acog_step(theta, stats, cfg, env)
         ledger.record(rec.reward)
         assert -0.05 - 1e-12 <= rec.state <= 4 + 1e-12
-    assert abs(telescoping_check(ledger, 0.0, budget.theta.value)) <= 1e-9
+    assert abs(telescoping_check(ledger, 0.0, theta.value)) <= 1e-9
 
 
 def test_budget_never_exceeds_arm_count():
     # only the full probe set succeeds: theta climbs to the top and then
     # oscillates, never leaving [-eta, n]
     cfg = ChainConfig(n=3, phi=0.2, horizon_T=1000)
-    budget = BudgetState(theta=ControllerState(0.0, 0.2, StepSchedule.constant(0.3)))
+    theta = ControllerState(0.0, 0.2, StepSchedule.constant(0.3))
     stats = ChainStats(3, 1000)
     env = _ScriptedSets([[0.0, 0.0, 1.0]])
     saw_full = False
     for _ in range(1000):
-        rec = acog_step(budget, stats, cfg, env)
+        rec = acog_step(theta, stats, cfg, env)
         assert -0.3 - 1e-12 <= rec.state <= 3 + 1e-12
         assert 0 <= rec.k <= 3
         saw_full = saw_full or rec.k == 3
-        assert budget.K == budget_from_theta(budget.theta.value, 3)
+        assert rec.k == budget_from_theta(rec.state, 3)
     assert saw_full
 
 
@@ -200,11 +203,10 @@ def test_variants_converge_to_matching_mean_rankings():
     world = OrWorld(p, replica_seed(7, 0))
     k_star = greedy_chain(world.value_oracle(), n).budget_for(0.8)
     eta = n / (2.0 * math.sqrt(horizon))
-    cfgs, budgets, tables = {}, {}, {}
+    cfgs, thetas, tables = {}, {}, {}
     for variant in (POSITION_KEYED, PREFIX_KEYED):
         cfgs[variant] = ChainConfig(n=n, phi=0.8, horizon_T=horizon)
-        budgets[variant] = BudgetState(
-            theta=ControllerState(0.0, 0.8, StepSchedule.constant(eta)))
+        thetas[variant] = ControllerState(0.0, 0.8, StepSchedule.constant(eta))
         tables[variant] = ChainStats(n, horizon, variant)
     agree = total = 0
     for t in range(horizon):
@@ -214,7 +216,7 @@ def test_variants_converge_to_matching_mean_rankings():
             agree += s_pos == s_pre
             total += 1
         for variant in (POSITION_KEYED, PREFIX_KEYED):
-            acog_step(budgets[variant], tables[variant], cfgs[variant], world)
+            acog_step(thetas[variant], tables[variant], cfgs[variant], world)
     assert agree / total >= 0.95
 
 
@@ -243,7 +245,8 @@ class _ScriptedMonotoneSets:
        script=st.lists(st.booleans(), min_size=1, max_size=64))
 def test_ledger_and_band_hold_for_any_reward_script(phi, eta, script):
     cfg = ChainConfig(n=3, phi=phi, horizon_T=300)
-    sim = drive_acog(cfg, StepSchedule.constant(eta), _ScriptedMonotoneSets(3, script), 300,
-                     keep_trace=False)
+    sim = drive_acog(cfg, StepSchedule.constant(eta), _ScriptedMonotoneSets(3, script), 300)
     assert abs(sim.info["ledger_residual"]) <= 1e-9
     assert -eta <= sim.final_state <= cfg.n
+    # each step probes the budget its decision-time theta gives
+    assert all(rec.k == budget_from_theta(rec.state, cfg.n) for rec in sim.records)

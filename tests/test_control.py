@@ -9,7 +9,6 @@ from coverctl.control import (
     StepSchedule,
     ValidityLedger,
     aci_update,
-    coverage_bound,
     telescoping_check,
 )
 
@@ -158,18 +157,6 @@ def test_power_decay_positive_and_nonincreasing():
         assert 0.0 < eta <= prev
         prev = eta
         t = max(t + 1, int(t * 1.37))
-
-
-def test_coverage_bound_values():
-    assert coverage_bound(2.02, 0.01, 25000) == pytest.approx(0.00808, abs=1e-12)
-    assert coverage_bound(0.0, 0.5, 10) == 0.0
-    assert coverage_bound(1.0, 0.01, 10000) == pytest.approx(0.01, abs=1e-15)
-    with pytest.raises(ValueError):
-        coverage_bound(-1.0, 0.1, 10)
-    with pytest.raises(ValueError):
-        coverage_bound(1.0, 0.0, 10)
-    with pytest.raises(ValueError):
-        coverage_bound(1.0, 0.1, 0)
 
 
 def test_ledger_window_started_mid_run():

@@ -16,6 +16,7 @@ from coverctl.environments import (
     draw_or_probabilities,
     uniform_score_world,
 )
+from coverctl.oracles import newsvendor_benchmark
 from coverctl.rng import uniform
 
 # Beta(2, 5) CDF in closed form (order statistics of six uniforms); this is
@@ -130,6 +131,20 @@ def test_interval_world_rejects_bad_dist():
         IntervalWorld(0.25, ("beta", 1.5, 5), seed=1)
     with pytest.raises(ValueError):
         IntervalWorld(0.25, ("triangle",), seed=1)
+    with pytest.raises(ValueError):
+        IntervalWorld(0.25, ("uniform", 3), seed=1)
+    with pytest.raises(ValueError):
+        IntervalWorld(0.25, ("beta", 2), seed=1)
+
+
+def test_interval_world_uniform_is_beta_one_one():
+    uni = IntervalWorld(0.1, ("uniform",), seed=8)
+    beta = IntervalWorld(0.1, ("beta", 1, 1), seed=8)
+    for t in range(1, 4001):
+        arm = t % uni.n
+        assert uni.pull(t, arm) == beta.pull(t, arm)
+    for x in np.linspace(-0.5, 1.5, 41):
+        assert uni.cdf(x) == beta.cdf(x) == min(max(x, 0.0), 1.0)
 
 
 def test_trap_world_schedule():
@@ -201,9 +216,13 @@ def _reference_pmf(lam, cap):
 
 
 def test_poisson_demand_matches_the_sequential_loop_exactly():
+    # at rate 0.5 the terms underflow to 0.0 near k = 157, far below caps
+    # 2000 and 1e12; the running sum reaches 1.0 there, so the loop ends
     for stream in (PoissonDemand(20.0, 50.0, 2500, 100.0, seed=9),
                    PoissonDemand(0.5, 8.0, 2500, 10.5, seed=4),
-                   PoissonDemand(50.0, 0.5, 2500, 1.0, seed=2)):
+                   PoissonDemand(50.0, 0.5, 2500, 1.0, seed=2),
+                   PoissonDemand(0.5, 0.5, 2500, 2000.0, seed=5),
+                   PoissonDemand(0.5, 0.5, 2500, 1e12, seed=5)):
         assert all(stream.draw(t) == _loop_draw(stream, t) for t in range(1, 5001))
 
 
@@ -211,6 +230,25 @@ def test_poisson_pmf_matches_the_reference_exactly():
     for lam in (0.5, 20.0, 50.0):
         for cap in (1, 2, 100):
             assert PoissonDemand(lam, lam, 0, float(cap), seed=1).pmf(lam) == _reference_pmf(lam, cap)
+
+
+def _nonzero(law):
+    return {k: w for k, w in law.items() if w != 0.0}
+
+
+def test_poisson_law_stops_at_underflow():
+    # past the underflow the reference only adds zero-probability demands
+    ref = _reference_pmf(0.5, 2000)
+    short = PoissonDemand(0.5, 0.5, 0, 2000.0, seed=1)
+    assert _nonzero(short.pmf(0.5)) == _nonzero(ref)
+    assert newsvendor_benchmark(short.pmf(0.5), 0.9) == newsvendor_benchmark(ref, 0.9)
+    # at cap 1e12 the same tail mass sits on demand 10**12
+    moved = {k: w for k, w in ref.items() if k != 2000} | {10**12: ref[2000]}
+    huge = PoissonDemand(0.5, 0.5, 0, 1e12, seed=1)
+    assert _nonzero(huge.pmf(0.5)) == _nonzero(moved)
+    assert newsvendor_benchmark(huge.pmf(0.5), 0.9) == newsvendor_benchmark(moved, 0.9)
+    # the inversion table ends at the first zero term, whatever the cap
+    assert len(short._cdf[0.5]) == len(huge._cdf[0.5]) < 200
 
 
 def test_poisson_demand_mean_and_shift():

@@ -4,7 +4,9 @@ import json
 import pytest
 
 from coverctl.cli import main
+from coverctl import runner
 from coverctl.presets import (
+    ALGORITHMS,
     ConfigError,
     ExperimentConfig,
     expand_variants,
@@ -263,6 +265,12 @@ def test_cli_reports_infeasible_benchmark(tmp_path, capsys):
     assert "infeasible" in captured.err and captured.out == ""
 
 
+def test_every_valid_algorithm_has_a_setup():
+    # ExperimentConfig validates against ALGORITHMS; run and oracle dispatch
+    # through the setup table, so the two must name the same algorithms
+    assert set(ALGORITHMS) == set(runner._SETUPS)
+
+
 @pytest.mark.parametrize("algorithm,environment", [
     ("primal_threshold", {"kind": "interval", "delta": 0.05, "points": ["beta", 2, 5]}),
     ("newsvendor", {"kind": "score_uniform"}),
@@ -308,9 +316,18 @@ _POISSON = {"algorithm": "newsvendor", "environment": {
     ({**_POISSON, "algorithm_params": {"initial_level": "x"}}, "algorithm_params.initial_level"),
     ({**_POISSON, "algorithm_params": {"dynamic_carryover": "false"}},
      "algorithm_params.dynamic_carryover"),
+    ({"environment": {"kind": "trap", "window": [5]}}, "environment.window"),
+    ({"environment": {"kind": "iid", "specs": [[0.5, 0.2], [0.5]]}}, "environment.specs[1]"),
+    ({"environment": {"kind": "iid", "specs": [[0.5, [0.1, 0.2, 0.3]]]}},
+     "environment.specs[0][1]"),
+    ({"environment": {"kind": "interval", "delta": 0.25, "points": ["beta", 2]}},
+     "environment.points"),
+    ({"environment": {"kind": "interval", "delta": 0.25, "points": ["uniform", 3]}},
+     "environment.points"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
-        "list-params", "string-initial-level", "string-carryover"])
+        "list-params", "string-initial-level", "string-carryover", "short-window",
+        "short-spec", "long-cost", "short-beta-points", "long-uniform-points"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = dict(algorithm="pd_bandit", T=100, phi=0.8, seed=1,
                environment={"kind": "interval", "delta": 0.25, "points": ["beta", 2, 5]},

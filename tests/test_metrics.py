@@ -144,21 +144,21 @@ def test_metrics_report_checks_invariants():
 
     good = MetricsReport(
         coverage_cum=np.array([1.0, 0.5, 0.5]),
-        coverage_final=0.5,
         regret_cum=np.array([0.1, -0.2, 0.3]),
         regret_pos_cum=np.array([0.1, 0.1, 0.6]),
         boundary_steps=0,
     )
     assert good.summary()["regret_pos_final"] == pytest.approx(0.6)
+    assert good.summary()["coverage_final"] == 0.5
     with pytest.raises(ValueError):
         MetricsReport(
-            coverage_cum=np.array([1.2]), coverage_final=1.2,
+            coverage_cum=np.array([1.2]),
             regret_cum=np.array([0.0]), regret_pos_cum=np.array([0.0]),
             boundary_steps=0,
         )
     with pytest.raises(ValueError):
         MetricsReport(
-            coverage_cum=np.array([0.5, 0.5]), coverage_final=0.5,
+            coverage_cum=np.array([0.5, 0.5]),
             regret_cum=np.array([0.0, 0.0]),
             regret_pos_cum=np.array([1.0, 0.5]),  # decreasing
             boundary_steps=0,
@@ -170,7 +170,7 @@ def test_deviation_rate_falls_across_quarters():
     # the greedy prefix, so per-quarter deviation counts shrink
     import math
 
-    from coverctl.chains import ChainConfig, ChainStats, BudgetState, acog_step
+    from coverctl.chains import ChainConfig, ChainStats, acog_step
     from coverctl.control import ControllerState, StepSchedule
     from coverctl.environments import OrWorld
     from coverctl.oracles import greedy_chain
@@ -181,10 +181,9 @@ def test_deviation_rate_falls_across_quarters():
     world = OrWorld(p, replica_seed(7, 0))
     report = greedy_chain(world.value_oracle(), n)
     cfg = ChainConfig(n=n, phi=0.8, horizon_T=horizon)
-    budget = BudgetState(theta=ControllerState(
-        0.0, 0.8, StepSchedule.constant(n / (2 * math.sqrt(horizon)))))
+    theta = ControllerState(0.0, 0.8, StepSchedule.constant(n / (2 * math.sqrt(horizon))))
     stats = ChainStats(n, horizon)
-    trace = [acog_step(budget, stats, cfg, world) for _ in range(horizon)]
+    trace = [acog_step(theta, stats, cfg, world) for _ in range(horizon)]
     quarter = horizon // 4
     counts = [deviation_counter(trace[i * quarter:(i + 1) * quarter], report)
               for i in range(4)]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import coverctl
 from coverctl.control import ControllerState, InvariantViolation, StepSchedule
 from coverctl.environments import PoissonDemand, uniform_score_world
+from coverctl.metrics import coverage_series
 from coverctl.runner import drive_newsvendor, drive_threshold
 from coverctl.threshold import (
     NewsvendorConfig,
@@ -169,7 +170,7 @@ def test_nonnegative_inventory_under_small_steps():
 def test_fill_rate_identity_single_step():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
     sim = drive_newsvendor(cfg, _ScriptedDemand([25.0]), 1, q_init=20.0)
-    assert sim.info["fill_rate"] == pytest.approx(0.8, abs=1e-12)
+    assert coverage_series(sim.records, "fill")[-1] == pytest.approx(0.8, abs=1e-12)
     rhs = 0.9 - (sim.final_state - 20.0) / (0.5 * 25.0)
     assert rhs == pytest.approx(0.8, abs=1e-12)
 
@@ -180,13 +181,13 @@ def test_fill_rate_identity_long_run():
     cfg = NewsvendorConfig(80.0, 0.9, StepSchedule.constant(0.3))
     sim = drive_newsvendor(cfg, _ScriptedDemand(demands), len(demands))
     rhs = 0.9 - (sim.final_state - 0.0) / (0.3 * sum(demands))
-    assert sim.info["fill_rate"] == pytest.approx(rhs, abs=1e-9)
+    assert coverage_series(sim.records, "fill")[-1] == pytest.approx(rhs, abs=1e-9)
 
 
 def test_fill_rate_full_service_when_stocked():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
     sim = drive_newsvendor(cfg, _ScriptedDemand([10.0, 12.0, 9.0]), 3, q_init=90.0)
-    assert sim.info["fill_rate"] == 1.0
+    assert coverage_series(sim.records, "fill")[-1] == 1.0
     values = [r.state for r in sim.records]
     assert values == sorted(values, reverse=True)  # state falls while over-serving
 
@@ -195,13 +196,13 @@ def test_fill_rate_positive_after_two_steps():
     # the positive drift at empty inventory makes an all-zero fill impossible
     cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
     sim = drive_newsvendor(cfg, _ScriptedDemand([10.0, 10.0]), 2)
-    assert sim.info["fill_rate"] > 0.0
+    assert coverage_series(sim.records, "fill")[-1] > 0.0
 
 
 def test_fill_rate_rejects_empty_trace():
     cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
     with pytest.raises(ValueError):
-        drive_newsvendor(cfg, _ScriptedDemand([]), 0)
+        coverage_series(drive_newsvendor(cfg, _ScriptedDemand([]), 0).records, "fill")
 
 
 _OVERSHOOT = """
