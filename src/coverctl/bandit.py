@@ -65,26 +65,39 @@ class BanditConfig:
 
 
 class BanditState:
-    """Dual price plus per-arm statistics, stored as flat arrays."""
+    """Dual price plus per-arm statistics, stored as flat arrays.
+
+    ``reward_ucb`` and ``cost_lcb`` are the optimistic reward and pessimistic
+    cost of each arm: the mean plus (minus c_max times) the confidence width
+    sqrt(2 log(nT) / plays). ``record`` refreshes them for the played arm
+    only, the one arm whose statistics change; an unplayed arm holds the
+    bounds of zero plays, +inf and -inf.
+    """
 
     def __init__(self, cfg: BanditConfig, schedule: StepSchedule):
         self.dual = ControllerState(value=0.0, phi=cfg.phi, schedule=schedule)
         self.plays = np.zeros(cfg.n, dtype=np.int64)
         self.mean_reward = np.zeros(cfg.n)
         self.mean_cost = np.zeros(cfg.n)
+        self.reward_ucb = np.full(cfg.n, np.inf)
+        self.cost_lcb = np.full(cfg.n, -np.inf)
         self.step = 1
-        # cached for the selection rule
+        self._c_max = cfg.c_max
         self._log_term = 2.0 * math.log(cfg.n * cfg.horizon_T)
 
     def record(self, arm: int, reward: float, cost: float) -> None:
-        self.plays[arm] += 1
-        k = self.plays[arm]
-        self.mean_reward[arm] += (reward - self.mean_reward[arm]) / k
-        self.mean_cost[arm] += (cost - self.mean_cost[arm]) / k
+        # Python scalars for speed: each operation rounds as its numpy form would
+        k = self.plays[arm] = int(self.plays[arm]) + 1
+        r, c = float(self.mean_reward[arm]), float(self.mean_cost[arm])
+        r = self.mean_reward[arm] = r + (reward - r) / k
+        c = self.mean_cost[arm] = c + (cost - c) / k
+        delta = math.sqrt(self._log_term / k)
+        self.reward_ucb[arm] = r + delta
+        self.cost_lcb[arm] = c - self._c_max * delta
 
 
 def select_arm(state: BanditState, cfg: BanditConfig) -> int:
-    """Pick the next arm once every arm has been played at least once.
+    """Pick the next arm once the warm-up pass (steps 1..n) is over.
 
     Boundary mode: price >= cap forces i_max, price <= 0 forces i_min,
     otherwise the Lagrangian argmin of cost_lcb - price * reward_ucb over
@@ -94,11 +107,10 @@ def select_arm(state: BanditState, cfg: BanditConfig) -> int:
     stands in for, its argmin caps the optimistic reward at 1 so a
     never-played arm cannot look better than a guaranteed success.
     """
-    if np.any(state.plays == 0):
+    if state.step <= cfg.n:
         raise ValueError("warm-up pass incomplete: some arm has never been played")
     lam = state.dual.value
-    delta = np.sqrt(state._log_term / state.plays)
-    reward_ucb = state.mean_reward + delta
+    reward_ucb = state.reward_ucb
     if cfg.mode == BOUNDARY_RULE:
         if lam >= cfg.lambda_cap:
             return cfg.i_max
@@ -106,8 +118,7 @@ def select_arm(state: BanditState, cfg: BanditConfig) -> int:
             return cfg.i_min
     else:
         reward_ucb = np.minimum(reward_ucb, 1.0)
-    scores = (state.mean_cost - cfg.c_max * delta) - lam * reward_ucb
-    return int(np.argmin(scores))
+    return int((state.cost_lcb - lam * reward_ucb).argmin())
 
 
 def bandit_step(state: BanditState, cfg: BanditConfig, env) -> TraceRecord:

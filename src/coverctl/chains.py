@@ -34,8 +34,11 @@ class NonMonotoneFeedbackWarning(UserWarning):
 class ChainStats:
     """Per-(position, prefix) running means of observed marginal gains.
 
-    Unplayed (context, arm) pairs score +inf, which forces exploration and
-    replaces any explicit warm-up pass.
+    Each context holds (plays, mean, score) arrays over the arms, where
+    score is the optimistic mean + sqrt(2 log(nT) / plays). ``record``
+    refreshes the score of the one pair it updates. Unplayed (context, arm)
+    pairs score +inf, which forces exploration and replaces any explicit
+    warm-up pass.
     """
 
     def __init__(self, n: int, horizon_T: int, variant: str = PREFIX_KEYED):
@@ -51,7 +54,10 @@ class ChainStats:
         self._log_term = 2.0 * math.log(n * horizon_T)
         self._table: dict = {}
         # read, never written, for a context with no plays yet: every arm scores +inf
-        self._unplayed = (np.zeros(n), np.zeros(n))
+        self._unplayed = self._fresh()
+
+    def _fresh(self) -> tuple:
+        return np.zeros(self.n), np.zeros(self.n), np.full(self.n, np.inf)
 
     def _key(self, position: int, prefix) -> object:
         if self.variant == POSITION_KEYED:
@@ -61,20 +67,23 @@ class ChainStats:
     def _context(self, key):
         ctx = self._table.get(key)
         if ctx is None:
-            ctx = (np.zeros(self.n), np.zeros(self.n))
-            self._table[key] = ctx
+            ctx = self._table[key] = self._fresh()
         return ctx
 
     def record(self, position: int, prefix, arm: int, gain: float) -> None:
-        plays, mean = self._context(self._key(position, prefix))
-        plays[arm] += 1.0
-        mean[arm] += (gain - mean[arm]) / plays[arm]
+        plays, mean, score = self._context(self._key(position, prefix))
+        # Python scalars for speed: each operation rounds as its numpy form would
+        k = plays[arm] = float(plays[arm]) + 1.0
+        m = float(mean[arm])
+        m = mean[arm] = m + (gain - m) / k
+        score[arm] = m + math.sqrt(self._log_term / k)
 
     def prime(self, position: int, prefix, means) -> None:
         """Inject exact statistics (oracle means, negligible widths)."""
-        plays, mean = self._context(self._key(position, prefix))
+        plays, mean, score = self._context(self._key(position, prefix))
         plays[:] = float(_EXACT_PLAYS)
         mean[:] = np.asarray(means, dtype=float)
+        score[:] = mean + np.sqrt(self._log_term / plays)
 
 
 def select_chain(stats: ChainStats, budget: int) -> list[int]:
@@ -88,22 +97,18 @@ def select_chain(stats: ChainStats, budget: int) -> list[int]:
     chain: list[int] = []
     chosen = np.zeros(stats.n, dtype=bool)
     for position in range(1, budget + 1):
-        plays, mean = stats._table.get(stats._key(position, chain), stats._unplayed)
-        with np.errstate(divide="ignore"):
-            score = mean + np.sqrt(stats._log_term / plays)
-        score[chosen] = -np.inf
-        arm = int(np.argmax(score))
+        score = stats._table.get(stats._key(position, chain), stats._unplayed)[2]
+        arm = int(np.where(chosen, -np.inf, score).argmax())
         chain.append(arm)
         chosen[arm] = True
     return chain
 
 
 def budget_from_theta(theta: float, n: int) -> int:
-    """Discrete budget min(n, ceil(theta)); the drift argument keeps
-    theta > -1, so the result is never negative."""
-    if theta < -1.0:
-        raise ValueError(f"theta {theta} below -1; controller state corrupted")
-    return min(n, math.ceil(theta))
+    """Discrete budget ceil(theta) clipped to [0, n]. ``runner.drive_acog``
+    bounds theta below by -eta_max only, so a step above 1 can take it below
+    -1; every theta <= 0 probes the empty chain."""
+    return max(0, min(n, math.ceil(theta)))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
+import numpy as np
+
 from .oracles import beta_cdf
-from .rng import uniform
+from .rng import uniform, uniforms
 
 # component ids for substream separation
 _C_REWARD = 1
@@ -30,6 +32,34 @@ _C_SCORE = 4
 _C_DEMAND = 5
 _C_SETUP = 6
 _C_BITS = 7
+
+# uniforms per block of a multi-lane world: its rows are this over the lane
+# count, so one block stays near 0.5 MB of draws whatever the lane count
+_BLOCK_CELLS = 65536
+
+
+class _StepBlocks:
+    """Per-step rows of a multi-lane world, computed a block of steps at a time.
+
+    ``fill(t0, steps)`` returns the rows of steps t0 .. t0+steps-1. Blocks
+    start at multiples of ``steps``; asking for a step outside the current
+    block refills it with the block that holds the step. A row depends only
+    on its step, so steps may be read in any order.
+    """
+
+    def __init__(self, fill, lanes: int):
+        self._fill = fill
+        self.steps = _BLOCK_CELLS // max(1, lanes)
+        self._t0 = 0
+        self._rows: list = []
+
+    def __getitem__(self, t: int):
+        i = t - self._t0
+        if not 0 <= i < len(self._rows):
+            i = t % self.steps
+            self._t0 = t - i
+            self._rows = self._fill(self._t0, self.steps)
+        return self._rows[i]
 
 
 class Observation(NamedTuple):
@@ -139,14 +169,19 @@ class IntervalWorld:
         if int(a) != a or int(b) != b or a < 1 or b < 1:
             raise ValueError("beta point distribution needs integer shapes >= 1")
         self._shape = (int(a), int(b))
+        self._points = _StepBlocks(self._fill_points, int(a) + int(b) - 1)
         self.n = len(self.arms)
         self.c_max = m * delta
         self.i_max = m
 
-    def pull(self, t: int, arm: int) -> Observation:
-        a, b = self._shape
+    def _fill_points(self, t0: int, steps: int) -> list[float]:
         # the a-th smallest of a+b-1 uniforms has the Beta(a, b) law
-        y = sorted(uniform(self.seed, _C_POINT, t, lane) for lane in range(a + b - 1))[a - 1]
+        a, b = self._shape
+        u = uniforms(self.seed, _C_POINT, t0, steps, a + b - 1)
+        return np.partition(u, a - 1, axis=1)[:, a - 1].tolist()
+
+    def pull(self, t: int, arm: int) -> Observation:
+        y = self._points[t]
         if self.arms[arm] is None:
             return Observation(0.0, 0.0)
         lo, hi = self.arms[arm]
@@ -296,12 +331,18 @@ class OrWorld:
         self.p = p
         self.n = len(p)
         self.seed = seed
+        self._bits = _StepBlocks(self._fill_bits, self.n)
+
+    def _fill_bits(self, t0: int, steps: int) -> list[list[bool]]:
+        # row t, column i: whether arm i succeeds at step t
+        return (uniforms(self.seed, _C_BITS, t0, steps, self.n) < np.asarray(self.p)).tolist()
 
     def probe(self, t: int, chain) -> list[float]:
         values = []
         hit = 0.0
+        bits = self._bits[t]
         for arm in chain:
-            if uniform(self.seed, _C_BITS, t, arm) < self.p[arm]:
+            if bits[arm]:
                 hit = 1.0
             values.append(hit)
         return values

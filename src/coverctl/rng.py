@@ -7,6 +7,8 @@ other components consumed, so replaying a run with the same seed and the
 same action sequence reproduces every observation bit-for-bit.
 """
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -16,6 +18,17 @@ def _finalize(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _finalize_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_finalize` on a uint64 array, in place: uint64 arithmetic wraps
+    modulo 2**64, which is the masking the scalar version does."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
 def mix(*parts: int) -> int:
@@ -29,6 +42,17 @@ def mix(*parts: int) -> int:
 def uniform(*parts: int) -> float:
     """Uniform draw in [0, 1) keyed by the given integers."""
     return (mix(*parts) >> 11) * 2.0**-53
+
+
+def uniforms(seed: int, component: int, t0: int, steps: int, lanes: int) -> np.ndarray:
+    """(steps x lanes) float array whose entry [i, j] is
+    ``uniform(seed, component, t0 + i, j)``, bit for bit."""
+    # the (seed, component) prefix folds once; the step and lane folds run on
+    # uint64 arrays, where adding the part is the scalar fold's & _MASK
+    base = (mix(seed, component) + _GOLDEN + t0) & _MASK
+    rows = _finalize_array(np.uint64(base) + np.arange(steps, dtype=np.uint64))
+    z = rows[:, None] + (np.uint64(_GOLDEN) + np.arange(lanes, dtype=np.uint64))
+    return (_finalize_array(z) >> 11) * 2.0**-53
 
 
 def replica_seed(master_seed: int, replica: int) -> int:

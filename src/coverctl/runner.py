@@ -201,8 +201,11 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
     if kind == "interval":
         points = _env(config, "points", list)
         dist = checked("environment.points[0]", points[0] if points else None, str)
-        # an unknown law keeps its length here; IntervalWorld rejects it
-        _sized("environment.points", points, {"beta": 3, "uniform": 1}.get(dist, len(points)))
+        sizes = {"beta": 3, "uniform": 1}
+        if dist not in sizes:
+            raise ConfigError(f"key 'environment.points[0]': unknown point law {dist!r}; "
+                              f"expected one of {sorted(sizes)}")
+        _sized("environment.points", points, sizes[dist])
         world = envs.IntervalWorld(_env(config, "delta"),
                                    (dist, *_numbers("environment.points", points, 1)), seed)
         bench = oracles.interval_benchmark(world.delta, world.cdf, config.phi)

@@ -20,12 +20,17 @@ from coverctl.runner import drive_bandit
 
 
 def _loaded_state(cfg, bounds):
-    """State whose (reward_ucb, cost_lcb) are approximately ``bounds``."""
+    """State past its warm-up pass whose (reward_ucb, cost_lcb) are
+    approximately ``bounds``."""
     state = BanditState(cfg, StepSchedule.constant(0.1))
-    state.plays[:] = 10**12  # confidence width ~ 1e-5
+    state.plays[:] = 10**12
+    width = math.sqrt(state._log_term / 10**12)  # ~ 1e-5
     for i, (r_ucb, c_lcb) in enumerate(bounds):
         state.mean_reward[i] = r_ucb
         state.mean_cost[i] = c_lcb
+        state.reward_ucb[i] = r_ucb + width
+        state.cost_lcb[i] = c_lcb - cfg.c_max * width
+    state.step = cfg.n + 1
     return state
 
 
@@ -65,6 +70,21 @@ def test_select_requires_warm_up():
     state = BanditState(cfg, StepSchedule.constant(0.1))
     with pytest.raises(ValueError):
         select_arm(state, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plays=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.0, 1.0]),
+                                st.floats(0.0, 2.0)), max_size=60))
+def test_cached_bounds_equal_a_recomputation_from_the_statistics(plays):
+    # arms never played keep the zero-play bounds, +inf and -inf
+    cfg = BanditConfig(n=6, c_max=2.0, phi=0.5, horizon_T=100, i_min=0, i_max=1)
+    state = BanditState(cfg, StepSchedule.constant(0.1))
+    for arm, reward, cost in plays:
+        state.record(arm, reward, cost)
+    with np.errstate(divide="ignore"):
+        delta = np.sqrt(state._log_term / state.plays)
+    np.testing.assert_array_equal(state.reward_ucb, state.mean_reward + delta)
+    np.testing.assert_array_equal(state.cost_lcb, state.mean_cost - cfg.c_max * delta)
 
 
 class _ConstantWorld:

@@ -33,8 +33,7 @@ def test_budget_from_theta():
     assert budget_from_theta(-0.04, 20) == 0
     assert budget_from_theta(25.0, 20) == 20
     assert budget_from_theta(0.0, 20) == 0
-    with pytest.raises(ValueError):
-        budget_from_theta(-1.5, 20)
+    assert budget_from_theta(-1.5, 20) == 0
 
 
 def test_select_chain_empty_budget():
@@ -176,6 +175,20 @@ def test_ucb_scores_unplayed_infinite():
     assert select_chain(stats, 1) == [1]
 
 
+@settings(max_examples=100, deadline=None)
+@given(variant=st.sampled_from([PREFIX_KEYED, POSITION_KEYED]),
+       calls=st.lists(st.tuples(st.lists(st.integers(0, 4), max_size=3, unique=True),
+                                st.integers(0, 4), st.floats(-1.0, 1.0)), max_size=60))
+def test_cached_scores_equal_a_recomputation_from_the_statistics(variant, calls):
+    stats = ChainStats(5, 100, variant)
+    for prefix, arm, gain in calls:
+        stats.record(len(prefix) + 1, prefix, arm, gain)
+    stats.prime(4, [0, 1, 2], [0.1, 0.2, 0.3, 0.4, 0.5])
+    for plays, mean, score in [*stats._table.values(), stats._unplayed]:
+        with np.errstate(divide="ignore"):
+            np.testing.assert_array_equal(score, mean + np.sqrt(stats._log_term / plays))
+
+
 def _ranked_by_learned_means(stats, budget):
     """Greedy fill of ``budget`` slots by learned means alone (unplayed pairs
     score -inf, ties break to the lowest index): the converged chain without
@@ -186,7 +199,7 @@ def _ranked_by_learned_means(stats, budget):
         if ctx is None:
             arm = next(a for a in range(stats.n) if a not in chain)
         else:
-            plays, mean = ctx
+            plays, mean, _ = ctx
             score = np.where(plays > 0, mean, -np.inf)
             score[chain] = -np.inf
             arm = int(np.argmax(score))

@@ -12,7 +12,9 @@ from coverctl.environments import (
     PoissonDemand,
     ScoreWorld,
     TrapWorld,
+    _C_BITS,
     _C_DEMAND,
+    _C_POINT,
     draw_or_probabilities,
     uniform_score_world,
 )
@@ -145,6 +147,50 @@ def test_interval_world_uniform_is_beta_one_one():
         assert uni.pull(t, arm) == beta.pull(t, arm)
     for x in np.linspace(-0.5, 1.5, 41):
         assert uni.cdf(x) == beta.cdf(x) == min(max(x, 0.0), 1.0)
+
+
+def _reference_pull(world, t, arm):
+    # the per-step scalar draw IntervalWorld.pull replaced, kept as a bit-exact reference
+    a, b = world._shape
+    y = sorted(uniform(world.seed, _C_POINT, t, lane) for lane in range(a + b - 1))[a - 1]
+    if world.arms[arm] is None:
+        return Observation(0.0, 0.0)
+    lo, hi = world.arms[arm]
+    return Observation(1.0 if lo <= y <= hi else 0.0, hi - lo)
+
+
+def _reference_probe(world, t, chain):
+    # the per-step scalar draw OrWorld.probe replaced, kept as a bit-exact reference
+    values, hit = [], 0.0
+    for arm in chain:
+        if uniform(world.seed, _C_BITS, t, arm) < world.p[arm]:
+            hit = 1.0
+        values.append(hit)
+    return values
+
+
+def _visit_orders(block):
+    """Step sequences that read blocks forwards, backwards, and across an edge."""
+    return [range(1, 60), range(block - 40, block + 40), range(block + 40, block - 40, -1),
+            range(60, 0, -1), [block - 1, block, block + 1, 1]]
+
+
+def test_interval_world_blocks_match_the_scalar_draws_in_any_step_order():
+    for dist in (("beta", 2, 5), ("uniform",), ("beta", 3, 1)):
+        world = IntervalWorld(0.1, dist, seed=2**63 + 11)
+        for order in _visit_orders(world._points.steps):
+            for t in order:
+                arm = (t * 7) % world.n
+                assert world.pull(t, arm) == _reference_pull(world, t, arm), (dist, t)
+
+
+def test_or_world_blocks_match_the_scalar_draws_in_any_step_order():
+    world = OrWorld([0.55, 0.4, 0.28, 0.18, 0.1, 0.05, 0.9, 0.0, 1.0, 0.3], seed=77)
+    chain = [3, 0, 8, 5, 1]
+    for order in _visit_orders(world._bits.steps):
+        for t in order:
+            assert world.probe(t, chain) == _reference_probe(world, t, chain), t
+            assert world.probe(t, []) == []
 
 
 def test_trap_world_schedule():

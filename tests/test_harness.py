@@ -324,10 +324,13 @@ _POISSON = {"algorithm": "newsvendor", "environment": {
      "environment.points"),
     ({"environment": {"kind": "interval", "delta": 0.25, "points": ["uniform", 3]}},
      "environment.points"),
+    ({"environment": {"kind": "interval", "delta": 0.25, "points": ["normal", 1, 2]}},
+     "environment.points[0]"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
         "list-params", "string-initial-level", "string-carryover", "short-window",
-        "short-spec", "long-cost", "short-beta-points", "long-uniform-points"])
+        "short-spec", "long-cost", "short-beta-points", "long-uniform-points",
+        "unknown-point-law"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = dict(algorithm="pd_bandit", T=100, phi=0.8, seed=1,
                environment={"kind": "interval", "delta": 0.25, "points": ["beta", 2, 5]},
@@ -339,6 +342,24 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, over
     err = capsys.readouterr().err
     assert f"key '{key}'" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_chain_run_with_a_large_step_probes_the_empty_chain(tmp_path, capsys):
+    # eta * (1 - phi) = 4.5: one success takes theta from 0.5 to -4.0, inside
+    # the band (-eta, n] that drive_acog checks, and the budget clips to 0
+    # until theta recovers
+    config = {"algorithm": "acog_position", "environment": {"kind": "or_fixed", "p": [0.9] * 3},
+              "T": 50, "phi": 0.1, "schedule": {"kind": "constant", "c": 5.0}, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "error" not in capsys.readouterr().err
+    rows = (tmp_path / "o" / "trace_0.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    states = [float(r.split(",")[header.index("state")]) for r in rows[1:]]
+    budgets = [int(r.split(",")[header.index("K")]) for r in rows[1:]]
+    assert len(budgets) == 50 and min(budgets) == 0 and min(states) < -1.0
+    assert all(k >= 0 for k in budgets)
 
 
 def test_cli_invariant_violation_exits_4_and_writes_nothing(tmp_path, capsys):
