@@ -17,12 +17,12 @@ from .chains import ChainConfig, ChainStats, acog_step, budget_from_theta, selec
 from .control import (
     ControllerState,
     StepSchedule,
-    ValidityLedger,
     aci_update,
     telescoping_check,
 )
 from .metrics import (
     MetricsReport,
+    Trace,
     TraceRecord,
     coverage_series,
     deviation_counter,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControllerState, StepSchedule, aci_update
-from .metrics import TraceRecord
 
 BOUNDARY_RULE = "boundary"
 PROJECTED_BASELINE = "projected"
@@ -121,12 +120,13 @@ def select_arm(state: BanditState, cfg: BanditConfig) -> int:
     return int((state.cost_lcb - lam * reward_ucb).argmin())
 
 
-def bandit_step(state: BanditState, cfg: BanditConfig, env) -> TraceRecord:
+def bandit_step(state: BanditState, cfg: BanditConfig, env) -> tuple:
     """Play one step: warm-up plays arms 0..n-1 in index order, then the
     selection rule takes over. The played arm's statistics are updated on
     every play (boundary arms included); the dual moves only once the
     warm-up pass is over, so it starts the controlled phase at exactly its
-    initial value and stays inside its band for any step size.
+    initial value and stays inside its band for any step size. Returns the
+    row ``(arm, reward, cost, decision-time dual, 1.0 if a boundary arm was forced)``.
     """
     t = state.step
     lam = state.dual.value
@@ -147,11 +147,4 @@ def bandit_step(state: BanditState, cfg: BanditConfig, env) -> TraceRecord:
         if cfg.mode == PROJECTED_BASELINE:
             state.dual.value = min(max(state.dual.value, 0.0), cfg.lambda_cap)
     state.step += 1
-    return TraceRecord(
-        t=t,
-        action=int(arm),
-        reward=float(reward),
-        cost=float(cost),
-        state=lam,
-        extras={"boundary": 1.0 if boundary else 0.0},
-    )
+    return arm, float(reward), float(cost), lam, 1.0 if boundary else 0.0

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControllerState, aci_update
-from .metrics import TraceRecord
 
 PREFIX_KEYED = "prefix"
 POSITION_KEYED = "position"
@@ -106,8 +105,9 @@ def select_chain(stats: ChainStats, budget: int) -> list[int]:
 
 def budget_from_theta(theta: float, n: int) -> int:
     """Discrete budget ceil(theta) clipped to [0, n]. ``runner.drive_acog``
-    bounds theta below by -eta_max only, so a step above 1 can take it below
-    -1; every theta <= 0 probes the empty chain."""
+    bounds theta below by -eta_max * (1 - phi) only, so a large step can take
+    it below -1, and above by nothing; every theta <= 0 probes the empty
+    chain."""
     return max(0, min(n, math.ceil(theta)))
 
 
@@ -118,7 +118,7 @@ class ChainConfig:
     horizon_T: int
 
 
-def acog_step(theta: ControllerState, stats: ChainStats, cfg: ChainConfig, env) -> TraceRecord:
+def acog_step(theta: ControllerState, stats: ChainStats, cfg: ChainConfig, env) -> tuple:
     """Probe the chain of budget K = budget_from_theta(theta), update experts
     from realized marginal gains, then move theta by the calibration update on
     the observed set value.
@@ -126,6 +126,8 @@ def acog_step(theta: ControllerState, stats: ChainStats, cfg: ChainConfig, env) 
     The environment returns the value of every prefix of the played ordered
     chain (semi-bandit feedback). Strictly negative marginals indicate a
     non-monotone environment; they are warned about and recorded as-is.
+    Returns the row ``(chain, set value, K as the cost, decision-time theta,
+    1.0 if K is 0 or n)``.
     """
     t = theta.step_index
     theta_now = theta.value
@@ -148,12 +150,4 @@ def acog_step(theta: ControllerState, stats: ChainStats, cfg: ChainConfig, env) 
         stats.record(position, chain[: position - 1], arm, gain)
         prev = val
     aci_update(theta, y)
-    return TraceRecord(
-        t=t,
-        action=tuple(chain),
-        reward=y,
-        cost=float(k_now),
-        state=theta_now,
-        k=k_now,
-        extras={"boundary": 1.0 if k_now in (0, cfg.n) else 0.0},
-    )
+    return tuple(chain), y, float(k_now), theta_now, 1.0 if k_now in (0, cfg.n) else 0.0

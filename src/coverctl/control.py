@@ -10,7 +10,9 @@ ledger identity exact: over any window driven with a constant step size,
 
     mean(Y) - phi == -(state_end - state_start) / (eta * L)
 
-up to floating-point rounding.
+up to floating-point rounding. The driver loop keeps that ledger as two
+numbers, the window's reward sum and its step count, and
+:func:`telescoping_check` evaluates the identity from them.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ class InvariantViolation(RuntimeError):
         return f"{self.name} {self.value} escaped [{lo}, {hi}] at step {self.step}"
 
 
+class ScheduleError(ValueError):
+    """A step-schedule parameter is out of range; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Step-size sequence eta_t.
@@ -57,13 +67,13 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.kind not in (CONSTANT, POWER_DECAY):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ScheduleError("kind", f"unknown schedule kind {self.kind!r}")
         if self.c <= 0.0:
-            raise ValueError(f"step scale must be positive, got {self.c}")
+            raise ScheduleError("c", f"step scale must be positive, got {self.c}")
         if self.kind == POWER_DECAY and not 0.0 <= self.p < 1.0:
-            raise ValueError(f"decay exponent must lie in [0, 1), got {self.p}")
+            raise ScheduleError("p", f"decay exponent must lie in [0, 1), got {self.p}")
         if self.index_offset < 0:
-            raise ValueError("index_offset must be non-negative")
+            raise ScheduleError("index_offset", "index_offset must be non-negative")
 
     @classmethod
     def constant(cls, c: float) -> "StepSchedule":
@@ -140,31 +150,11 @@ def aci_update(state: ControllerState, reward: float) -> ControllerState:
     return state
 
 
-@dataclass
-class ValidityLedger:
-    """Exact coverage accounting for one update window.
-
-    Accumulates the rewards fed to a controller over its window so the
-    telescoping identity can be checked against the state trajectory.
-    """
-
-    phi: float
-    schedule: StepSchedule
-    reward_sum: float = 0.0
-    step_count: int = 0
-
-    def record(self, reward: float) -> None:
-        self.reward_sum += reward
-        self.step_count += 1
-
-    def coverage(self) -> float:
-        if self.step_count == 0:
-            raise ValueError("ledger window is empty")
-        return self.reward_sum / self.step_count
-
-
-def telescoping_check(ledger: ValidityLedger, state_start: float, state_end: float) -> float:
-    """Residual of the exact coverage identity over the ledger window.
+def telescoping_check(state: ControllerState, state_start: float, reward_sum: float,
+                      steps: int) -> float:
+    """Residual of the exact coverage identity over a window of ``steps``
+    updates whose rewards sum to ``reward_sum`` and that moved ``state`` from
+    ``state_start`` to its current value.
 
     Returns ((reward_sum / L) - phi) + (state_end - state_start) / (eta * L).
     For any window driven exclusively by :func:`aci_update` with a constant
@@ -173,11 +163,9 @@ def telescoping_check(ledger: ValidityLedger, state_start: float, state_end: flo
     Decaying schedules are rejected: the identity is only stated for a
     constant step.
     """
-    if not ledger.schedule.is_constant:
+    if not state.schedule.is_constant:
         raise ValueError("telescoping identity requires a constant step size")
-    if ledger.step_count < 1:
+    if steps < 1:
         raise ValueError("ledger window is empty")
-    eta = ledger.schedule.eta(1)
-    drift_term = (state_end - state_start) / (eta * ledger.step_count)
-    return (ledger.reward_sum / ledger.step_count - ledger.phi) + drift_term
-
+    drift_term = (state.value - state_start) / (state.schedule.eta(1) * steps)
+    return (reward_sum / steps - state.phi) + drift_term

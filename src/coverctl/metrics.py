@@ -1,4 +1,5 @@
-"""Validity and efficiency accounting over per-step traces."""
+"""Validity and efficiency accounting over per-step traces, each one set of
+columns (:class:`Trace`) that every reader here works on whole."""
 
 from __future__ import annotations
 
@@ -7,60 +8,80 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+@dataclass
+class Trace:
+    """A run's per-step output as columns; row i is step t = i + 1.
+
+    ``action`` holds the arm index, the effective threshold, the stocked
+    level, or the probed chain as a tuple of arm indices, by setting.
+    ``state`` is the raw controller value at decision time. ``extras`` maps
+    each setting-specific column (``boundary``, or ``a``, ``leftover``, ``y``
+    for inventory runs) to its values, in CSV order.
+    """
+
+    action: list
+    reward: np.ndarray
+    cost: np.ndarray
+    state: np.ndarray
+    extras: dict
+
+    @classmethod
+    def from_rows(cls, rows, extras=()) -> "Trace":
+        """Transpose ``(action, reward, cost, state, *extras)`` rows, as the
+        step functions return them, into columns named ``extras``."""
+        action, *floats = list(zip(*rows)) or [()] * (4 + len(extras))
+        reward, cost, state, *rest = (np.array(col, dtype=float) for col in floats)
+        return cls(list(action), reward, cost, state, dict(zip(extras, rest, strict=True)))
+
+    def __len__(self) -> int:
+        return len(self.action)
+
+    @property
+    def k(self) -> np.ndarray:
+        """The probing budget K per step: in chain settings the cost, which
+        is the probed chain's length; 0 in every other setting."""
+        if self.action and isinstance(self.action[0], tuple):
+            return self.cost.astype(np.int64)
+        return np.zeros(len(self), dtype=np.int64)
+
+
 @dataclass(slots=True)
 class TraceRecord:
-    """One row of per-step experiment output.
-
-    ``action`` is an arm index, an effective threshold, an inventory level,
-    or the probed chain as a tuple of arm indices depending on the setting.
-    ``state`` is the raw controller value at decision time. ``k`` is the
-    probing budget for chain settings and 0 elsewhere.
-    """
+    """One row of a :class:`Trace`, read by step: ``k`` is the probing budget
+    (0 outside chain settings) and ``extras`` the setting-specific columns."""
 
     t: int
     action: object
     reward: float
     cost: float
     state: float
-    k: int = 0
-    extras: dict | None = None
+    k: int
+    extras: dict
 
 
-def rewards_of(trace) -> np.ndarray:
-    return np.fromiter((r.reward for r in trace), dtype=float, count=len(trace))
-
-
-def costs_of(trace) -> np.ndarray:
-    return np.fromiter((r.cost for r in trace), dtype=float, count=len(trace))
-
-
-def coverage_series(trace, mode: str = "mean") -> np.ndarray:
+def coverage_series(trace: Trace, mode: str = "mean") -> np.ndarray:
     """Running coverage of a trace.
 
     ``mode='mean'``: coverage_cum[t] = (1/t) * sum_{s<=t} Y_s.
     ``mode='fill'``: served over asked totals, sum_{s<=t} y_s / sum_{s<=t} a_s,
-    read from the inventory extras ``y`` and ``a``.
+    read from the inventory columns ``y`` and ``a``.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
     if mode == "fill":
-        served = np.cumsum([r.extras["y"] for r in trace])
-        asked = np.cumsum([r.extras["a"] for r in trace])
-        return served / asked
+        return np.cumsum(trace.extras["y"]) / np.cumsum(trace.extras["a"])
     if mode != "mean":
         raise ValueError(f"unknown coverage mode {mode!r}")
-    y = rewards_of(trace)
-    return np.cumsum(y) / np.arange(1, y.size + 1)
+    return np.cumsum(trace.reward) / np.arange(1, len(trace) + 1)
 
 
-def regret_series(trace, c_star, positive_part: bool = False) -> np.ndarray:
+def regret_series(trace: Trace, c_star, positive_part: bool = False) -> np.ndarray:
     """Cumulative sum of (cost_t - c_star), optionally clipped at 0 per step.
 
     ``c_star`` may be a scalar or a per-step array (phase-wise benchmarks).
     """
-    c = costs_of(trace)
-    gap = c - np.asarray(c_star, dtype=float)
-    if gap.shape not in ((), c.shape):
+    gap = trace.cost - np.asarray(c_star, dtype=float)
+    if gap.shape != trace.cost.shape:
         raise ValueError("benchmark array length does not match the trace")
     if positive_part:
         gap = np.maximum(gap, 0.0)
@@ -98,7 +119,7 @@ def sublinearity_fit(end_regrets) -> SlopeFit:
     return SlopeFit(float(slope), float(intercept), r2, clipped)
 
 
-def deviation_counter(trace, report, order_sensitive: bool = False) -> int:
+def deviation_counter(trace: Trace, report, order_sensitive: bool = False) -> int:
     """Count steps whose played chain differs from the greedy prefix.
 
     The primary comparison is set-based: the reward depends only on which
@@ -108,12 +129,9 @@ def deviation_counter(trace, report, order_sensitive: bool = False) -> int:
     """
     n = len(report.chain)
     count = 0
-    for rec in trace:
-        chain = rec.action
+    for chain in trace.action:  # an empty chain equals the empty prefix
         if any(a >= n or a < 0 for a in chain):
             raise ValueError("trace chain references an arm outside the benchmark's arm set")
-        if not chain:
-            continue
         prefix = report.chain[: len(chain)]
         if order_sensitive:
             mismatch = chain != prefix

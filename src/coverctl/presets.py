@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+from .control import ScheduleError, StepSchedule
+
 ALGORITHMS = (
     "pd_bandit",
     "pd_bandit_projected",
@@ -61,13 +63,20 @@ class ExperimentConfig:
         if checked("replicas", self.replicas, int) < 1:
             raise ConfigError("key 'replicas': must be at least 1")
         checked("seed", self.seed, int)
+        checked("preset", self.preset, str)
+        checked("variant", self.variant, str)
         if not isinstance(self.environment, dict) or "kind" not in self.environment:
             raise ConfigError("key 'environment': missing 'kind' tag")
+        checked("environment.kind", self.environment["kind"], str)
         checked("algorithm_params", self.algorithm_params, dict)
         schedule = checked("schedule", self.schedule, dict)
         for key, kind, default in (("kind", str, None), ("c", float, None),
                                    ("p", float, 0.0), ("index_offset", int, 0)):
             checked(f"schedule.{key}", schedule.get(key, default), kind)
+        try:
+            StepSchedule.from_dict(schedule)
+        except ScheduleError as err:
+            raise ConfigError(f"key 'schedule.{err.field}': {err}") from err
 
     def to_dict(self) -> dict:
         return asdict(self)

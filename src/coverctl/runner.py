@@ -1,8 +1,9 @@
 """Simulation drivers and the artifact pipeline.
 
 Drivers loop one controller against one environment through one shared
-per-step loop, which enforces the state invariants on every step and keeps
-an exact coverage ledger. The experiment layer resolves an
+per-step loop, which enforces the state invariants on every step, keeps an
+exact coverage ledger and collects the rows the step returns into one
+columnar :class:`~coverctl.metrics.Trace`. The experiment layer resolves an
 :class:`~coverctl.presets.ExperimentConfig` through one setup table (world,
 oracle, driver) and turns it plus a replica index into a trace CSV, a
 metrics summary, and benchmark values; replicas
@@ -16,6 +17,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -26,8 +28,7 @@ from . import metrics as mt
 from . import oracles
 from .bandit import BOUNDARY_RULE, PROJECTED_BASELINE, BanditConfig, BanditState, bandit_step
 from .chains import POSITION_KEYED, PREFIX_KEYED, ChainConfig, ChainStats, acog_step
-from .control import (ControllerState, InvariantViolation, StepSchedule, ValidityLedger,
-                      telescoping_check)
+from .control import ControllerState, InvariantViolation, StepSchedule, telescoping_check
 from .presets import ConfigError, ExperimentConfig, checked, expand_variants
 from .rng import replica_seed
 from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
@@ -37,41 +38,54 @@ _TOL = 1e-12
 
 @dataclass
 class SimulationResult:
-    records: list[mt.TraceRecord]
+    trace: mt.Trace
     final_state: float
     info: dict
 
+    @cached_property
+    def records(self) -> list[mt.TraceRecord]:
+        """The trace read row by row."""
+        tr = self.trace
+        cols = [tr.action, *(col.tolist() for col in (tr.reward, tr.cost, tr.state, tr.k,
+                                                      *tr.extras.values()))]
+        return [mt.TraceRecord(t, *row[:5], dict(zip(tr.extras, row[5:])))
+                for t, row in enumerate(zip(*cols), start=1)]
+
 
 def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
-           keep_trace: bool, window_start: int = 1, exact: bool = True) -> SimulationResult:
+           keep_trace: bool, columns: tuple[str, ...], window_start: int = 1,
+           exact: bool = True) -> SimulationResult:
     """The per-step loop behind every driver: call ``step()`` T times.
 
-    From step ``window_start`` on, each record's reward feeds the coverage
-    ledger and its decision-time state must lie in ``band``, as must the
-    final ``state``; an escape raises InvariantViolation, under ``python -O``
-    too. ``info`` holds the window coverage and, for a constant step where
-    the ledger identity is ``exact``, its residual.
+    Each call returns a row ``(action, reward, cost, state, *columns)``; with
+    ``keep_trace`` the rows become the result's trace, transposed once. From
+    step ``window_start`` on, each reward feeds the ledger's reward sum and the
+    decision-time state must lie in ``band``, as must the final ``state``; an
+    escape raises InvariantViolation, under ``python -O`` too. ``info`` holds
+    the window coverage and, for a constant step where the ledger identity is
+    ``exact``, its residual.
     """
     lo, hi = band
     start = state.value
-    ledger = ValidityLedger(state.phi, state.schedule)
-    records: list[mt.TraceRecord] = []
-    for _ in range(T):
-        rec = step()
-        if rec.t >= window_start:
-            ledger.record(rec.reward)
-            if not lo <= rec.state <= hi:
-                raise InvariantViolation(rec.t, rec.state, band)
+    reward_sum = 0.0
+    rows = []
+    for t in range(1, T + 1):
+        row = step()
+        if t >= window_start:
+            reward_sum += row[1]
+            if not lo <= row[3] <= hi:
+                raise InvariantViolation(t, row[3], band)
         if keep_trace:
-            records.append(rec)
+            rows.append(row)
     info = {}
-    if ledger.step_count:
+    steps = T - window_start + 1
+    if steps > 0:
         if not lo <= state.value <= hi:
-            raise InvariantViolation(rec.t + 1, state.value, band)
-        info["coverage"] = ledger.coverage()
+            raise InvariantViolation(T + 1, state.value, band)
+        info["coverage"] = reward_sum / steps
         if exact and state.schedule.is_constant:
-            info["ledger_residual"] = telescoping_check(ledger, start, state.value)
-    return SimulationResult(records, state.value, info)
+            info["ledger_residual"] = telescoping_check(state, start, reward_sum, steps)
+    return SimulationResult(mt.Trace.from_rows(rows, columns), state.value, info)
 
 
 def drive_bandit(cfg: BanditConfig, schedule: StepSchedule, env, T: int,
@@ -88,7 +102,7 @@ def drive_bandit(cfg: BanditConfig, schedule: StepSchedule, env, T: int,
     boundary = cfg.mode == BOUNDARY_RULE
     band = (-eta_max - _TOL, cfg.lambda_cap + eta_max + _TOL) if boundary else (-math.inf, math.inf)
     sim = _drive(lambda: bandit_step(state, cfg, env), state.dual, T, band, keep_trace,
-                 window_start=cfg.n + 1, exact=boundary)
+                 ("boundary",), window_start=cfg.n + 1, exact=boundary)
     if sim.info:
         sim.info["window_coverage"] = sim.info.pop("coverage")
         sim.info["window_len"] = T - cfg.n
@@ -99,7 +113,8 @@ def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True) 
     state = ControllerState(value=cfg.tau_min, phi=cfg.phi, schedule=cfg.schedule)
     eta_max = cfg.schedule.max_eta()
     band = (cfg.tau_min - eta_max - _TOL, cfg.tau_max + eta_max + _TOL)
-    return _drive(lambda: threshold_step(state, cfg, env), state, T, band, keep_trace)
+    return _drive(lambda: threshold_step(state, cfg, env), state, T, band, keep_trace,
+                  ("boundary",))
 
 
 def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
@@ -107,15 +122,20 @@ def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
     """Run the inventory controller for T periods; the level never goes negative."""
     state = ControllerState(value=q_init, phi=cfg.phi, schedule=cfg.schedule)
     return _drive(lambda: newsvendor_step(state, cfg, demand_stream.draw(state.step_index)),
-                  state, T, (-1e-9, math.inf), keep_trace, exact=False)
+                  state, T, (-1e-9, math.inf), keep_trace,
+                  ("a", "leftover", "y"), exact=False)
 
 
 def drive_acog(cfg: ChainConfig, schedule: StepSchedule, env, T: int,
                variant: str = PREFIX_KEYED, keep_trace: bool = True) -> SimulationResult:
     theta = ControllerState(value=0.0, phi=cfg.phi, schedule=schedule)
     stats = ChainStats(cfg.n, cfg.horizon_T, variant)
-    band = (-schedule.max_eta() - _TOL, cfg.n + _TOL)
-    return _drive(lambda: acog_step(theta, stats, cfg, env), theta, T, band, keep_trace)
+    # theta falls by at most eta_max * (1 - phi) a step, and only from theta > 0:
+    # K = 0 probes the empty chain, whose Y is 0. No upper band holds in every
+    # world: where even the full chain can fail, theta climbs past n.
+    band = (-schedule.max_eta() * (1.0 - cfg.phi) - _TOL, math.inf)
+    return _drive(lambda: acog_step(theta, stats, cfg, env), theta, T, band, keep_trace,
+                  ("boundary",))
 
 
 # --- experiment layer -------------------------------------------------------
@@ -124,46 +144,32 @@ BASE_COLUMNS = ("t", "action", "reward", "cost", "state", "K",
                 "coverage_cum", "regret_cum", "regret_pos_cum")
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
+_F17 = "{:.17g}".format  # 17 significant digits: every float round-trips exactly
 
 
-def _fmt_action(a) -> str:
-    if isinstance(a, tuple):  # a probed chain: "a|b|c", or "-" when empty
-        return "|".join(map(str, a)) or "-"
-    if isinstance(a, (int, np.integer)):
-        return str(int(a))
-    return _f17(a)
-
-
-def render_csv(records, coverage_cum, regret_cum, regret_pos_cum) -> str:
+def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum) -> str:
     """Serialize a trace with its cumulative metric columns.
 
-    The three series hold one value per record, as built by
+    The three series hold one value per step, as built by
     :func:`~coverctl.metrics.coverage_series` and
-    :func:`~coverctl.metrics.regret_series`. Floats carry 17 significant
-    digits so the file round-trips exactly.
+    :func:`~coverctl.metrics.regret_series`. Each column is formatted whole,
+    with one formatter: ``t`` is the row number, ``K`` the probing budget,
+    and every float column carries 17 significant digits.
     """
-    if not records:
+    if not len(trace):
         raise ValueError("cannot serialize an empty trace")
-    extra_cols = sorted(records[0].extras) if records[0].extras else []
-    lines = [",".join(BASE_COLUMNS + tuple(extra_cols))]
-    rows = zip(records, coverage_cum, regret_cum, regret_pos_cum, strict=True)
-    for rec, coverage, regret, regret_pos in rows:
-        row = [
-            str(rec.t),
-            _fmt_action(rec.action),
-            _f17(rec.reward),
-            _f17(rec.cost),
-            _f17(rec.state),
-            str(rec.k),
-            _f17(coverage),
-            _f17(regret),
-            _f17(regret_pos),
-        ]
-        row.extend(_f17(rec.extras[k]) for k in extra_cols)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    first = trace.action[0]
+    if isinstance(first, tuple):  # probed chains: "a|b|c", or "-" when empty
+        actions = ("|".join(map(str, a)) or "-" for a in trace.action)
+    else:
+        actions = map(str if isinstance(first, int) else _F17, trace.action)
+    floats = (trace.reward, trace.cost, trace.state)
+    series = (coverage_cum, regret_cum, regret_pos_cum, *trace.extras.values())
+    cols = [map(str, range(1, len(trace) + 1)), actions,
+            *(map(_F17, col.tolist()) for col in floats), map(str, trace.k.tolist()),
+            *(map(_F17, col.tolist()) for col in series)]
+    header = ",".join(BASE_COLUMNS + tuple(trace.extras))
+    return "\n".join([header, *map(",".join, zip(*cols, strict=True))]) + "\n"
 
 
 class _Setup(NamedTuple):
@@ -173,7 +179,16 @@ class _Setup(NamedTuple):
     c_star: object  # cost benchmark: a scalar, or one value per step
     drive: Callable[[], SimulationResult]
     coverage_mode: str = "mean"  # see metrics.coverage_series
-    summary: Callable[[list], dict] = lambda records: {}  # extra summary fields
+    summary: Callable[[mt.Trace], dict] = lambda trace: {}  # extra summary fields
+
+
+def _expect_kind(config: ExperimentConfig, *kinds: str) -> str:
+    """The config's environment kind, checked against those ``kinds``."""
+    kind = config.environment["kind"]
+    if kind not in kinds:
+        raise ConfigError(f"key 'environment.kind': {config.algorithm} expects "
+                          f"{' or '.join(kinds)}, got {kind!r}")
+    return kind
 
 
 def _env(config: ExperimentConfig, key: str, kind: type = float):
@@ -197,7 +212,7 @@ def _param(config: ExperimentConfig, key: str, default, kind: type = float):
 
 
 def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    kind = config.environment["kind"]
+    kind = _expect_kind(config, "interval", "trap", "iid")
     if kind == "interval":
         points = _env(config, "points", list)
         dist = checked("environment.points[0]", points[0] if points else None, str)
@@ -216,7 +231,7 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
             "continuous_c_star": bench.continuous_c_star,
             "discretization_gap": bench.discretization_gap,
         }
-    elif kind in ("trap", "iid"):
+    else:
         if kind == "trap":
             window = _sized("environment.window", _env(config, "window", list), 2)
             world = envs.TrapWorld(tuple(_numbers("environment.window", window)))
@@ -233,8 +248,6 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
             rates, label = world.means(), "arm_mixture_lp"
         sol = oracles.lp_benchmark(*rates, config.phi)
         bench_dict = {"benchmark": label, "c_star": sol.c_star, "mixture": list(sol.mixture)}
-    else:
-        raise ValueError(f"environment kind {kind!r} does not feed an arm selector")
     mode = PROJECTED_BASELINE if config.algorithm == "pd_bandit_projected" else BOUNDARY_RULE
     lambda_cap = config.algorithm_params.get("lambda_cap")  # null: c_max / (1 - phi)
     cfg = BanditConfig(
@@ -254,8 +267,7 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
 
 
 def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    if config.environment["kind"] != "score_uniform":
-        raise ValueError("primal_threshold expects the score_uniform environment")
+    _expect_kind(config, "score_uniform")
     world = envs.uniform_score_world(seed)
     tau_star, c_star = oracles.threshold_benchmark(
         world.expected_reward, lambda tau: tau, config.phi,
@@ -268,8 +280,7 @@ def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
 
 
 def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    if config.environment["kind"] != "poisson_demand":
-        raise ValueError("newsvendor expects the poisson_demand environment")
+    _expect_kind(config, "poisson_demand")
     before, after, cap = (_env(config, key) for key in ("before", "after", "cap"))
     shift_t = _env(config, "shift_t", int)
     stream = envs.PoissonDemand(before, after, shift_t, cap, seed)
@@ -295,14 +306,11 @@ def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
 
 
 def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    kind = config.environment["kind"]
-    if kind == "or_random":
+    if _expect_kind(config, "or_random", "or_fixed") == "or_random":
         p = envs.draw_or_probabilities(_env(config, "n", int), _env(config, "p_low"),
                                        _env(config, "p_high"), seed)
-    elif kind == "or_fixed":
-        p = [float(x) for x in _numbers("environment.p", _env(config, "p", list))]
     else:
-        raise ValueError("chain algorithms expect an any-success environment")
+        p = [float(x) for x in _numbers("environment.p", _env(config, "p", list))]
     world = envs.OrWorld(p, seed)
     report = oracles.greedy_chain(world.value_oracle(), world.n)
     k_star = report.budget_for(config.phi)
@@ -324,14 +332,14 @@ def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
     variant = PREFIX_KEYED if config.algorithm == "acog_prefix" else POSITION_KEYED
     schedule = StepSchedule.from_dict(config.schedule)
 
-    def summary(records) -> dict:
+    def summary(trace: mt.Trace) -> dict:
+        above = trace.k > k_star + 1
         return {
-            "greedy_deviation_steps": mt.deviation_counter(records, report),
+            "greedy_deviation_steps": mt.deviation_counter(trace, report),
             "greedy_deviation_steps_ordered": mt.deviation_counter(
-                records, report, order_sensitive=True),
-            "steps_above_k_star_plus_1": sum(1 for r in records if r.k > k_star + 1),
-            "late_steps_above_k_star_plus_1": sum(
-                1 for r in records if r.k > k_star + 1 and r.t > config.T // 2),
+                trace, report, order_sensitive=True),
+            "steps_above_k_star_plus_1": int(above.sum()),
+            "late_steps_above_k_star_plus_1": int(above[config.T // 2:].sum()),
         }
 
     return _Setup(bench, float(k_star),
@@ -359,16 +367,16 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     seed = replica_seed(config.seed, replica)
     setup = _SETUPS[config.algorithm](config, seed)
     sim = setup.drive()
-    coverage = mt.coverage_series(sim.records, setup.coverage_mode)
-    regret = mt.regret_series(sim.records, setup.c_star)
-    regret_pos = mt.regret_series(sim.records, setup.c_star, positive_part=True)
+    trace = sim.trace
+    coverage = mt.coverage_series(trace, setup.coverage_mode)
+    regret = mt.regret_series(trace, setup.c_star)
+    regret_pos = mt.regret_series(trace, setup.c_star, positive_part=True)
     report = mt.MetricsReport(
         coverage_cum=coverage,
         regret_cum=regret,
         regret_pos_cum=regret_pos,
-        boundary_steps=sum(int(r.extras.get("boundary", 0.0))
-                           for r in sim.records if r.extras),
-        extras=setup.summary(sim.records),
+        boundary_steps=int(np.sum(trace.extras.get("boundary", 0.0))),
+        extras=setup.summary(trace),
     )
     summary = {
         "replica": replica,
@@ -381,7 +389,7 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
             summary[key] = sim.info[key]
     if setup.coverage_mode == "fill":
         summary["fill_rate"] = float(coverage[-1])
-    csv_text = render_csv(sim.records, coverage, regret, regret_pos)
+    csv_text = render_csv(trace, coverage, regret, regret_pos)
     return {"replica": replica, "csv": csv_text, "summary": summary, "benchmark": setup.bench}
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .control import ControllerState, InvariantViolation, StepSchedule, aci_update
-from .metrics import TraceRecord
 
 
 @dataclass(frozen=True)
@@ -30,13 +29,14 @@ class ThresholdConfig:
             raise ValueError("phi must lie strictly in (0, 1)")
 
 
-def threshold_step(tau: ControllerState, cfg: ThresholdConfig, env) -> TraceRecord:
+def threshold_step(tau: ControllerState, cfg: ThresholdConfig, env) -> tuple:
     """Submit the clamped threshold, observe the binary outcome, update raw.
 
     The environment is queried at tau_eff = clamp(tau, tau_min, tau_max) and
     must return a success bit in {0, 1} plus a cost. On any input sequence
     satisfying the monotone-step model the raw state then stays inside
-    [tau_min - eta_max, tau_max + eta_max].
+    [tau_min - eta_max, tau_max + eta_max]. Returns the row
+    ``(tau_eff, y, cost, decision-time tau, 1.0 if tau is outside the range)``.
     """
     t = tau.step_index
     raw = tau.value
@@ -46,14 +46,7 @@ def threshold_step(tau: ControllerState, cfg: ThresholdConfig, env) -> TraceReco
         raise ValueError(f"threshold feedback must be binary, got {y!r}")
     aci_update(tau, float(y))
     boundary = raw < cfg.tau_min or raw > cfg.tau_max
-    return TraceRecord(
-        t=t,
-        action=float(tau_eff),
-        reward=float(y),
-        cost=float(cost),
-        state=raw,
-        extras={"boundary": 1.0 if boundary else 0.0},
-    )
+    return float(tau_eff), float(y), float(cost), raw, 1.0 if boundary else 0.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class NewsvendorConfig:
             )
 
 
-def newsvendor_step(q: ControllerState, cfg: NewsvendorConfig, demand: float) -> TraceRecord:
+def newsvendor_step(q: ControllerState, cfg: NewsvendorConfig, demand: float) -> tuple:
     """One inventory period: stock min(q, D), serve min(demand, stocked).
 
     Updates q by eta_t * (phi * a - y). The drift is strictly positive at
@@ -92,6 +85,8 @@ def newsvendor_step(q: ControllerState, cfg: NewsvendorConfig, demand: float) ->
     projection. In dynamic mode the no-returns identity
     q_next - leftover = y (1 - eta) + eta phi a >= 0
     is checked on every step (:class:`~coverctl.control.InvariantViolation`).
+    Returns the row ``(stock, y / a, stock, decision-time q, a, leftover, y)``
+    for demand ``a`` and sales ``y``.
     """
     if not 1.0 <= demand <= cfg.demand_cap:
         raise ValueError(f"demand {demand} outside [1, {cfg.demand_cap}]")
@@ -108,12 +103,6 @@ def newsvendor_step(q: ControllerState, cfg: NewsvendorConfig, demand: float) ->
         if q.value - leftover < -1e-9:
             raise InvariantViolation(t, q.value - leftover, (-1e-9, math.inf),
                                      "prescribed level over carried inventory")
-    return TraceRecord(
-        t=t,
-        action=float(q_eff),
-        reward=float(y / demand),
-        cost=float(q_eff),
-        state=raw,
-        extras={"a": float(demand), "y": float(y), "leftover": float(leftover)},
-    )
+    return (float(q_eff), float(y / demand), float(q_eff), raw,
+            float(demand), float(leftover), float(y))
 

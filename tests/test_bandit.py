@@ -14,7 +14,7 @@ from coverctl.bandit import (
     bandit_step,
     select_arm,
 )
-from coverctl.control import StepSchedule, ValidityLedger, telescoping_check
+from coverctl.control import StepSchedule, telescoping_check
 from coverctl.environments import TrapWorld
 from coverctl.runner import drive_bandit
 
@@ -101,7 +101,7 @@ def test_bandit_step_warm_up_order_and_frozen_dual():
     cfg = BanditConfig(n=3, c_max=1.0, phi=0.8, horizon_T=10, i_min=2, i_max=0)
     env = _ConstantWorld({0: (1.0, 1.0), 1: (0.0, 0.4), 2: (0.0, 0.0)})
     state = BanditState(cfg, StepSchedule.constant(0.1))
-    arms = [bandit_step(state, cfg, env).action for _ in range(3)]
+    arms = [bandit_step(state, cfg, env)[0] for _ in range(3)]
     assert arms == [0, 1, 2]
     assert np.all(state.plays == 1)
     # the dual sits still until the warm-up pass completes
@@ -118,8 +118,8 @@ def test_bandit_step_failure_raises_dual():
     bandit_step(state, cfg, env)
     before = 0.5
     state.dual.value = before
-    rec = bandit_step(state, cfg, env)
-    if rec.reward == 0.0:
+    _, reward, *_ = bandit_step(state, cfg, env)
+    if reward == 0.0:
         assert state.dual.value == pytest.approx(before + 0.1 * 0.8, abs=1e-12)
 
 
@@ -146,8 +146,7 @@ def test_deterministic_replay_matches():
         cfg = BanditConfig(n=3, c_max=1.0, phi=0.5, horizon_T=10, i_min=2, i_max=0)
         env = TrapWorld((4, 8))
         state = BanditState(cfg, StepSchedule.constant(0.2))
-        return [(r.t, r.action, r.reward, r.cost, r.state)
-                for r in (bandit_step(state, cfg, env) for _ in range(10))]
+        return [bandit_step(state, cfg, env) for _ in range(10)]
 
     assert run() == run()
 
@@ -168,14 +167,14 @@ def test_coverage_identity_on_trap_run():
     state = BanditState(cfg, StepSchedule.constant(0.02))
     # the ledger window starts once the warm-up pass (and with it the
     # controlled dual) begins: only steps t > n are recorded below
-    ledger = ValidityLedger(0.5, state.dual.schedule)
+    reward_sum = 0.0
     eta_max = 0.02
-    for _ in range(5000):
-        rec = bandit_step(state, cfg, env)
-        if rec.t > cfg.n:
-            ledger.record(rec.reward)
-            assert -eta_max - 1e-12 <= rec.state <= cfg.lambda_cap + eta_max + 1e-12
-    assert abs(telescoping_check(ledger, 0.0, state.dual.value)) <= 1e-9
+    for t in range(1, 5001):
+        _, reward, _, dual, _ = bandit_step(state, cfg, env)
+        if t > cfg.n:
+            reward_sum += reward
+            assert -eta_max - 1e-12 <= dual <= cfg.lambda_cap + eta_max + 1e-12
+    assert abs(telescoping_check(state.dual, 0.0, reward_sum, 5000 - cfg.n)) <= 1e-9
 
 
 def test_ucb_concentration_on_bernoulli_draws():

@@ -15,7 +15,7 @@ from coverctl.chains import (
     budget_from_theta,
     select_chain,
 )
-from coverctl.control import ControllerState, StepSchedule, ValidityLedger, telescoping_check
+from coverctl.control import ControllerState, StepSchedule, telescoping_check
 from coverctl.environments import OrWorld
 from coverctl.oracles import greedy_chain
 from coverctl.rng import replica_seed
@@ -95,10 +95,10 @@ def test_acog_step_marginal_gains_and_theta():
     theta = ControllerState(1.2, 0.8, sched)
     stats = ChainStats(3, 100)
     env = _ScriptedSets([[0.0, 1.0, 1.0]])  # second element flips the set value
-    rec = acog_step(theta, stats, cfg, env)
-    assert rec.k == 2
-    assert rec.reward == 1.0
-    chain = list(rec.action)
+    action, reward, k, *_ = acog_step(theta, stats, cfg, env)
+    assert k == 2
+    assert reward == 1.0
+    chain = list(action)
     assert len(chain) == 2
     assert _cell(stats, 2, chain[:1], chain[1])[1] == 1.0
     assert _cell(stats, 1, [], chain[0]) == (1.0, 0.0)
@@ -109,10 +109,10 @@ def test_acog_positive_drift_at_empty_budget():
     cfg = ChainConfig(n=3, phi=0.8, horizon_T=100)
     theta = ControllerState(-0.05, 0.8, StepSchedule.constant(0.1))
     stats = ChainStats(3, 100)
-    rec = acog_step(theta, stats, cfg, _ScriptedSets([[1.0, 1.0, 1.0]]))
-    assert rec.k == 0
-    assert rec.action == ()
-    assert rec.reward == 0.0
+    action, reward, k, *_ = acog_step(theta, stats, cfg, _ScriptedSets([[1.0, 1.0, 1.0]]))
+    assert k == 0
+    assert action == ()
+    assert reward == 0.0
     assert theta.value == pytest.approx(-0.05 + 0.08, abs=1e-12)
 
 
@@ -132,12 +132,12 @@ def test_acog_fractional_rewards_keep_ledger_exact():
     stats = ChainStats(4, 2000)
     rows = [[0.1, 0.35, 0.5, 0.5], [0.0, 0.7, 0.7, 0.9], [0.25, 0.25, 0.8, 1.0]]
     env = _ScriptedSets(rows)
-    ledger = ValidityLedger(0.6, sched)
+    reward_sum = 0.0
     for _ in range(2000):
-        rec = acog_step(theta, stats, cfg, env)
-        ledger.record(rec.reward)
-        assert -0.05 - 1e-12 <= rec.state <= 4 + 1e-12
-    assert abs(telescoping_check(ledger, 0.0, theta.value)) <= 1e-9
+        _, reward, _, state, _ = acog_step(theta, stats, cfg, env)
+        reward_sum += reward
+        assert -0.05 - 1e-12 <= state <= 4 + 1e-12
+    assert abs(telescoping_check(theta, 0.0, reward_sum, 2000)) <= 1e-9
 
 
 def test_budget_never_exceeds_arm_count():
@@ -149,11 +149,11 @@ def test_budget_never_exceeds_arm_count():
     env = _ScriptedSets([[0.0, 0.0, 1.0]])
     saw_full = False
     for _ in range(1000):
-        rec = acog_step(theta, stats, cfg, env)
-        assert -0.3 - 1e-12 <= rec.state <= 3 + 1e-12
-        assert 0 <= rec.k <= 3
-        saw_full = saw_full or rec.k == 3
-        assert rec.k == budget_from_theta(rec.state, 3)
+        _, _, k, state, _ = acog_step(theta, stats, cfg, env)
+        assert -0.3 - 1e-12 <= state <= 3 + 1e-12
+        assert 0 <= k <= 3
+        saw_full = saw_full or k == 3
+        assert k == budget_from_theta(state, 3)
     assert saw_full
 
 
@@ -260,6 +260,9 @@ def test_ledger_and_band_hold_for_any_reward_script(phi, eta, script):
     cfg = ChainConfig(n=3, phi=phi, horizon_T=300)
     sim = drive_acog(cfg, StepSchedule.constant(eta), _ScriptedMonotoneSets(3, script), 300)
     assert abs(sim.info["ledger_residual"]) <= 1e-9
-    assert -eta <= sim.final_state <= cfg.n
+    # theta falls only from above 0, by at most eta * (1 - phi); the full set
+    # never fails here, so theta also stays at or below n
+    assert -eta * (1 - phi) <= sim.final_state <= cfg.n
+    assert -eta * (1 - phi) <= sim.trace.state.min()
     # each step probes the budget its decision-time theta gives
     assert all(rec.k == budget_from_theta(rec.state, cfg.n) for rec in sim.records)

@@ -6,8 +6,8 @@ import pytest
 from coverctl.control import (
     ControllerState,
     InvariantViolation,
+    ScheduleError,
     StepSchedule,
-    ValidityLedger,
     aci_update,
     telescoping_check,
 )
@@ -56,14 +56,13 @@ def test_reward_range_validated():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        StepSchedule.constant(0.0)
-    with pytest.raises(ValueError):
-        StepSchedule.power(1.0, 1.0)
-    with pytest.raises(ValueError):
-        StepSchedule.power(1.0, -0.1)
-    with pytest.raises(ValueError):
-        StepSchedule("weird", 1.0)
+    # each error is a ValueError that names the out-of-range field
+    for args, field in ((("constant", 0.0), "c"), (("power", 1.0, 1.0), "p"),
+                        (("power", 1.0, -0.1), "p"), (("weird", 1.0), "kind"),
+                        (("constant", 1.0, 0.0, -1), "index_offset")):
+        with pytest.raises(ScheduleError) as err:
+            StepSchedule(*args)
+        assert isinstance(err.value, ValueError) and err.value.field == field
 
 
 def test_phi_strictly_interior():
@@ -76,46 +75,39 @@ def test_phi_strictly_interior():
 def test_telescoping_three_step_example():
     # Y = (1, 0, 1), phi = 0.5, eta = 0.2: state walks 0 -> -0.1 -> 0 -> -0.1
     s = make_state(0.0, 0.5, 0.2)
-    ledger = ValidityLedger(0.5, s.schedule)
     for y in (1.0, 0.0, 1.0):
         aci_update(s, y)
-        ledger.record(y)
     assert s.value == pytest.approx(-0.1, abs=1e-15)
-    assert telescoping_check(ledger, 0.0, s.value) == pytest.approx(0.0, abs=1e-12)
+    assert telescoping_check(s, 0.0, 2.0, 3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_telescoping_zero_drift_with_fractional_rewards():
     s = make_state(0.3, 0.6, 0.05)
-    ledger = ValidityLedger(0.6, s.schedule)
+    reward_sum = 0.0
     for _ in range(50):
         aci_update(s, 0.6)  # reward equals the target: exactly no motion
-        ledger.record(0.6)
+        reward_sum += 0.6
     assert s.value == 0.3
-    assert telescoping_check(ledger, 0.3, s.value) == pytest.approx(0.0, abs=1e-12)
+    assert telescoping_check(s, 0.3, reward_sum, 50) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_telescoping_constant_failure_stream():
     s = make_state(0.0, 0.8, 0.1)
-    ledger = ValidityLedger(0.8, s.schedule)
     for _ in range(10):
         aci_update(s, 1.0)
-        ledger.record(1.0)
     assert s.value == pytest.approx(-0.2, abs=1e-12)
-    assert telescoping_check(ledger, 0.0, s.value) == pytest.approx(0.0, abs=1e-12)
+    assert telescoping_check(s, 0.0, 10.0, 10) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_telescoping_rejects_decaying_schedule():
-    sched = StepSchedule.power(1.0, 0.5)
-    ledger = ValidityLedger(0.5, sched)
-    ledger.record(1.0)
+    s = ControllerState(0.0, 0.5, StepSchedule.power(1.0, 0.5))
     with pytest.raises(ValueError):
-        telescoping_check(ledger, 0.0, 0.0)
+        telescoping_check(s, 0.0, 1.0, 1)
 
 
 def test_telescoping_rejects_empty_window():
-    ledger = ValidityLedger(0.5, StepSchedule.constant(0.1))
     with pytest.raises(ValueError):
-        telescoping_check(ledger, 0.0, 0.0)
+        telescoping_check(make_state(0.0, 0.5, 0.1), 0.0, 0.0, 0)
 
 
 def test_telescoping_residual_small_on_long_random_runs():
@@ -124,13 +116,12 @@ def test_telescoping_residual_small_on_long_random_runs():
         eta = rng.choice([0.01, 0.1, 1.0])
         phi = rng.uniform(0.1, 0.9)
         s = make_state(rng.uniform(-50, 50), phi, eta)
-        ledger = ValidityLedger(phi, s.schedule)
-        start = s.value
+        start, reward_sum = s.value, 0.0
         for _ in range(100_000):
             y = rng.random() if rng.random() < 0.3 else float(rng.random() < phi)
             aci_update(s, y)
-            ledger.record(y)
-        assert abs(telescoping_check(ledger, start, s.value)) <= 1e-9
+            reward_sum += y
+        assert abs(telescoping_check(s, start, reward_sum, 100_000)) <= 1e-9
 
 
 def test_update_symmetry_around_target():
@@ -166,12 +157,9 @@ def test_ledger_window_started_mid_run():
     for y in (1.0, 1.0, 0.0):
         aci_update(s, y)
     start = s.value
-    ledger = ValidityLedger(0.5, s.schedule)
     for y in (0.0, 1.0):
         aci_update(s, y)
-        ledger.record(y)
-    assert ledger.step_count == 2
-    assert telescoping_check(ledger, start, s.value) == pytest.approx(0.0, abs=1e-12)
+    assert telescoping_check(s, start, 1.0, 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_schedule_round_trip():

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import struct
 
 import pytest
 
-from coverctl.cli import main
+from coverctl import environments as envs
 from coverctl import runner
+from coverctl.bandit import BanditConfig
+from coverctl.chains import ChainConfig, budget_from_theta
+from coverctl.cli import main
+from coverctl.control import StepSchedule
 from coverctl.presets import (
     ALGORITHMS,
     ConfigError,
@@ -13,8 +18,10 @@ from coverctl.presets import (
     preset_catalog,
     preset_config,
 )
-from coverctl.runner import benchmark_values, execute, render_csv, run_replica
-from coverctl.metrics import TraceRecord, coverage_series, regret_series
+from coverctl.runner import (benchmark_values, drive_acog, drive_bandit, drive_newsvendor,
+                             drive_threshold, execute, render_csv, run_replica)
+from coverctl.threshold import NewsvendorConfig, ThresholdConfig
+from coverctl.metrics import Trace, coverage_series, regret_series
 
 EXPECTED_PRESETS = {
     "interval-beta",
@@ -84,27 +91,42 @@ def test_variant_expansion_counts():
     assert etas == [0.01, 0.05, 0.2]
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _render(trace, c_star):
+    return render_csv(trace, coverage_series(trace), regret_series(trace, c_star),
+                      regret_series(trace, c_star, positive_part=True))
+
+
 def test_csv_schema_and_round_trip_precision():
-    records = [
-        TraceRecord(t=1, action=3, reward=1.0, cost=1 / 3, state=0.1,
-                    extras={"boundary": 0.0}),
-        TraceRecord(t=2, action=5, reward=0.0, cost=2 / 7, state=-0.05,
-                    extras={"boundary": 1.0}),
-    ]
-    csv_text = render_csv(records, coverage_series(records), regret_series(records, 0.25),
-                          regret_series(records, 0.25, positive_part=True))
-    lines = csv_text.strip().split("\n")
+    floats = [1 / 3, 2 / 7, -0.0, 5e-324, 1e22, 0.1 + 0.2]
+    trace = Trace.from_rows(
+        [(arm, float(arm % 2), cost, state, float(arm > 3))
+         for arm, cost, state in zip(range(6), floats, reversed(floats))],
+        ("boundary",))
+    lines = _render(trace, 0.25).strip().split("\n")
     assert lines[0] == "t,action,reward,cost,state,K,coverage_cum,regret_cum,regret_pos_cum,boundary"
-    cost_back = float(lines[1].split(",")[3])
-    assert cost_back == 1 / 3  # 17 significant digits round-trip exactly
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+    assert [r[1] for r in rows] == ["0", "1", "2", "3", "4", "5"]
+    assert {r[5] for r in rows} == {"0"}
+    for col, values in ((3, trace.cost), (4, trace.state), (9, trace.extras["boundary"])):
+        for row, x in zip(rows, values.tolist()):
+            # 17 significant digits: every float, -0.0 and subnormals included,
+            # round-trips bit for bit
+            assert row[col] == format(x, ".17g")
+            assert _bits(float(row[col])) == _bits(x)
+    assert [rows[i][3] for i in (2, 3, 4)] == ["-0", "4.9406564584124654e-324", "1e+22"]
 
 
 def test_csv_writes_chain_actions():
-    records = [TraceRecord(t=1, action=(2, 0), reward=1.0, cost=2.0, state=1.5, k=2),
-               TraceRecord(t=2, action=(), reward=0.0, cost=0.0, state=-0.1, k=0)]
-    csv_text = render_csv(records, coverage_series(records), regret_series(records, 1.0),
-                          regret_series(records, 1.0, positive_part=True))
-    assert [line.split(",")[1] for line in csv_text.split("\n")[1:3]] == ["2|0", "-"]
+    trace = Trace.from_rows([((2, 0), 1.0, 2.0, 1.5, 0.0), ((), 0.0, 0.0, -0.1, 1.0)],
+                            ("boundary",))
+    rows = [line.split(",") for line in _render(trace, 1.0).split("\n")[1:3]]
+    assert [r[1] for r in rows] == ["2|0", "-"]
+    assert [r[5] for r in rows] == ["2", "0"]  # K is the chain's cost
 
 
 def test_execute_writes_artifacts_and_is_deterministic(tmp_path):
@@ -271,6 +293,49 @@ def test_every_valid_algorithm_has_a_setup():
     assert set(ALGORITHMS) == set(runner._SETUPS)
 
 
+def _drive_bandit(keep_trace):
+    world = envs.TrapWorld((100, 250))
+    cfg = BanditConfig(n=world.n, c_max=world.c_max, phi=0.5, horizon_T=400,
+                       i_min=world.i_min, i_max=world.i_max)
+    return drive_bandit(cfg, StepSchedule.constant(0.05), world, 400, keep_trace=keep_trace)
+
+
+def _drive_threshold(keep_trace):
+    world = envs.uniform_score_world(3)
+    cfg = ThresholdConfig(world.tau_min, world.tau_max, 0.8, StepSchedule.constant(0.05))
+    return drive_threshold(cfg, world, 400, keep_trace=keep_trace)
+
+
+def _drive_newsvendor(keep_trace):
+    cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.power(5.0, 0.5, index_offset=1))
+    return drive_newsvendor(cfg, envs.PoissonDemand(20.0, 50.0, 200, 100.0, seed=3), 400,
+                            keep_trace=keep_trace, q_init=20.0)
+
+
+def _drive_chain(keep_trace):
+    cfg = ChainConfig(n=3, phi=0.7, horizon_T=400)
+    return drive_acog(cfg, StepSchedule.constant(0.1), envs.OrWorld([0.6, 0.5, 0.4], 3), 400,
+                      keep_trace=keep_trace)
+
+
+@pytest.mark.parametrize("drive", [_drive_bandit, _drive_threshold, _drive_newsvendor,
+                                   _drive_chain], ids=["bandit", "threshold", "newsvendor",
+                                                       "chain"])
+def test_keep_trace_does_not_change_the_result(drive):
+    kept, bare = drive(True), drive(False)
+    # the ledger lives in the driver loop, not in the trace: same final
+    # state, residual and window coverage bit for bit (repr round-trips)
+    assert repr(kept.final_state) == repr(bare.final_state)
+    assert repr(kept.info) == repr(bare.info) and "coverage" in repr(bare.info)
+    assert len(bare.trace) == 0 and bare.records == []
+    rows = kept.records
+    assert [r.t for r in rows] == list(range(1, 401))
+    if drive is _drive_chain:
+        assert "ledger_residual" in bare.info
+        assert all(r.k == budget_from_theta(r.state, 3) == len(r.action) for r in rows)
+        assert 0 < max(r.k for r in rows)
+
+
 @pytest.mark.parametrize("algorithm,environment", [
     ("primal_threshold", {"kind": "interval", "delta": 0.05, "points": ["beta", 2, 5]}),
     ("newsvendor", {"kind": "score_uniform"}),
@@ -288,7 +353,7 @@ def test_run_and_oracle_reject_a_mismatched_environment(tmp_path, capsys, algori
     assert main(["oracle", "--config", str(path)]) == 2
     oracle_err = capsys.readouterr().err
     assert run_err == oracle_err
-    assert run_err.startswith("error: ") and "environment" in run_err
+    assert run_err.startswith(f"config error: key 'environment.kind': {algorithm} expects ")
     assert "Traceback" not in run_err
 
 
@@ -326,11 +391,24 @@ _POISSON = {"algorithm": "newsvendor", "environment": {
      "environment.points"),
     ({"environment": {"kind": "interval", "delta": 0.25, "points": ["normal", 1, 2]}},
      "environment.points[0]"),
+    ({"preset": ["interval-beta"]}, "preset"),
+    ({"preset": {"name": "interval-beta"}}, "preset"),
+    ({"variant": ["a"]}, "variant"),
+    ({"variant": {"label": "a"}}, "variant"),
+    ({"algorithm": "primal_threshold"}, "environment.kind"),
+    ({"environment": {"kind": {"name": "interval"}}}, "environment.kind"),
+    ({"schedule": {"kind": "x", "c": 0.1}}, "schedule.kind"),
+    ({"schedule": {"kind": "constant", "c": -0.1}}, "schedule.c"),
+    ({"schedule": {"kind": "power", "c": 1.0, "p": 1.5}}, "schedule.p"),
+    ({"schedule": {"kind": "constant", "c": 0.1, "index_offset": -1}},
+     "schedule.index_offset"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
         "list-params", "string-initial-level", "string-carryover", "short-window",
         "short-spec", "long-cost", "short-beta-points", "long-uniform-points",
-        "unknown-point-law"])
+        "unknown-point-law", "list-preset", "dict-preset", "list-variant", "dict-variant",
+        "mismatched-kind", "dict-kind", "unknown-schedule-kind", "negative-step",
+        "decay-exponent-one-or-more", "negative-index-offset"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = dict(algorithm="pd_bandit", T=100, phi=0.8, seed=1,
                environment={"kind": "interval", "delta": 0.25, "points": ["beta", 2, 5]},
@@ -346,8 +424,8 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, over
 
 def test_cli_chain_run_with_a_large_step_probes_the_empty_chain(tmp_path, capsys):
     # eta * (1 - phi) = 4.5: one success takes theta from 0.5 to -4.0, inside
-    # the band (-eta, n] that drive_acog checks, and the budget clips to 0
-    # until theta recovers
+    # the band [-eta * (1 - phi), inf) that drive_acog checks, and the budget
+    # clips to 0 until theta recovers
     config = {"algorithm": "acog_position", "environment": {"kind": "or_fixed", "p": [0.9] * 3},
               "T": 50, "phi": 0.1, "schedule": {"kind": "constant", "c": 5.0}, "seed": 1}
     path = tmp_path / "cfg.json"
@@ -360,6 +438,23 @@ def test_cli_chain_run_with_a_large_step_probes_the_empty_chain(tmp_path, capsys
     budgets = [int(r.split(",")[header.index("K")]) for r in rows[1:]]
     assert len(budgets) == 50 and min(budgets) == 0 and min(states) < -1.0
     assert all(k >= 0 for k in budgets)
+
+
+def test_cli_chain_run_whose_full_chain_can_fail_climbs_past_n(tmp_path, capsys):
+    # every arm fails half the time, so even the full chain of n = 3 fails
+    # on 1/8 of the steps and theta rises past n: a healthy run, with no
+    # upper band to escape
+    config = {"algorithm": "acog_position", "environment": {"kind": "or_fixed", "p": [0.5] * 3},
+              "T": 2000, "phi": 0.85, "schedule": {"kind": "constant", "c": 1.0}, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "error" not in capsys.readouterr().err
+    rows = (tmp_path / "o" / "trace_0.csv").read_text().splitlines()
+    i_state = rows[0].split(",").index("state")
+    states = [float(r.split(",")[i_state]) for r in rows[1:]]
+    assert max(states) > 3.0
+    assert min(states) >= -1.0 * (1 - 0.85)
 
 
 def test_cli_invariant_violation_exits_4_and_writes_nothing(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coverctl.metrics import (
-    TraceRecord,
+    Trace,
     coverage_series,
     deviation_counter,
     regret_series,
@@ -14,18 +14,22 @@ from coverctl.metrics import (
 from coverctl.oracles import GreedyReport
 
 
-def rec(t, reward=0.0, cost=0.0, action=0, state=0.0, k=0, extras=None):
-    return TraceRecord(t=t, action=action, reward=reward, cost=cost, state=state,
-                       k=k, extras=extras)
+def trace_of(reward=None, cost=None, action=None, **extras):
+    """A trace from whole columns; an omitted column is zero (action: arm 0)."""
+    n = len(next(col for col in (reward, cost, action) if col is not None))
+    zeros = np.zeros(n)
+    return Trace(list(action or [0] * n), np.array(reward if reward is not None else zeros),
+                 np.array(cost if cost is not None else zeros), zeros,
+                 {name: np.array(col) for name, col in extras.items()})
 
 
 def test_coverage_series_all_ones():
-    trace = [rec(t, reward=1.0) for t in range(1, 11)]
+    trace = trace_of(reward=[1.0] * 10)
     assert np.all(coverage_series(trace) == 1.0)
 
 
 def test_coverage_series_alternating():
-    trace = [rec(t, reward=float(t % 2)) for t in range(1, 101)]
+    trace = trace_of(reward=[float(t % 2) for t in range(1, 101)])
     cov = coverage_series(trace)
     assert cov[-1] == pytest.approx(0.5)
     assert all(cov[2 * k - 1] == pytest.approx(0.5) for k in range(1, 51))
@@ -33,31 +37,31 @@ def test_coverage_series_alternating():
 
 def test_coverage_series_fill_mode():
     # served over asked totals: large demands weigh more than a per-step mean
-    trace = [rec(1, reward=0.5, extras={"y": 5.0, "a": 10.0}),
-             rec(2, reward=1.0, extras={"y": 30.0, "a": 30.0})]
+    trace = trace_of(reward=[0.5, 1.0], y=[5.0, 30.0], a=[10.0, 30.0])
     assert coverage_series(trace, "fill").tolist() == [0.5, 35.0 / 40.0]
     assert coverage_series(trace).tolist() == [0.5, 0.75]
     with pytest.raises(ValueError):
         coverage_series(trace, "median")
     with pytest.raises(ValueError):
-        coverage_series([], "fill")
+        coverage_series(trace_of(reward=[], y=[], a=[]), "fill")
 
 
 def test_series_equal_running_sums_exactly():
     # the trace CSV columns come from these series; a left-to-right Python
     # accumulation is the reference and must match bit for bit
     rng = random.Random(3)
-    trace = [rec(t, reward=float(rng.random() < 0.7), cost=rng.uniform(0, 2),
-                 extras={"y": rng.uniform(0, 5), "a": rng.uniform(5, 9)})
-             for t in range(1, 3001)]
-    c_star = [rng.uniform(0, 2) for _ in trace]
+    cols = [(float(rng.random() < 0.7), rng.uniform(0, 2), rng.uniform(0, 5), rng.uniform(5, 9))
+            for _ in range(3000)]
+    reward, cost, y, a = (list(col) for col in zip(*cols))
+    trace = trace_of(reward=reward, cost=cost, y=y, a=a)
+    c_star = [rng.uniform(0, 2) for _ in cols]
     num = served = asked = cum = cum_pos = 0.0
     mean, fill, plain, pos = [], [], [], []
-    for idx, r in enumerate(trace):
-        num += r.reward
-        served += r.extras["y"]
-        asked += r.extras["a"]
-        gap = r.cost - c_star[idx]
+    for idx in range(len(cols)):
+        num += reward[idx]
+        served += y[idx]
+        asked += a[idx]
+        gap = cost[idx] - c_star[idx]
         cum += gap
         cum_pos += max(gap, 0.0)
         mean.append(num / (idx + 1.0))
@@ -71,18 +75,18 @@ def test_series_equal_running_sums_exactly():
 
 
 def test_regret_series_zero_at_benchmark():
-    trace = [rec(t, cost=0.4) for t in range(1, 21)]
+    trace = trace_of(cost=[0.4] * 20)
     assert np.all(regret_series(trace, 0.4) == pytest.approx(0.0))
 
 
 def test_regret_series_single_overshoot():
-    trace = [rec(1, cost=1.4)]
+    trace = trace_of(cost=[1.4])
     assert regret_series(trace, 0.4)[-1] == pytest.approx(1.0)
 
 
 def test_regret_series_positive_part_monotone():
     rng = random.Random(0)
-    trace = [rec(t, cost=rng.uniform(0, 1)) for t in range(1, 2001)]
+    trace = trace_of(cost=[rng.uniform(0, 1) for _ in range(2000)])
     plain = regret_series(trace, 0.5)
     pos = regret_series(trace, 0.5, positive_part=True)
     assert np.all(np.diff(pos) >= 0.0)
@@ -90,7 +94,7 @@ def test_regret_series_positive_part_monotone():
 
 
 def test_regret_series_phase_benchmark():
-    trace = [rec(t, cost=1.0) for t in range(1, 5)]
+    trace = trace_of(cost=[1.0] * 4)
     out = regret_series(trace, [1.0, 0.5, 1.0, 0.0])
     assert out[-1] == pytest.approx(1.5)
     with pytest.raises(ValueError):
@@ -123,12 +127,12 @@ def _report(chain, values):
 
 def test_deviation_counter_set_based():
     report = _report([2, 0, 1], [0.0, 0.5, 0.7, 0.8])
-    trace = [
-        rec(1, action=(2, 0), k=2),  # matches as a set
-        rec(2, action=(0, 2), k=2),  # order swap still matches as a set
-        rec(3, action=(1, 2), k=2),  # wrong membership
-        rec(4, action=(), k=0),      # empty budget never counts
-    ]
+    trace = trace_of(action=[
+        (2, 0),  # matches as a set
+        (0, 2),  # order swap still matches as a set
+        (1, 2),  # wrong membership
+        (),      # empty budget never counts
+    ])
     assert deviation_counter(trace, report) == 1
     assert deviation_counter(trace, report, order_sensitive=True) == 2
 
@@ -136,7 +140,7 @@ def test_deviation_counter_set_based():
 def test_deviation_counter_rejects_foreign_arms():
     report = _report([0, 1], [0.0, 0.5, 0.7])
     with pytest.raises(ValueError):
-        deviation_counter([rec(1, action=(5,), k=1)], report)
+        deviation_counter(trace_of(action=[(5,)]), report)
 
 
 def test_metrics_report_checks_invariants():
@@ -183,9 +187,10 @@ def test_deviation_rate_falls_across_quarters():
     cfg = ChainConfig(n=n, phi=0.8, horizon_T=horizon)
     theta = ControllerState(0.0, 0.8, StepSchedule.constant(n / (2 * math.sqrt(horizon))))
     stats = ChainStats(n, horizon)
-    trace = [acog_step(theta, stats, cfg, world) for _ in range(horizon)]
+    rows = [acog_step(theta, stats, cfg, world) for _ in range(horizon)]
     quarter = horizon // 4
-    counts = [deviation_counter(trace[i * quarter:(i + 1) * quarter], report)
+    counts = [deviation_counter(Trace.from_rows(rows[i * quarter:(i + 1) * quarter],
+                                                ("boundary",)), report)
               for i in range(4)]
     assert counts[0] > counts[1] > counts[3]
     assert counts[2] >= counts[3]
@@ -198,12 +203,12 @@ def test_coverage_identity_against_controller_state():
     rng = random.Random(9)
     eta, phi = 0.03, 0.65
     s = ControllerState(0.0, phi, StepSchedule.constant(eta))
-    trace = []
-    for t in range(1, 50_001):
+    rewards = []
+    for _ in range(50_000):
         y = float(rng.random() < 0.6) if rng.random() < 0.9 else rng.random()
-        trace.append(rec(t, reward=y, state=s.value))
+        rewards.append(y)
         aci_update(s, y)
-    cov = coverage_series(trace)
+    cov = coverage_series(trace_of(reward=rewards))
     lhs = cov[-1] - phi
-    rhs = -(s.value - trace[0].state) / (eta * len(trace))
+    rhs = -(s.value - 0.0) / (eta * len(rewards))
     assert lhs == pytest.approx(rhs, abs=1e-9)

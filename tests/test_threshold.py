@@ -45,9 +45,9 @@ class _ScriptedDemand:
 def test_threshold_step_basic_update():
     cfg = ThresholdConfig(0.0, 1.0, 0.8, StepSchedule.constant(0.1))
     tau = ControllerState(0.5, 0.8, cfg.schedule)
-    rec = threshold_step(tau, cfg, _ScriptedScores([0.2]))  # tau >= cutoff -> success
-    assert rec.reward == 1.0
-    assert rec.action == 0.5
+    action, reward, *_ = threshold_step(tau, cfg, _ScriptedScores([0.2]))  # tau >= cutoff
+    assert reward == 1.0
+    assert action == 0.5
     assert tau.value == pytest.approx(0.48, abs=1e-12)
 
 
@@ -55,9 +55,9 @@ def test_threshold_below_range_submits_floor_and_drifts_up():
     cfg = ThresholdConfig(0.0, 1.0, 0.8, StepSchedule.constant(0.1))
     tau = ControllerState(-0.05, 0.8, cfg.schedule)
     # no cutoff sits at the floor, so the clamped action always fails
-    rec = threshold_step(tau, cfg, _ScriptedScores([0.4]))
-    assert rec.action == 0.0
-    assert rec.reward == 0.0
+    action, reward, *_ = threshold_step(tau, cfg, _ScriptedScores([0.4]))
+    assert action == 0.0
+    assert reward == 0.0
     assert tau.value == pytest.approx(-0.05 + 0.1 * 0.8, abs=1e-12)
 
 
@@ -77,8 +77,7 @@ def test_threshold_coverage_identity_and_bounds():
     env = uniform_score_world(99)
     sim = drive_threshold(cfg, env, 4000)
     assert abs(sim.info["ledger_residual"]) <= 1e-9
-    for rec in sim.records:
-        assert -0.05 - 1e-12 <= rec.state <= 1.05 + 1e-12
+    assert -0.05 - 1e-12 <= sim.trace.state.min() <= sim.trace.state.max() <= 1.05 + 1e-12
 
 
 def test_threshold_adversarial_cutoffs_stay_bounded():
@@ -87,7 +86,7 @@ def test_threshold_adversarial_cutoffs_stay_bounded():
     cfg = ThresholdConfig(0.0, 1.0, 0.5, StepSchedule.constant(0.2))
     sim = drive_threshold(cfg, _ScriptedScores(cutoffs), 20000)
     # the driver asserts the [-eta, 1 + eta] band on every step
-    assert sim.records[-1].t == 20000
+    assert len(sim.trace) == 20000
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,27 +105,27 @@ def test_ledger_and_band_hold_for_any_reward_script(phi, eta, script):
 def test_newsvendor_step_served_and_update():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
     q = ControllerState(20.0, 0.9, cfg.schedule)
-    rec = newsvendor_step(q, cfg, 25.0)
-    assert rec.extras["y"] == 20.0
-    assert rec.extras["leftover"] == 0.0
+    *_, a, leftover, y = newsvendor_step(q, cfg, 25.0)
+    assert (a, y) == (25.0, 20.0)
+    assert leftover == 0.0
     assert q.value == pytest.approx(21.25, abs=1e-12)
 
 
 def test_newsvendor_positive_drift_at_empty():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
     q = ControllerState(0.0, 0.9, cfg.schedule)
-    rec = newsvendor_step(q, cfg, 5.0)
-    assert rec.extras["y"] == 0.0
+    *_, y = newsvendor_step(q, cfg, 5.0)
+    assert y == 0.0
     assert q.value == pytest.approx(2.25, abs=1e-12)
 
 
 def test_newsvendor_caps_stock_at_demand_cap():
     cfg = NewsvendorConfig(30.0, 0.9, StepSchedule.constant(0.5))
     q = ControllerState(45.0, 0.9, cfg.schedule)
-    rec = newsvendor_step(q, cfg, 10.0)
-    assert rec.action == 30.0
-    assert rec.extras["y"] == 10.0
-    assert rec.extras["leftover"] == 20.0
+    action, *_, leftover, y = newsvendor_step(q, cfg, 10.0)
+    assert action == 30.0
+    assert y == 10.0
+    assert leftover == 20.0
 
 
 def test_newsvendor_rejects_demand_outside_range():
@@ -150,12 +149,10 @@ def test_dynamic_mode_requires_small_steps():
 def test_no_returns_identity_exact():
     cfg = NewsvendorConfig(40.0, 0.9, StepSchedule.constant(0.5), dynamic_carryover=True)
     q = ControllerState(20.0, 0.9, cfg.schedule)
-    rec = newsvendor_step(q, cfg, 25.0)
+    *_, leftover, _ = newsvendor_step(q, cfg, 25.0)
     # next level minus carried stock equals y(1 - eta) + eta phi a
-    assert q.value - rec.extras["leftover"] == pytest.approx(
-        20.0 * 0.5 + 0.5 * 0.9 * 25.0, abs=1e-12
-    )
-    assert rec.extras["leftover"] <= q.value
+    assert q.value - leftover == pytest.approx(20.0 * 0.5 + 0.5 * 0.9 * 25.0, abs=1e-12)
+    assert leftover <= q.value
 
 
 def test_nonnegative_inventory_under_small_steps():
@@ -170,7 +167,7 @@ def test_nonnegative_inventory_under_small_steps():
 def test_fill_rate_identity_single_step():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
     sim = drive_newsvendor(cfg, _ScriptedDemand([25.0]), 1, q_init=20.0)
-    assert coverage_series(sim.records, "fill")[-1] == pytest.approx(0.8, abs=1e-12)
+    assert coverage_series(sim.trace, "fill")[-1] == pytest.approx(0.8, abs=1e-12)
     rhs = 0.9 - (sim.final_state - 20.0) / (0.5 * 25.0)
     assert rhs == pytest.approx(0.8, abs=1e-12)
 
@@ -181,14 +178,14 @@ def test_fill_rate_identity_long_run():
     cfg = NewsvendorConfig(80.0, 0.9, StepSchedule.constant(0.3))
     sim = drive_newsvendor(cfg, _ScriptedDemand(demands), len(demands))
     rhs = 0.9 - (sim.final_state - 0.0) / (0.3 * sum(demands))
-    assert coverage_series(sim.records, "fill")[-1] == pytest.approx(rhs, abs=1e-9)
+    assert coverage_series(sim.trace, "fill")[-1] == pytest.approx(rhs, abs=1e-9)
 
 
 def test_fill_rate_full_service_when_stocked():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
     sim = drive_newsvendor(cfg, _ScriptedDemand([10.0, 12.0, 9.0]), 3, q_init=90.0)
-    assert coverage_series(sim.records, "fill")[-1] == 1.0
-    values = [r.state for r in sim.records]
+    assert coverage_series(sim.trace, "fill")[-1] == 1.0
+    values = sim.trace.state.tolist()
     assert values == sorted(values, reverse=True)  # state falls while over-serving
 
 
@@ -196,13 +193,13 @@ def test_fill_rate_positive_after_two_steps():
     # the positive drift at empty inventory makes an all-zero fill impossible
     cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
     sim = drive_newsvendor(cfg, _ScriptedDemand([10.0, 10.0]), 2)
-    assert coverage_series(sim.records, "fill")[-1] > 0.0
+    assert coverage_series(sim.trace, "fill")[-1] > 0.0
 
 
 def test_fill_rate_rejects_empty_trace():
     cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
     with pytest.raises(ValueError):
-        coverage_series(drive_newsvendor(cfg, _ScriptedDemand([]), 0).records, "fill")
+        coverage_series(drive_newsvendor(cfg, _ScriptedDemand([]), 0).trace, "fill")
 
 
 _OVERSHOOT = """
