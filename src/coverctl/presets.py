@@ -65,6 +65,8 @@ class ExperimentConfig:
         checked("seed", self.seed, int)
         checked("preset", self.preset, str)
         checked("variant", self.variant, str)
+        if self.output_dir is not None:
+            checked("output_dir", self.output_dir, str)
         if not isinstance(self.environment, dict) or "kind" not in self.environment:
             raise ConfigError("key 'environment': missing 'kind' tag")
         checked("environment.kind", self.environment["kind"], str)

@@ -8,13 +8,20 @@ columnar :class:`~coverctl.metrics.Trace`. The experiment layer resolves an
 oracle, driver) and turns it plus a replica index into a trace CSV, a
 metrics summary, and benchmark values; replicas
 derive independent substreams from the master seed and may run in any order
-or in parallel without changing a byte of output.
+or in parallel without changing a byte of output. A run writes into a
+staging directory next to its output directory, where each replica's worker
+writes its own trace, and publishes the files by rename only once every
+replica has returned: traces first, metrics next, the sweep manifest last.
+A failed or interrupted run publishes nothing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,6 +154,14 @@ BASE_COLUMNS = ("t", "action", "reward", "cost", "state", "K",
 _F17 = "{:.17g}".format  # 17 significant digits: every float round-trips exactly
 
 
+def _f17_repeated(col: np.ndarray):
+    """A column of few distinct values, each formatted once per bit pattern
+    (so ``-0.0`` and ``0.0``, which compare equal, keep their own strings)."""
+    bits, index = np.unique(np.asarray(col, dtype=np.float64).view(np.uint64),
+                            return_inverse=True)
+    return map(list(map(_F17, bits.view(np.float64).tolist())).__getitem__, index.tolist())
+
+
 def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum) -> str:
     """Serialize a trace with its cumulative metric columns.
 
@@ -154,20 +169,30 @@ def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum) -> str
     :func:`~coverctl.metrics.coverage_series` and
     :func:`~coverctl.metrics.regret_series`. Each column is formatted whole,
     with one formatter: ``t`` is the row number, ``K`` the probing budget,
-    and every float column carries 17 significant digits.
+    and every float column carries 17 significant digits. A value repeated
+    across a column is formatted once: ``reward`` and the extra columns hold
+    few distinct values, and ``cost`` reuses the ``action`` strings where the
+    two columns are bitwise equal, as in the threshold setting.
     """
     if not len(trace):
         raise ValueError("cannot serialize an empty trace")
     first = trace.action[0]
+    costs = None
     if isinstance(first, tuple):  # probed chains: "a|b|c", or "-" when empty
-        actions = ("|".join(map(str, a)) or "-" for a in trace.action)
+        actions = ["|".join(map(str, a)) or "-" for a in trace.action]
+    elif isinstance(first, int):
+        actions = list(map(str, trace.action))
     else:
-        actions = map(str if isinstance(first, int) else _F17, trace.action)
-    floats = (trace.reward, trace.cost, trace.state)
-    series = (coverage_cum, regret_cum, regret_pos_cum, *trace.extras.values())
-    cols = [map(str, range(1, len(trace) + 1)), actions,
-            *(map(_F17, col.tolist()) for col in floats), map(str, trace.k.tolist()),
-            *(map(_F17, col.tolist()) for col in series)]
+        actions = list(map(_F17, trace.action))
+        if np.array(trace.action, dtype=float).tobytes() == trace.cost.tobytes():
+            costs = actions
+    if costs is None:
+        costs = map(_F17, trace.cost.tolist())
+    series = (coverage_cum, regret_cum, regret_pos_cum)
+    cols = [map(str, range(1, len(trace) + 1)), actions, _f17_repeated(trace.reward), costs,
+            map(_F17, trace.state.tolist()), map(str, trace.k.tolist()),
+            *(map(_F17, col.tolist()) for col in series),
+            *map(_f17_repeated, trace.extras.values())]
     header = ",".join(BASE_COLUMNS + tuple(trace.extras))
     return "\n".join([header, *map(",".join, zip(*cols, strict=True))]) + "\n"
 
@@ -347,15 +372,26 @@ def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
                   summary=summary)
 
 
-# the one place that maps a config to its world, oracle and driver
+# the one place that maps a config to its world, oracle and driver, and
+# names the algorithm_params keys each algorithm accepts
 _SETUPS = {
-    "pd_bandit": _bandit_setup,
-    "pd_bandit_projected": _bandit_setup,
-    "primal_threshold": _threshold_setup,
-    "newsvendor": _newsvendor_setup,
-    "acog_prefix": _chain_setup,
-    "acog_position": _chain_setup,
+    "pd_bandit": (_bandit_setup, ("lambda_cap",)),
+    "pd_bandit_projected": (_bandit_setup, ("lambda_cap",)),
+    "primal_threshold": (_threshold_setup, ()),
+    "newsvendor": (_newsvendor_setup, ("dynamic_carryover", "initial_level")),
+    "acog_prefix": (_chain_setup, ()),
+    "acog_position": (_chain_setup, ()),
 }
+
+
+def _setup(config: ExperimentConfig, seed: int) -> _Setup:
+    """``config`` resolved through ``_SETUPS`` for one substream seed."""
+    setup, params = _SETUPS[config.algorithm]
+    for key in config.algorithm_params:
+        if key not in params:
+            raise ConfigError(f"key 'algorithm_params.{key}': {config.algorithm} accepts "
+                              f"{', '.join(params) or 'no parameters'}")
+    return setup(config, seed)
 
 
 def run_replica(config: ExperimentConfig, replica: int) -> dict:
@@ -365,7 +401,7 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     independent of execution order.
     """
     seed = replica_seed(config.seed, replica)
-    setup = _SETUPS[config.algorithm](config, seed)
+    setup = _setup(config, seed)
     sim = setup.drive()
     trace = sim.trace
     coverage = mt.coverage_series(trace, setup.coverage_mode)
@@ -394,26 +430,30 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
 
 
 def _worker(args) -> dict:
-    config_dict, replica = args
-    return run_replica(ExperimentConfig.from_dict(config_dict), replica)
+    """Run one replica, write its ``trace_<replica>.csv`` into the staging
+    directory, and return its outputs without the CSV text."""
+    config_dict, replica, staging_dir = args
+    out = run_replica(ExperimentConfig.from_dict(config_dict), replica)
+    (Path(staging_dir) / f"trace_{replica}.csv").write_text(out.pop("csv"))
+    return out
 
 
-def execute_variant(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
+def execute_variant(config: ExperimentConfig, stage_dir: Path, jobs: int = 1,
                     plot: bool = False) -> dict:
-    """Run every replica of one resolved config, then write its artifacts
-    (nothing before every replica has returned, so a failed run leaves none)."""
-    tasks = [(config.to_dict(), k) for k in range(config.replicas)]
+    """Run every replica of one resolved config into the staging directory
+    ``stage_dir``: each worker writes its own trace there, and
+    ``config.json``, ``metrics.json`` and the plots follow once every replica
+    has returned. :func:`execute` publishes the staged files."""
+    stage_dir = Path(stage_dir)
+    stage_dir.mkdir(parents=True, exist_ok=True)
+    tasks = [(config.to_dict(), k, str(stage_dir)) for k in range(config.replicas)]
     if jobs > 1 and config.replicas > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outputs = list(pool.map(_worker, tasks))
     else:
         outputs = [_worker(t) for t in tasks]
     outputs.sort(key=lambda o: o["replica"])
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(config.to_json() + "\n")
-    for out in outputs:
-        (out_dir / f"trace_{out['replica']}.csv").write_text(out["csv"])
+    (stage_dir / "config.json").write_text(config.to_json() + "\n")
     summaries = [o["summary"] for o in outputs]
     aggregate = _aggregate(summaries)
     metrics_doc = {
@@ -428,11 +468,11 @@ def execute_variant(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
         ],
         "aggregate": aggregate,
     }
-    (out_dir / "metrics.json").write_text(json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n")
+    (stage_dir / "metrics.json").write_text(json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n")
     if plot:
         from .svgplot import plot_trace_csv
 
-        plot_trace_csv(outputs[0]["csv"], out_dir, config.phi)
+        plot_trace_csv((stage_dir / "trace_0.csv").read_text(), stage_dir, config.phi)
     return metrics_doc
 
 
@@ -451,35 +491,60 @@ def _aggregate(summaries: list[dict]) -> dict:
     return agg
 
 
+# publish order: traces and plots (0), then every config.json, every
+# metrics.json, and the manifest last
+_PUBLISH_LAST = {"config.json": 1, "metrics.json": 2, "manifest.json": 3}
+
+
 def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
             plot: bool = False) -> dict:
     """Run a config (expanding sweep presets) and write all artifacts.
 
+    Every artifact is first written to a staging directory next to
+    ``out_dir``, on the same filesystem; once every variant has returned,
+    the files move into ``out_dir`` by rename, traces and plots first, then
+    each variant's ``config.json`` and ``metrics.json``, and ``manifest.json``
+    last. A run that fails or is interrupted removes the staging directory and
+    every file it had moved, so ``out_dir`` never holds a partial run of it.
     Returns a manifest of the metric documents, one per variant.
     """
-    out_dir = Path(out_dir)
+    out_dir = Path(out_dir).resolve()
     variants = expand_variants(config)
-    docs = []
-    if len(variants) == 1:
-        docs.append(execute_variant(variants[0], out_dir, jobs=jobs, plot=plot))
-    else:
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))
+    published = []
+    try:
+        docs = [execute_variant(var, stage / var.variant, jobs=jobs, plot=plot)
+                for var in variants]
+        if len(variants) > 1:
+            manifest = {"preset": config.preset, "variants": [v.variant for v in variants]}
+            if len({v.T for v in variants}) >= 3:
+                # a horizon sweep gets the log-log fit of positive-part regret: the
+                # per-sequence cost overshoot that the threshold setting's rate
+                # statement is about
+                pts = [(d["T"], d["aggregate"]["regret_pos_final_mean"]) for d in docs]
+                fit = mt.sublinearity_fit(pts)
+                manifest["slope_fit"] = {
+                    "slope": fit.slope,
+                    "intercept": fit.intercept,
+                    "r2": fit.r2,
+                    "clipped": fit.clipped,
+                    "points": [{"T": t, "regret_mean": r} for t, r in pts],
+                }
+            (stage / "manifest.json").write_text(
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        staged = [p.relative_to(stage) for p in sorted(stage.rglob("*")) if p.is_file()]
         for var in variants:
-            docs.append(execute_variant(var, out_dir / var.variant, jobs=jobs, plot=plot))
-        manifest = {"preset": config.preset, "variants": [v.variant for v in variants]}
-        if len({v.T for v in variants}) >= 3:
-            # a horizon sweep gets the log-log fit of positive-part regret: the
-            # per-sequence cost overshoot that the threshold setting's rate
-            # statement is about
-            pts = [(d["T"], d["aggregate"]["regret_pos_final_mean"]) for d in docs]
-            fit = mt.sublinearity_fit(pts)
-            manifest["slope_fit"] = {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "r2": fit.r2,
-                "clipped": fit.clipped,
-                "points": [{"T": t, "regret_mean": r} for t, r in pts],
-            }
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            (out_dir / var.variant).mkdir(parents=True, exist_ok=True)
+        for rel in sorted(staged, key=lambda rel: _PUBLISH_LAST.get(rel.name, 0)):
+            os.replace(stage / rel, out_dir / rel)
+            published.append(out_dir / rel)
+    except BaseException:
+        for path in published:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return {"variants": docs}
 
 
@@ -489,5 +554,5 @@ def benchmark_values(config: ExperimentConfig) -> dict:
     Each value is the ``benchmark`` block that ``run`` writes to the
     variant's metrics.json.
     """
-    return {var.variant or "run": _SETUPS[var.algorithm](var, replica_seed(var.seed, 0)).bench
+    return {var.variant or "run": _setup(var, replica_seed(var.seed, 0)).bench
             for var in expand_variants(config)}

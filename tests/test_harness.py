@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import signal
 import struct
 
 import pytest
@@ -102,9 +104,10 @@ def _render(trace, c_star):
 
 def test_csv_schema_and_round_trip_precision():
     floats = [1 / 3, 2 / 7, -0.0, 5e-324, 1e22, 0.1 + 0.2]
+    rewards = [0.0, 1.0, -0.0, 1.0, -0.0, 0.0]
     trace = Trace.from_rows(
-        [(arm, float(arm % 2), cost, state, float(arm > 3))
-         for arm, cost, state in zip(range(6), floats, reversed(floats))],
+        [(arm, reward, cost, state, float(arm > 3))
+         for arm, reward, cost, state in zip(range(6), rewards, floats, reversed(floats))],
         ("boundary",))
     lines = _render(trace, 0.25).strip().split("\n")
     assert lines[0] == "t,action,reward,cost,state,K,coverage_cum,regret_cum,regret_pos_cum,boundary"
@@ -112,13 +115,25 @@ def test_csv_schema_and_round_trip_precision():
     assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
     assert [r[1] for r in rows] == ["0", "1", "2", "3", "4", "5"]
     assert {r[5] for r in rows} == {"0"}
-    for col, values in ((3, trace.cost), (4, trace.state), (9, trace.extras["boundary"])):
+    for col, values in ((2, trace.reward), (3, trace.cost), (4, trace.state),
+                        (9, trace.extras["boundary"])):
         for row, x in zip(rows, values.tolist()):
             # 17 significant digits: every float, -0.0 and subnormals included,
             # round-trips bit for bit
             assert row[col] == format(x, ".17g")
             assert _bits(float(row[col])) == _bits(x)
     assert [rows[i][3] for i in (2, 3, 4)] == ["-0", "4.9406564584124654e-324", "1e+22"]
+    # a repeated value is formatted once per bit pattern, so -0.0 keeps its sign
+    assert [r[2] for r in rows] == ["0", "1", "-0", "1", "-0", "0"]
+    # float actions: the cost column reuses the action strings only where the
+    # two columns are bitwise equal, and -0.0 differs from 0.0 there
+    actions = [0.25, -0.0, 0.1 + 0.2, 1 / 3]
+    for costs in (actions, [0.25, 0.0, 0.1 + 0.2, 1 / 3]):
+        trace = Trace.from_rows([(a, 1.0, c, 0.5, 0.0) for a, c in zip(actions, costs)],
+                                ("boundary",))
+        rows = [line.split(",") for line in _render(trace, 0.25).strip().split("\n")[1:]]
+        assert [r[1] for r in rows] == [format(x, ".17g") for x in actions]
+        assert [r[3] for r in rows] == [format(x, ".17g") for x in costs]
 
 
 def test_csv_writes_chain_actions():
@@ -402,13 +417,21 @@ _POISSON = {"algorithm": "newsvendor", "environment": {
     ({"schedule": {"kind": "power", "c": 1.0, "p": 1.5}}, "schedule.p"),
     ({"schedule": {"kind": "constant", "c": 0.1, "index_offset": -1}},
      "schedule.index_offset"),
+    ({"output_dir": [1]}, "output_dir"),
+    ({"algorithm_params": {"bogus": 1}}, "algorithm_params.bogus"),
+    ({"algorithm_params": {"lamda_cap": 2.0}}, "algorithm_params.lamda_cap"),
+    ({**_POISSON, "algorithm_params": {"lambda_cap": 2.0}}, "algorithm_params.lambda_cap"),
+    ({**_OR_FIXED, "algorithm_params": {"initial_level": 1.0}},
+     "algorithm_params.initial_level"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
         "list-params", "string-initial-level", "string-carryover", "short-window",
         "short-spec", "long-cost", "short-beta-points", "long-uniform-points",
         "unknown-point-law", "list-preset", "dict-preset", "list-variant", "dict-variant",
         "mismatched-kind", "dict-kind", "unknown-schedule-kind", "negative-step",
-        "decay-exponent-one-or-more", "negative-index-offset"])
+        "decay-exponent-one-or-more", "negative-index-offset", "list-output-dir",
+        "unknown-param", "misspelt-lambda-cap", "bandit-param-on-newsvendor",
+        "newsvendor-param-on-chain"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = dict(algorithm="pd_bandit", T=100, phi=0.8, seed=1,
                environment={"kind": "interval", "delta": 0.25, "points": ["beta", 2, 5]},
@@ -468,6 +491,54 @@ def test_cli_invariant_violation_exits_4_and_writes_nothing(tmp_path, capsys):
     assert err.startswith("invariant violation: state ") and "at step 7" in err
     assert "Traceback" not in err
     assert not (out_dir / "config.json").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+@pytest.mark.parametrize("failure", ["raise", "interrupt"])
+def test_failed_or_interrupted_run_leaves_no_artifacts(tmp_path, monkeypatch, failure, sweep,
+                                                       jobs):
+    cfg = preset_config("regret-scaling", seed=1, replicas=3) if sweep else small_config(replicas=3)
+    stop_at = 4000 if sweep else cfg.T  # the sweep's second horizon
+    runs = tmp_path / "runs"
+    parent = os.getpid()
+    run = runner.run_replica
+
+    def failing_replica(config, replica):
+        # pool workers fork, so they run this too; replica 2 starts only
+        # after an earlier replica has written its trace to staging
+        if replica == 2 and config.T == stop_at:
+            assert any(runs.rglob("trace_*.csv"))
+            if failure == "raise":
+                raise RuntimeError("replica failed")
+            os.kill(parent, signal.SIGINT)  # Ctrl-C in the parent, mid-run
+        return run(config, replica)
+
+    monkeypatch.setattr(runner, "run_replica", failing_replica)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(RuntimeError if failure == "raise" else KeyboardInterrupt):
+            execute(cfg, runs / "out", jobs=jobs)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    # no trace, metrics or manifest file in OUT and no staging directory next to it
+    assert list(runs.iterdir()) == []
+
+
+def test_jobs_1_and_jobs_2_write_the_same_bytes(tmp_path, capsys):
+    digests = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs-{jobs}"
+        assert main(["run", "--preset", "regret-scaling", "--replicas", "3", "--seed", "4",
+                     "--jobs", str(jobs), "--plot", "--out", str(out)]) == 0
+        digests.append({p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in out.rglob("*") if p.is_file() and p.name != "config.json"})
+    assert digests[0] == digests[1]
+    # the manifest, and per horizon three traces, metrics.json and two plots
+    assert len(digests[0]) == 1 + 5 * 6
+    # no hidden staging directory is left in OUT or next to it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs-1", "jobs-2"]
+    assert not list(tmp_path.rglob(".*"))
 
 
 def test_svg_plots_are_self_contained(tmp_path):
