@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     except InvariantViolation as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return 4
-    except (FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:  # a missing config file, an OUT that is a file, ...
         print(f"error: {err}", file=sys.stderr)
         return 2
 

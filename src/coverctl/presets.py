@@ -8,33 +8,141 @@ from the written effective config reproduces the trace files byte for byte.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .control import ScheduleError, StepSchedule
-
-ALGORITHMS = (
-    "pd_bandit",
-    "pd_bandit_projected",
-    "primal_threshold",
-    "newsvendor",
-    "acog_prefix",
-    "acog_position",
-)
+from . import environments as envs
+from .control import CONSTANT, POWER_DECAY, StepSchedule
 
 
 class ConfigError(ValueError):
     """A config file or flag set fails validation."""
 
 
-def checked(path: str, value, kind: type = float):
-    """``value`` if a ``kind`` (ints count as floats; bools only as bools); else
-    ConfigError at ``path``."""
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"key '{path}': expected {kind.__name__}, got {value!r}")
-    return value
+def _fail(path: str, message: str):
+    raise ConfigError(f"key '{path}': {message}")
+
+
+# --- the config schema -------------------------------------------------------
+# Every key a config may hold, with its type and bound, is stated once in the
+# tables below. A spec is one of:
+#   "<type> <interval>", e.g. "number (0, 1]": a JSON number, integer, bool,
+#     string or list; numbers are finite, ints count as numbers and bools only
+#     as bools; the interval is optional, and " or null" also admits null;
+#   a tuple: the allowed values;
+#   a list of entry specs; [spec, ...] is one or more entries of one spec;
+#   a dict of key specs: a key ending in "?" may be left out, and no key
+#     outside the dict may appear;
+#   a function (path, value) for what the forms above cannot say.
+_TYPES = {"number": (int, float), "integer": int, "bool": bool, "string": str, "list": list}
+
+
+def _check(path: str, x, spec) -> None:
+    """Raise ConfigError naming ``path`` unless the JSON value ``x`` fits ``spec``."""
+    if callable(spec):
+        spec(path, x)
+    elif isinstance(spec, tuple):
+        if x not in spec:
+            _fail(path, f"expected {' or '.join(map(repr, spec))}, got {x!r}")
+    elif isinstance(spec, list):
+        some = spec[-1] is ...
+        if not isinstance(x, list) or (not x if some else len(x) != len(spec)):
+            _fail(path, f"expected {'one or more' if some else len(spec)} entries, got {x!r}")
+        for i, item in enumerate(x):
+            _check(f"{path}[{i}]", item, spec[0 if some else i])
+    elif isinstance(spec, dict):
+        keys = {key.rstrip("?"): key for key in spec}
+        if not isinstance(x, dict):
+            _fail(path, f"expected an object, got {x!r}")
+        bad = ([key for key in x if key not in keys]  # the unknown keys, or else the missing ones
+               or [key for key, name in keys.items() if key == name and key not in x])
+        if bad:
+            _fail(f"{path}.{bad[0]}".lstrip("."), f"{'missing' if bad[0] in keys else 'unknown'}"
+                  f" config keys: {bad}; expected {list(keys)}")
+        for key in x:
+            _check(f"{path}.{key}".lstrip("."), x[key], spec[keys[key]])
+    elif not (x is None and spec.endswith(" or null")):
+        kind, _, bound = spec.removesuffix(" or null").partition(" ")
+        lo, hi = map(float, bound[1:-1].split(",")) if bound else (0.0, 0.0)
+        if (isinstance(x, bool) != (kind == "bool") or not isinstance(x, _TYPES[kind])
+                or isinstance(x, float) and not math.isfinite(x)
+                or bound and not ((lo < x or bound[0] == "[" and x == lo)
+                                  and (x < hi or bound[-1] == "]" and x == hi))):
+            _fail(path, f"expected {spec}, got {x!r}")
+
+
+def _also(spec, test, text: str):  # a value that fits spec, then passes test
+    return lambda path, x: _check(path, x, spec) or test(x) or _fail(path, f"{text}, got {x!r}")
+
+
+def _points(path, x):  # ["beta", a, b] with integer shapes a, b >= 1, or ["uniform"]
+    _check(path, x, "list")
+    _check(f"{path}[0]", x[0] if x else None, ("beta", "uniform"))
+    _check(path, x, [("beta",), _SHAPE, _SHAPE] if x[0] == "beta" else [("uniform",)])
+
+
+def _arm_cost(path, x):  # a fixed cost, or a [lo, hi] range it is drawn from uniformly
+    _check(path, x, _COST_RANGE if isinstance(x, list) else _COST)
+
+
+def _grid_step(d):  # IntervalWorld's test that d divides 1, safe where 1/d overflows
+    return 1 / d < math.inf and abs(round(1 / d) * d - 1.0) <= 1e-12
+
+
+_UNIT, _COST, _SHAPE = "number [0, 1]", "number [0, inf)", "integer [1, inf)"
+_COST_RANGE = _also([_COST, _COST], lambda c: c[0] <= c[1], "expected lo <= hi")
+
+# environment kind -> {key: spec}
+_ENVIRONMENTS = {
+    "interval": {"delta": _also("number (0, 1]", _grid_step, "1/delta must be a whole number"),
+                 "points": _points},
+    "trap": {"window": _also(["integer [0, inf)"] * 2, lambda w: w[0] < w[1],
+                             "the window must start before it ends")},
+    "iid": {"specs": [[_UNIT, _arm_cost], ...]},
+    "score_uniform": {},
+    "poisson_demand": {"before": "number (0, inf)", "after": "number (0, inf)",
+                       "shift_t": "integer", "cap": "number [1, inf)"},
+    "or_random": {"n": "integer [1, inf)", "p_low": _UNIT, "p_high": _UNIT},
+    "or_fixed": {"p": [_UNIT, ...]},
+}
+
+# the worlds with arms, built from their checked keys and a seed
+WORLDS = {
+    "interval": lambda env, seed: envs.IntervalWorld(env["delta"], env["points"], seed),
+    "trap": lambda env, seed: envs.TrapWorld(env["window"]),
+    "iid": lambda env, seed: envs.IidArmWorld([envs.ArmSpec(*s) for s in env["specs"]], seed),
+    "or_random": lambda env, seed: envs.OrWorld(envs.draw_or_probabilities(
+        env["n"], env["p_low"], env["p_high"], seed), seed),
+    "or_fixed": lambda env, seed: envs.OrWorld(env["p"], seed),
+}
+
+# algorithm -> (the environment kinds it accepts, its algorithm_params specs);
+# the setup function gives each left-out parameter its default
+_ALGORITHMS = {
+    **dict.fromkeys(("pd_bandit", "pd_bandit_projected"), (
+        ("interval", "trap", "iid"), {"lambda_cap?": "number (0, inf) or null"})),
+    "primal_threshold": (("score_uniform",), {}),
+    "newsvendor": (("poisson_demand",),
+                   {"dynamic_carryover?": "bool", "initial_level?": "number [0, inf)"}),
+    **dict.fromkeys(("acog_prefix", "acog_position"), (("or_random", "or_fixed"), {})),
+}
+ALGORITHMS = tuple(_ALGORITHMS)
+
+# the keys every config holds, in the order they are checked
+_FIELDS = {
+    "algorithm": ALGORITHMS,
+    "T": "integer [1, inf)",
+    "phi": "number (0, 1)",
+    "replicas": "integer [1, inf)",
+    "seed": "integer",
+    "preset": "string",
+    "variant": "string",
+    "output_dir": "string or null",
+    "schedule": {"kind": (CONSTANT, POWER_DECAY), "c": "number (0, inf)",
+                 "p?": "number [0, 1)", "index_offset?": "integer [0, inf)"},
+}
 
 
 @dataclass(frozen=True)
@@ -52,33 +160,22 @@ class ExperimentConfig:
     algorithm_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
-            )
-        if checked("T", self.T, int) < 1:
-            raise ConfigError("key 'T': horizon must be at least 1")
-        if not 0.0 < checked("phi", self.phi) < 1.0:
-            raise ConfigError("key 'phi': target must lie strictly in (0, 1)")
-        if checked("replicas", self.replicas, int) < 1:
-            raise ConfigError("key 'replicas': must be at least 1")
-        checked("seed", self.seed, int)
-        checked("preset", self.preset, str)
-        checked("variant", self.variant, str)
-        if self.output_dir is not None:
-            checked("output_dir", self.output_dir, str)
-        if not isinstance(self.environment, dict) or "kind" not in self.environment:
-            raise ConfigError("key 'environment': missing 'kind' tag")
-        checked("environment.kind", self.environment["kind"], str)
-        checked("algorithm_params", self.algorithm_params, dict)
-        schedule = checked("schedule", self.schedule, dict)
-        for key, kind, default in (("kind", str, None), ("c", float, None),
-                                   ("p", float, 0.0), ("index_offset", int, 0)):
-            checked(f"schedule.{key}", schedule.get(key, default), kind)
-        try:
-            StepSchedule.from_dict(schedule)
-        except ScheduleError as err:
-            raise ConfigError(f"key 'schedule.{err.field}': {err}") from err
+        # every key is checked against the schema tables; no value is rewritten
+        for key, spec in _FIELDS.items():
+            _check(key, getattr(self, key), spec)
+        kinds, params = _ALGORITHMS[self.algorithm]
+        kind = self.environment.get("kind") if isinstance(self.environment, dict) else None
+        if kind not in kinds:
+            _fail("environment.kind",
+                  f"{self.algorithm} expects {' or '.join(kinds)}, got {kind!r}")
+        _check("environment", self.environment, {"kind": (kind,), **_ENVIRONMENTS[kind]})
+        _check("algorithm_params", self.algorithm_params, params)
+        # the bandit and chain statistics take log(n * T) over the world's n arms
+        if self.T < 3 and kind in WORLDS and WORLDS[kind](self.environment, 0).n * self.T < 3:
+            _fail("T", "the arm count times T must be at least 3")
+        if (self.algorithm_params.get("dynamic_carryover")
+                and StepSchedule.from_dict(self.schedule).max_eta() >= 1.0):
+            _fail("algorithm_params.dynamic_carryover", "carry-over needs every step below 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -88,20 +185,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"algorithm", "environment", "T", "phi", "schedule", "seed"} - set(d)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        d = dict(d)
-        d.setdefault("preset", "custom")
+        # the keys only: a field with a default may be left out, and __post_init__
+        # checks the values
+        d = {"preset": "custom", **d}
+        _check("", d, {f.name + "?" * (f.default is not MISSING
+                                       or f.default_factory is not MISSING):
+                       lambda path, x: None for f in fields(cls)})
         return cls(**d)
 
     def replace(self, **overrides) -> "ExperimentConfig":
-        d = self.to_dict()
-        d.update(overrides)
-        return ExperimentConfig.from_dict(d)
+        return dataclasses.replace(self, **overrides)
 
 
 def _constant(eta: float) -> dict:
@@ -210,8 +303,7 @@ def preset_catalog() -> list[dict]:
 def preset_config(name: str, seed: int = 1, replicas: int | None = None,
                   output_dir: str | None = None) -> ExperimentConfig:
     """Resolve a preset name into its base config (variants expand later)."""
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; see list-presets")
+    _check("preset", name, tuple(_PRESETS))
     base = copy.deepcopy(_PRESETS[name][1])
     base["replicas"] = replicas or base.get("replicas", 1)
     return ExperimentConfig(preset=name, seed=seed, output_dir=output_dir, **base)

@@ -36,7 +36,7 @@ from . import oracles
 from .bandit import BOUNDARY_RULE, PROJECTED_BASELINE, BanditConfig, BanditState, bandit_step
 from .chains import POSITION_KEYED, PREFIX_KEYED, ChainConfig, ChainStats, acog_step
 from .control import ControllerState, InvariantViolation, StepSchedule, telescoping_check
-from .presets import ConfigError, ExperimentConfig, checked, expand_variants
+from .presets import WORLDS, ExperimentConfig, expand_variants
 from .rng import replica_seed
 from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
 
@@ -207,47 +207,10 @@ class _Setup(NamedTuple):
     summary: Callable[[mt.Trace], dict] = lambda trace: {}  # extra summary fields
 
 
-def _expect_kind(config: ExperimentConfig, *kinds: str) -> str:
-    """The config's environment kind, checked against those ``kinds``."""
-    kind = config.environment["kind"]
-    if kind not in kinds:
-        raise ConfigError(f"key 'environment.kind': {config.algorithm} expects "
-                          f"{' or '.join(kinds)}, got {kind!r}")
-    return kind
-
-
-def _env(config: ExperimentConfig, key: str, kind: type = float):
-    return checked(f"environment.{key}", config.environment.get(key), kind)
-
-
-def _numbers(path: str, values: list, first: int = 0) -> list:
-    """``values[first:]``, each checked as a number at ``path[i]``."""
-    return [checked(f"{path}[{i}]", values[i]) for i in range(first, len(values))]
-
-
-def _sized(path: str, values, size: int) -> list:
-    """``values`` checked as a list of ``size`` entries at ``path``."""
-    if len(checked(path, values, list)) != size:
-        raise ConfigError(f"key '{path}': expected {size} entries, got {len(values)}")
-    return values
-
-
-def _param(config: ExperimentConfig, key: str, default, kind: type = float):
-    return checked(f"algorithm_params.{key}", config.algorithm_params.get(key, default), kind)
-
-
 def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    kind = _expect_kind(config, "interval", "trap", "iid")
+    kind = config.environment["kind"]
+    world = WORLDS[kind](config.environment, seed)
     if kind == "interval":
-        points = _env(config, "points", list)
-        dist = checked("environment.points[0]", points[0] if points else None, str)
-        sizes = {"beta": 3, "uniform": 1}
-        if dist not in sizes:
-            raise ConfigError(f"key 'environment.points[0]': unknown point law {dist!r}; "
-                              f"expected one of {sorted(sizes)}")
-        _sized("environment.points", points, sizes[dist])
-        world = envs.IntervalWorld(_env(config, "delta"),
-                                   (dist, *_numbers("environment.points", points, 1)), seed)
         bench = oracles.interval_benchmark(world.delta, world.cdf, config.phi)
         bench_dict = {
             "benchmark": "grid_interval",
@@ -257,24 +220,11 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
             "discretization_gap": bench.discretization_gap,
         }
     else:
-        if kind == "trap":
-            window = _sized("environment.window", _env(config, "window", list), 2)
-            world = envs.TrapWorld(tuple(_numbers("environment.window", window)))
-            rates, label = world.means(config.T), "stationary_lp_of_average_rates"
-        else:
-            specs = []
-            for i, spec in enumerate(_env(config, "specs", list)):
-                path = f"environment.specs[{i}]"
-                p, cost = _sized(path, spec, 2)
-                cost = (tuple(_numbers(f"{path}[1]", _sized(f"{path}[1]", cost, 2)))
-                        if isinstance(cost, list) else checked(f"{path}[1]", cost))
-                specs.append(envs.ArmSpec(checked(f"{path}[0]", p), cost))
-            world = envs.IidArmWorld(specs, seed)
-            rates, label = world.means(), "arm_mixture_lp"
+        rates, label = ((world.means(config.T), "stationary_lp_of_average_rates")
+                        if kind == "trap" else (world.means(), "arm_mixture_lp"))
         sol = oracles.lp_benchmark(*rates, config.phi)
         bench_dict = {"benchmark": label, "c_star": sol.c_star, "mixture": list(sol.mixture)}
     mode = PROJECTED_BASELINE if config.algorithm == "pd_bandit_projected" else BOUNDARY_RULE
-    lambda_cap = config.algorithm_params.get("lambda_cap")  # null: c_max / (1 - phi)
     cfg = BanditConfig(
         n=world.n,
         c_max=world.c_max,
@@ -282,7 +232,7 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
         horizon_T=config.T,
         i_min=world.i_min,
         i_max=world.i_max,
-        lambda_cap=lambda_cap if lambda_cap is None else _param(config, "lambda_cap", None),
+        lambda_cap=config.algorithm_params.get("lambda_cap"),  # null: c_max / (1 - phi)
         mode=mode,
     )
     bench_dict["lambda_cap"] = cfg.lambda_cap
@@ -292,7 +242,6 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
 
 
 def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    _expect_kind(config, "score_uniform")
     world = envs.uniform_score_world(seed)
     tau_star, c_star = oracles.threshold_benchmark(
         world.expected_reward, lambda tau: tau, config.phi,
@@ -305,12 +254,10 @@ def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
 
 
 def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    _expect_kind(config, "poisson_demand")
-    before, after, cap = (_env(config, key) for key in ("before", "after", "cap"))
-    shift_t = _env(config, "shift_t", int)
-    stream = envs.PoissonDemand(before, after, shift_t, cap, seed)
-    q1, mu1 = oracles.newsvendor_benchmark(stream.pmf(before), config.phi)
-    q2, mu2 = oracles.newsvendor_benchmark(stream.pmf(after), config.phi)
+    stream = envs.PoissonDemand(**{key: value for key, value in config.environment.items()
+                                   if key != "kind"}, seed=seed)
+    q1, mu1 = oracles.newsvendor_benchmark(stream.pmf(stream.before), config.phi)
+    q2, mu2 = oracles.newsvendor_benchmark(stream.pmf(stream.after), config.phi)
     bench = {
         "benchmark": "phase_base_stock",
         "q_star_before": q1,
@@ -319,24 +266,19 @@ def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
         "mu_after": mu2,
     }
     cfg = NewsvendorConfig(
-        demand_cap=cap,
+        demand_cap=stream.cap,
         phi=config.phi,
         schedule=StepSchedule.from_dict(config.schedule),
-        dynamic_carryover=_param(config, "dynamic_carryover", False, bool),
+        dynamic_carryover=config.algorithm_params.get("dynamic_carryover", False),
     )
-    q_init = float(_param(config, "initial_level", 0.0))
-    c_star = np.where(np.arange(1, config.T + 1) <= shift_t, q1, q2)
+    q_init = float(config.algorithm_params.get("initial_level", 0.0))
+    c_star = np.where(np.arange(1, config.T + 1) <= stream.shift_t, q1, q2)
     return _Setup(bench, c_star,
                   lambda: drive_newsvendor(cfg, stream, config.T, q_init=q_init), "fill")
 
 
 def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    if _expect_kind(config, "or_random", "or_fixed") == "or_random":
-        p = envs.draw_or_probabilities(_env(config, "n", int), _env(config, "p_low"),
-                                       _env(config, "p_high"), seed)
-    else:
-        p = [float(x) for x in _numbers("environment.p", _env(config, "p", list))]
-    world = envs.OrWorld(p, seed)
+    world = WORLDS[config.environment["kind"]](config.environment, seed)
     report = oracles.greedy_chain(world.value_oracle(), world.n)
     k_star = report.budget_for(config.phi)
     if k_star is None:
@@ -349,7 +291,7 @@ def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
         "k_star": k_star,
         "gap_delta": report.gap_delta,
         "degenerate_margin": report.is_degenerate(config.phi),
-        "p": list(p),
+        "p": world.p,
         "greedy_chain": list(report.chain),
         "prefix_values": list(report.prefix_values),
     }
@@ -372,26 +314,16 @@ def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
                   summary=summary)
 
 
-# the one place that maps a config to its world, oracle and driver, and
-# names the algorithm_params keys each algorithm accepts
+# the one place that maps a checked config to its world (through presets.WORLDS
+# where it has arms), oracle and driver
 _SETUPS = {
-    "pd_bandit": (_bandit_setup, ("lambda_cap",)),
-    "pd_bandit_projected": (_bandit_setup, ("lambda_cap",)),
-    "primal_threshold": (_threshold_setup, ()),
-    "newsvendor": (_newsvendor_setup, ("dynamic_carryover", "initial_level")),
-    "acog_prefix": (_chain_setup, ()),
-    "acog_position": (_chain_setup, ()),
+    "pd_bandit": _bandit_setup,
+    "pd_bandit_projected": _bandit_setup,
+    "primal_threshold": _threshold_setup,
+    "newsvendor": _newsvendor_setup,
+    "acog_prefix": _chain_setup,
+    "acog_position": _chain_setup,
 }
-
-
-def _setup(config: ExperimentConfig, seed: int) -> _Setup:
-    """``config`` resolved through ``_SETUPS`` for one substream seed."""
-    setup, params = _SETUPS[config.algorithm]
-    for key in config.algorithm_params:
-        if key not in params:
-            raise ConfigError(f"key 'algorithm_params.{key}': {config.algorithm} accepts "
-                              f"{', '.join(params) or 'no parameters'}")
-    return setup(config, seed)
 
 
 def run_replica(config: ExperimentConfig, replica: int) -> dict:
@@ -401,7 +333,7 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     independent of execution order.
     """
     seed = replica_seed(config.seed, replica)
-    setup = _setup(config, seed)
+    setup = _SETUPS[config.algorithm](config, seed)
     sim = setup.drive()
     trace = sim.trace
     coverage = mt.coverage_series(trace, setup.coverage_mode)
@@ -554,5 +486,5 @@ def benchmark_values(config: ExperimentConfig) -> dict:
     Each value is the ``benchmark`` block that ``run`` writes to the
     variant's metrics.json.
     """
-    return {var.variant or "run": _setup(var, replica_seed(var.seed, 0)).bench
+    return {var.variant or "run": _SETUPS[var.algorithm](var, replica_seed(var.seed, 0)).bench
             for var in expand_variants(config)}

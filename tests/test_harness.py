@@ -1,10 +1,17 @@
+import copy
+import functools
 import hashlib
 import json
+import math
+import operator
 import os
+import re
 import signal
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coverctl import environments as envs
 from coverctl import runner
@@ -219,8 +226,6 @@ def test_cli_list_and_oracle(capsys):
 def test_every_preset_executes_end_to_end(tmp_path):
     # reduced horizons/replicas: exercises every environment builder,
     # driver, benchmark, and artifact writer the catalog can reach
-    import math
-
     for name in sorted(EXPECTED_PRESETS):
         cfg = preset_config(name, seed=2, replicas=1)
         small_T = min(cfg.T, 2000)
@@ -357,12 +362,11 @@ def test_keep_trace_does_not_change_the_result(drive):
 ], ids=["threshold-on-interval", "newsvendor-on-scores"])
 def test_run_and_oracle_reject_a_mismatched_environment(tmp_path, capsys, algorithm,
                                                          environment):
-    cfg = ExperimentConfig.from_dict(dict(
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(
         algorithm=algorithm, environment=environment, T=20, phi=0.8,
         schedule={"kind": "constant", "c": 0.1}, seed=1,
-    ))
-    path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    )))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     run_err = capsys.readouterr().err
     assert main(["oracle", "--config", str(path)]) == 2
@@ -372,9 +376,13 @@ def test_run_and_oracle_reject_a_mismatched_environment(tmp_path, capsys, algori
     assert "Traceback" not in run_err
 
 
+_DOC = dict(algorithm="pd_bandit", T=100, phi=0.8, seed=1,
+            environment={"kind": "interval", "delta": 0.25, "points": ["beta", 2, 5]},
+            schedule={"kind": "constant", "c": 0.1})
 _OR_FIXED = {"algorithm": "acog_position", "environment": {"kind": "or_fixed", "p": [0.9, 0.5]}}
 _POISSON = {"algorithm": "newsvendor", "environment": {
     "kind": "poisson_demand", "before": 20.0, "after": 50.0, "shift_t": 50, "cap": 100.0}}
+_SCORES = {"algorithm": "primal_threshold", "environment": {"kind": "score_uniform"}}
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
@@ -423,6 +431,47 @@ _POISSON = {"algorithm": "newsvendor", "environment": {
     ({**_POISSON, "algorithm_params": {"lambda_cap": 2.0}}, "algorithm_params.lambda_cap"),
     ({**_OR_FIXED, "algorithm_params": {"initial_level": 1.0}},
      "algorithm_params.initial_level"),
+    ({**_SCORES, "schedule": {"kind": "power", "c": 1.0, "P": 0.5}}, "schedule.P"),
+    ({**_SCORES, "environment": {"kind": "score_uniform", "bogus": 1}}, "environment.bogus"),
+    ({"schedule": {"kind": "constant", "c": math.nan}}, "schedule.c"),
+    ({"schedule": {"kind": "constant", "c": math.inf}}, "schedule.c"),
+    ({**_POISSON, "environment": {**_POISSON["environment"], "before": math.nan}},
+     "environment.before"),
+    ({**_POISSON, "environment": {**_POISSON["environment"], "cap": math.inf}},
+     "environment.cap"),
+    ({"algorithm_params": {"lambda_cap": math.nan}}, "algorithm_params.lambda_cap"),
+    ({"environment": {"kind": "iid", "specs": [[0.5, -0.1]]}}, "environment.specs[0][1]"),
+    ({"environment": {"kind": "iid", "specs": [[0.5, [0.3, 0.1]]]}}, "environment.specs[0][1]"),
+    ({"environment": {"kind": "trap", "window": [1.5, 5]}}, "environment.window[0]"),
+    ({"environment": {"kind": "trap", "window": [-1, 5]}}, "environment.window[0]"),
+    ({"environment": {"kind": "trap", "window": [5, 5]}}, "environment.window"),
+    ({**_POISSON, "algorithm_params": {"initial_level": -5.0}}, "algorithm_params.initial_level"),
+    ({**_POISSON, "algorithm_params": {"dynamic_carryover": True},
+      "schedule": {"kind": "constant", "c": 2.0}}, "algorithm_params.dynamic_carryover"),
+    ({"environment": {"kind": "interval", "delta": 0.3, "points": ["beta", 2, 5]}},
+     "environment.delta"),
+    ({"environment": {"kind": "interval", "delta": math.nan, "points": ["beta", 2, 5]}},
+     "environment.delta"),
+    ({"environment": {"kind": "interval", "delta": 0.25, "points": ["beta", 0, 5]}},
+     "environment.points[1]"),
+    ({"environment": {"kind": "interval", "delta": 0.25, "points": ["beta", 2, 1.5]}},
+     "environment.points[2]"),
+    ({"environment": {"kind": "iid", "specs": []}}, "environment.specs"),
+    ({**_OR_FIXED, "environment": {"kind": "or_fixed", "p": []}}, "environment.p"),
+    ({"environment": {"kind": "iid", "specs": [[1.5, 0.2]]}}, "environment.specs[0][0]"),
+    ({**_OR_FIXED, "environment": {"kind": "or_fixed", "p": [0.9, 2.0]}}, "environment.p[1]"),
+    ({**_OR_FIXED, "environment": {"kind": "or_random", "n": 0, "p_low": 0.1, "p_high": 0.3}},
+     "environment.n"),
+    ({**_OR_FIXED, "environment": {"kind": "or_random", "n": -2, "p_low": 0.1, "p_high": 0.3}},
+     "environment.n"),
+    ({**_POISSON, "environment": {**_POISSON["environment"], "after": -1.0}},
+     "environment.after"),
+    ({**_POISSON, "environment": {**_POISSON["environment"], "cap": 0.5}}, "environment.cap"),
+    ({"algorithm_params": {"lambda_cap": 0.0}}, "algorithm_params.lambda_cap"),
+    ({"algorithm_params": {"lambda_cap": -1.0}}, "algorithm_params.lambda_cap"),
+    ({**_OR_FIXED, "environment": {"kind": "or_fixed", "p": [0.9]}, "T": 1}, "T"),
+    ({"environment": {"kind": "interval", "delta": 1.0, "points": ["uniform"]}, "T": 1}, "T"),
+    ({"environment": {"kind": "iid", "specs": [[1.0, 0.2]]}, "T": 1}, "T"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
         "list-params", "string-initial-level", "string-carryover", "short-window",
@@ -431,18 +480,79 @@ _POISSON = {"algorithm": "newsvendor", "environment": {
         "mismatched-kind", "dict-kind", "unknown-schedule-kind", "negative-step",
         "decay-exponent-one-or-more", "negative-index-offset", "list-output-dir",
         "unknown-param", "misspelt-lambda-cap", "bandit-param-on-newsvendor",
-        "newsvendor-param-on-chain"])
+        "newsvendor-param-on-chain", "misspelt-schedule-key", "unknown-environment-key",
+        "nan-step", "infinite-step", "nan-rate", "infinite-cap", "nan-lambda-cap",
+        "negative-cost", "reversed-cost-range", "fractional-window", "negative-window",
+        "empty-window", "negative-initial-level", "carryover-with-large-steps",
+        "delta-not-dividing-one", "nan-delta", "zero-shape", "fractional-shape",
+        "empty-specs", "empty-p", "probability-above-one", "or-probability-above-one",
+        "zero-arms", "negative-arms", "negative-rate", "cap-below-one", "zero-lambda-cap",
+        "negative-lambda-cap", "one-arm-one-step", "two-arm-interval-one-step",
+        "two-arm-iid-one-step"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
-    doc = dict(algorithm="pd_bandit", T=100, phi=0.8, seed=1,
-               environment={"kind": "interval", "delta": 0.25, "points": ["beta", 2, 5]},
-               schedule={"kind": "constant", "c": 0.1})
+    doc = {**_DOC, **override}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**doc, **override}))
+    path.write_text(json.dumps(doc))
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
     assert main([command, "--config", str(path), *out]) == 2
     err = capsys.readouterr().err
     assert f"key '{key}'" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+    # the config is refused when it is built, before any world or oracle exists
+    with pytest.raises(ConfigError, match=re.escape(f"key '{key}'")):
+        ExperimentConfig.from_dict(doc)
+
+
+# mutations for the fuzz test: wrong JSON types, non-finite numbers, zero,
+# negatives and fractions; a list may also lose or repeat its last entry
+_FUZZ_VALUES = ("x", None, True, [], {}, [0.5], {"a": 1}, math.nan, math.inf, -math.inf,
+                0, 0.0, -1, -2.5, 0.5, 1.5)
+_FUZZ_DOCS = [preset_config(name).to_dict() for name in sorted(EXPECTED_PRESETS)] + [
+    {**_DOC, **_OR_FIXED}, {**_DOC, **_POISSON}]
+
+
+def _key_paths(doc, path=()):
+    """Every key path into a JSON value: object keys and list indices, nested."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield (*path, key)
+        yield from _key_paths(value, (*path, key))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_config_exits_0_2_3_or_4(tmp_path, capsys, data):
+    # one key path of a valid config gets a bad value, or its object an unknown key
+    doc = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_DOCS)))
+    *where, key = data.draw(st.sampled_from(list(_key_paths(doc))))
+    parent = functools.reduce(operator.getitem, where, doc)
+    old = parent[key]
+    lists = [old[:-1], old + old[-1:]] if isinstance(old, list) and old else []
+    value = data.draw(st.sampled_from([*_FUZZ_VALUES, *lists]))
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        key = "unknown_key"
+    parent[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["oracle", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4) and "Traceback" not in err
+    assert code != 2 or "key '" in err, err
+
+
+def test_cli_run_into_a_regular_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(small_config(replicas=1).to_json())
+    target = tmp_path / "outfile"
+    target.write_text("")
+    assert main(["run", "--config", str(config), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    # the file is untouched and no staging directory is left next to it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "outfile"]
+    assert target.read_text() == ""
 
 
 def test_cli_chain_run_with_a_large_step_probes_the_empty_chain(tmp_path, capsys):
