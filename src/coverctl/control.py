@@ -19,9 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-CONSTANT = "constant"
-POWER_DECAY = "power"
-
 
 class InvariantViolation(RuntimeError):
     """A checked quantity left its band: ``value`` outside ``band`` at ``step``.
@@ -40,76 +37,50 @@ class InvariantViolation(RuntimeError):
         return f"{self.name} {self.value} escaped [{lo}, {hi}] at step {self.step}"
 
 
-class ScheduleError(ValueError):
-    """A step-schedule parameter is out of range; ``field`` names it."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step-size sequence eta_t.
+    """Step-size sequence eta_t = c * (t + index_offset)**(-p) for t >= 1.
 
-    ``constant``:  eta_t = c for all t >= 1.
-    ``power``:     eta_t = c * (t + index_offset)**(-p) with p in [0, 1),
-                   strictly positive and non-increasing in t.
-
-    ``index_offset`` shifts the decay index; a schedule like 5/sqrt(t+1)
-    is ``power(c=5, p=0.5, index_offset=1)``.
+    p = 0 is the constant step eta_t = c; p in (0, 1) decays, strictly
+    positive and non-increasing in t. ``index_offset`` shifts the decay
+    index; a schedule like 5/sqrt(t+1) is ``power(c=5, p=0.5, index_offset=1)``.
     """
 
-    kind: str
     c: float
     p: float = 0.0
     index_offset: int = 0
 
     def __post_init__(self):
-        if self.kind not in (CONSTANT, POWER_DECAY):
-            raise ScheduleError("kind", f"unknown schedule kind {self.kind!r}")
         if self.c <= 0.0:
-            raise ScheduleError("c", f"step scale must be positive, got {self.c}")
-        if self.kind == POWER_DECAY and not 0.0 <= self.p < 1.0:
-            raise ScheduleError("p", f"decay exponent must lie in [0, 1), got {self.p}")
+            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 <= self.p < 1.0:
+            raise ValueError(f"p must lie in [0, 1), got {self.p}")
         if self.index_offset < 0:
-            raise ScheduleError("index_offset", "index_offset must be non-negative")
+            raise ValueError(f"index_offset must be non-negative, got {self.index_offset}")
 
     @classmethod
     def constant(cls, c: float) -> "StepSchedule":
-        return cls(CONSTANT, c)
+        return cls(c)
 
     @classmethod
     def power(cls, c: float, p: float, index_offset: int = 0) -> "StepSchedule":
-        return cls(POWER_DECAY, c, p, index_offset)
+        return cls(c, p, index_offset)
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == CONSTANT or self.p == 0.0
+        return self.p == 0.0
 
     def eta(self, t: int) -> float:
         """Step size at update index t (1-based)."""
         if t < 1:
             raise ValueError("step index starts at 1")
-        if self.kind == CONSTANT or self.p == 0.0:
+        if self.p == 0.0:
             return self.c
         return self.c * float(t + self.index_offset) ** (-self.p)
 
     def max_eta(self) -> float:
         """Largest step size the schedule ever produces (eta_1)."""
         return self.eta(1)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "c": self.c,
-            "p": self.p,
-            "index_offset": self.index_offset,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepSchedule":
-        return cls(d["kind"], d["c"], d.get("p", 0.0), d.get("index_offset", 0))
 
 
 @dataclass

@@ -131,18 +131,21 @@ class IntervalBenchmark:
         return self.c_star - self.continuous_c_star
 
 
-def _continuous_interval_optimum(point_cdf, phi: float, resolution: int = 2000) -> float:
-    """Shortest window [l, l+w] with mass >= phi, to ~1/resolution accuracy."""
-    grid = np.linspace(0.0, 1.0, resolution + 1)
+_RESOLUTION = 2000  # grid cells of the continuous interval optimum
+
+
+def _continuous_interval_optimum(point_cdf, phi: float) -> float:
+    """Shortest window [l, l+w] with mass >= phi, to ~1/_RESOLUTION accuracy."""
+    grid = np.linspace(0.0, 1.0, _RESOLUTION + 1)
     cdf = np.array([point_cdf(x) for x in grid])
     lo_w, hi_w = 0.0, 1.0
     for _ in range(40):
         w = 0.5 * (lo_w + hi_w)
-        offset = int(round(w * resolution))
-        if offset >= resolution:
+        offset = int(round(w * _RESOLUTION))
+        if offset >= _RESOLUTION:
             best = cdf[-1] - cdf[0]
         else:
-            best = float(np.max(cdf[offset:] - cdf[: resolution + 1 - offset]))
+            best = float(np.max(cdf[offset:] - cdf[: _RESOLUTION + 1 - offset]))
         if best >= phi:
             hi_w = w
         else:
@@ -181,11 +184,11 @@ def interval_benchmark(delta: float, point_cdf, phi: float) -> IntervalBenchmark
 def newsvendor_benchmark(pmf, phi: float) -> tuple[float, float]:
     """Base-stock level whose expected fulfillment is phi times mean demand.
 
-    ``pmf`` maps demand values to probabilities. The expected fulfillment
+    ``pmf`` is a dict mapping demand values to probabilities. The expected fulfillment
     r(q) = E[min(a, q)] is piecewise linear and concave; the root of
     r(q) = phi * mu is found by bisection to 1e-8. Returns (q_star, mu).
     """
-    items = sorted(pmf.items()) if isinstance(pmf, dict) else sorted(pmf)
+    items = sorted(pmf.items())
     total = sum(w for _, w in items)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"pmf weights sum to {total}, expected 1")
@@ -223,16 +226,12 @@ class GreedyReport:
                 return k
         return None
 
-    def margin_above(self, phi: float) -> float | None:
-        """Value slack of the prefix one past the needed budget, minus phi."""
+    def is_degenerate(self, phi: float) -> bool:
+        """True unless the prefix one past the needed budget exceeds phi by
+        more than 1e-6 (also when phi is never reached or no such prefix exists)."""
         k = self.budget_for(phi)
-        if k is None or k + 1 >= len(self.prefix_values):
-            return None
-        return self.prefix_values[k + 1] - phi
-
-    def is_degenerate(self, phi: float, tol: float = 1e-6) -> bool:
-        m = self.margin_above(phi)
-        return m is None or m <= tol
+        return (k is None or k + 1 >= len(self.prefix_values)
+                or self.prefix_values[k + 1] - phi <= 1e-6)
 
 
 def greedy_chain(f_oracle, n: int) -> GreedyReport:

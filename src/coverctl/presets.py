@@ -14,7 +14,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import environments as envs
-from .control import CONSTANT, POWER_DECAY, StepSchedule
+from .control import StepSchedule
 
 
 class ConfigError(ValueError):
@@ -140,7 +140,7 @@ _FIELDS = {
     "preset": "string",
     "variant": "string",
     "output_dir": "string or null",
-    "schedule": {"kind": (CONSTANT, POWER_DECAY), "c": "number (0, inf)",
+    "schedule": {"kind": ("constant", "power"), "c": "number (0, inf)",
                  "p?": "number [0, 1)", "index_offset?": "integer [0, inf)"},
 }
 
@@ -174,8 +174,16 @@ class ExperimentConfig:
         if self.T < 3 and kind in WORLDS and WORLDS[kind](self.environment, 0).n * self.T < 3:
             _fail("T", "the arm count times T must be at least 3")
         if (self.algorithm_params.get("dynamic_carryover")
-                and StepSchedule.from_dict(self.schedule).max_eta() >= 1.0):
+                and self.step_schedule.max_eta() >= 1.0):
             _fail("algorithm_params.dynamic_carryover", "carry-over needs every step below 1")
+
+    @property
+    def step_schedule(self) -> StepSchedule:
+        """The schedule block decoded; a constant block ignores its p and index_offset."""
+        s = self.schedule
+        if s["kind"] == "constant":
+            return StepSchedule.constant(s["c"])
+        return StepSchedule.power(s["c"], s.get("p", 0.0), s.get("index_offset", 0))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -236,9 +236,8 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
         mode=mode,
     )
     bench_dict["lambda_cap"] = cfg.lambda_cap
-    schedule = StepSchedule.from_dict(config.schedule)
     return _Setup(bench_dict, bench_dict["c_star"],
-                  lambda: drive_bandit(cfg, schedule, world, config.T))
+                  lambda: drive_bandit(cfg, config.step_schedule, world, config.T))
 
 
 def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -248,8 +247,7 @@ def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
         world.tau_min, world.tau_max,
     )
     bench = {"benchmark": "threshold_root", "tau_star": tau_star, "c_star": c_star}
-    cfg = ThresholdConfig(world.tau_min, world.tau_max, config.phi,
-                          StepSchedule.from_dict(config.schedule))
+    cfg = ThresholdConfig(world.tau_min, world.tau_max, config.phi, config.step_schedule)
     return _Setup(bench, c_star, lambda: drive_threshold(cfg, world, config.T))
 
 
@@ -268,7 +266,7 @@ def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
     cfg = NewsvendorConfig(
         demand_cap=stream.cap,
         phi=config.phi,
-        schedule=StepSchedule.from_dict(config.schedule),
+        schedule=config.step_schedule,
         dynamic_carryover=config.algorithm_params.get("dynamic_carryover", False),
     )
     q_init = float(config.algorithm_params.get("initial_level", 0.0))
@@ -297,7 +295,6 @@ def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
     }
     cfg = ChainConfig(n=world.n, phi=config.phi, horizon_T=config.T)
     variant = PREFIX_KEYED if config.algorithm == "acog_prefix" else POSITION_KEYED
-    schedule = StepSchedule.from_dict(config.schedule)
 
     def summary(trace: mt.Trace) -> dict:
         above = trace.k > k_star + 1
@@ -310,7 +307,8 @@ def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
         }
 
     return _Setup(bench, float(k_star),
-                  lambda: drive_acog(cfg, schedule, world, config.T, variant=variant),
+                  lambda: drive_acog(cfg, config.step_schedule, world, config.T,
+                                     variant=variant),
                   summary=summary)
 
 
@@ -364,8 +362,8 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
 def _worker(args) -> dict:
     """Run one replica, write its ``trace_<replica>.csv`` into the staging
     directory, and return its outputs without the CSV text."""
-    config_dict, replica, staging_dir = args
-    out = run_replica(ExperimentConfig.from_dict(config_dict), replica)
+    config, replica, staging_dir = args
+    out = run_replica(config, replica)
     (Path(staging_dir) / f"trace_{replica}.csv").write_text(out.pop("csv"))
     return out
 
@@ -378,13 +376,12 @@ def execute_variant(config: ExperimentConfig, stage_dir: Path, jobs: int = 1,
     has returned. :func:`execute` publishes the staged files."""
     stage_dir = Path(stage_dir)
     stage_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(config.to_dict(), k, str(stage_dir)) for k in range(config.replicas)]
+    tasks = [(config, k, str(stage_dir)) for k in range(config.replicas)]
     if jobs > 1 and config.replicas > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outputs = list(pool.map(_worker, tasks))
     else:
         outputs = [_worker(t) for t in tasks]
-    outputs.sort(key=lambda o: o["replica"])
     (stage_dir / "config.json").write_text(config.to_json() + "\n")
     summaries = [o["summary"] for o in outputs]
     aggregate = _aggregate(summaries)
@@ -438,10 +435,15 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
     each variant's ``config.json`` and ``metrics.json``, and ``manifest.json``
     last. A run that fails or is interrupted removes the staging directory and
     every file it had moved, so ``out_dir`` never holds a partial run of it.
+    An ``out_dir`` or variant directory that exists and is not a directory
+    raises NotADirectoryError before anything runs.
     Returns a manifest of the metric documents, one per variant.
     """
     out_dir = Path(out_dir).resolve()
     variants = expand_variants(config)
+    for path in [out_dir, *(out_dir / var.variant for var in variants)]:
+        if path.exists() and not path.is_dir():  # refused before any replica runs
+            raise NotADirectoryError(f"{path} exists and is not a directory")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))
     published = []

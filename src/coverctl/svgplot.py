@@ -1,4 +1,4 @@
-"""Hand-rolled SVG line charts: axes, ticks, at most two series.
+"""Hand-rolled SVG line charts: axes, ticks, one series.
 
 Self-contained output, no plotting dependency; these charts are for eyeball
 inspection and never sit on the critical path of any check.
@@ -10,7 +10,7 @@ from pathlib import Path
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 16, 28, 44
-_COLORS = ("#1f77b4", "#d62728")
+_COLOR = "#1f77b4"
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -20,19 +20,14 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def line_chart(path, series, title: str, xlabel: str, ylabel: str,
+def line_chart(path, label: str, xs, ys, title: str, xlabel: str, ylabel: str,
                y_marker: float | None = None) -> None:
-    """Write one chart. ``series`` is [(label, xs, ys), ...] with len <= 2.
+    """Write one chart of the series ``ys`` over ``xs``, named ``label``.
 
     ``y_marker`` draws a dashed horizontal reference line (e.g. a target).
     """
-    if not 1 <= len(series) <= 2:
-        raise ValueError("a chart holds one or two series")
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if y_marker is not None:
-        ys_all = ys_all + [y_marker]
-    x_lo, x_hi = min(xs_all), max(xs_all)
+    ys_all = ys if y_marker is None else [*ys, y_marker]
+    x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
@@ -76,19 +71,11 @@ def line_chart(path, series, title: str, xlabel: str, ylabel: str,
             f'<line x1="{_ML}" y1="{y:.1f}" x2="{_W - _MR}" y2="{y:.1f}" '
             f'stroke="#888" stroke-dasharray="6,4"/>'
         )
-    for idx, (label, xs, ys) in enumerate(series):
-        color = _COLORS[idx]
-        step = max(1, len(xs) // 2000)  # cap file size on long traces
-        pts = " ".join(
-            f"{px(x):.2f},{py(y):.2f}" for x, y in list(zip(xs, ys))[::step]
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 16 * idx}" text-anchor="end" '
-            f'fill="{color}">{label}</text>'
-        )
+    step = max(1, len(xs) // 2000)  # cap file size on long traces
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in list(zip(xs, ys))[::step])
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="{_COLOR}" stroke-width="1.5"/>')
+    parts.append(f'<text x="{_W - _MR - 6}" y="{_MT + 16}" text-anchor="end" '
+                 f'fill="{_COLOR}">{label}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
@@ -107,7 +94,7 @@ def plot_trace_csv(csv_text: str, out_dir, phi: float) -> None:
         cov.append(float(cells[icov]))
         reg.append(float(cells[ireg]))
     out_dir = Path(out_dir)
-    line_chart(out_dir / "coverage.svg", [("coverage", ts, cov)],
+    line_chart(out_dir / "coverage.svg", "coverage", ts, cov,
                "Cumulative coverage", "step", "coverage", y_marker=phi)
-    line_chart(out_dir / "regret.svg", [("regret", ts, reg)],
+    line_chart(out_dir / "regret.svg", "regret", ts, reg,
                "Cumulative cost regret", "step", "regret")

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverctl.control import (
     ControllerState,
     InvariantViolation,
-    ScheduleError,
     StepSchedule,
     aci_update,
     telescoping_check,
@@ -57,12 +59,22 @@ def test_reward_range_validated():
 
 def test_schedule_validation():
     # each error is a ValueError that names the out-of-range field
-    for args, field in ((("constant", 0.0), "c"), (("power", 1.0, 1.0), "p"),
-                        (("power", 1.0, -0.1), "p"), (("weird", 1.0), "kind"),
-                        (("constant", 1.0, 0.0, -1), "index_offset")):
-        with pytest.raises(ScheduleError) as err:
+    for args, field in (((0.0,), "c"), ((-1.0, 0.5), "c"), ((1.0, 1.0), "p"),
+                        ((1.0, -0.1), "p"), ((1.0, 0.0, -1), "index_offset")):
+        with pytest.raises(ValueError, match=f"^{field} "):
             StepSchedule(*args)
-        assert isinstance(err.value, ValueError) and err.value.field == field
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(1e-6, 1e6), p=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+       offset=st.integers(0, 10**6), t=st.integers(1, 10**9), later=st.integers(0, 10**9))
+def test_eta_is_one_formula(c, p, offset, t, later):
+    # p = 0 is the constant step; otherwise c * (t + offset)**-p, bit for bit
+    sched = StepSchedule(c, p, offset)
+    expected = c if p == 0.0 else c * float(t + offset) ** -p
+    assert sched.eta(t).hex() == expected.hex()
+    assert sched.is_constant == (p == 0.0)
+    assert 0.0 < sched.eta(t + later) <= sched.eta(t) <= sched.max_eta() == sched.eta(1)
 
 
 def test_phi_strictly_interior():
@@ -163,8 +175,10 @@ def test_ledger_window_started_mid_run():
 
 
 def test_schedule_round_trip():
+    # a schedule is its three fields, and the named constructors only fill them in
     sched = StepSchedule.power(5.0, 0.5, index_offset=1)
-    assert StepSchedule.from_dict(sched.to_dict()) == sched
+    assert StepSchedule(**dataclasses.asdict(sched)) == sched == StepSchedule(5.0, 0.5, 1)
+    assert StepSchedule.constant(0.3) == StepSchedule(0.3) == StepSchedule.power(0.3, 0.0)
 
 
 def test_invariant_violation_names_step_and_survives_pickling():

@@ -90,6 +90,20 @@ def test_config_validation_messages():
         ExperimentConfig.from_dict({"algorithm": "newsvendor"})
 
 
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(1e-3, 10.0), p=st.floats(0.0, 1.0, exclude_max=True),
+       offset=st.integers(0, 100))
+def test_schedule_block_decodes_to_one_step_schedule(c, p, offset):
+    # a constant block ignores its p and index_offset; a power block keeps both
+    block = {"c": c, "p": p, "index_offset": offset}
+    for extra in (block, {"c": c}):
+        assert (small_config(schedule={"kind": "constant", **extra}).step_schedule
+                == StepSchedule.constant(c))
+    assert (small_config(schedule={"kind": "power", **block}).step_schedule
+            == StepSchedule.power(c, p, offset))
+    assert small_config(schedule={"kind": "power", "c": c}).step_schedule == StepSchedule(c)
+
+
 def test_variant_expansion_counts():
     assert len(expand_variants(preset_config("interval-beta"))) == 1
     assert len(expand_variants(preset_config("interval-eta-sweep"))) == 3
@@ -542,7 +556,19 @@ def test_fuzzed_config_exits_0_2_3_or_4(tmp_path, capsys, data):
     assert code != 2 or "key '" in err, err
 
 
-def test_cli_run_into_a_regular_file_exits_2(tmp_path, capsys):
+def _count_replicas(monkeypatch) -> list:
+    calls = []
+
+    def counted(config, replica):
+        calls.append(replica)
+        return run_replica(config, replica)
+
+    monkeypatch.setattr(runner, "run_replica", counted)
+    return calls
+
+
+def test_cli_run_into_a_regular_file_exits_2(tmp_path, capsys, monkeypatch):
+    calls = _count_replicas(monkeypatch)
     config = tmp_path / "cfg.json"
     config.write_text(small_config(replicas=1).to_json())
     target = tmp_path / "outfile"
@@ -550,9 +576,26 @@ def test_cli_run_into_a_regular_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    # the file is untouched and no staging directory is left next to it
+    # the file is untouched, no staging directory is left next to it, and OUT
+    # was refused before any replica ran
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "outfile"]
     assert target.read_text() == ""
+    assert calls == []
+
+
+def test_cli_sweep_into_a_variant_that_is_a_regular_file_exits_2(tmp_path, capsys, monkeypatch):
+    calls = _count_replicas(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "T-2000").write_text("")
+    argv = ["run", "--preset", "regret-scaling", "--replicas", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "T-2000" in err and err.count("\n") == 1
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert [p.name for p in out.iterdir()] == ["T-2000"]
+    assert (out / "T-2000").read_text() == ""
 
 
 def test_cli_chain_run_with_a_large_step_probes_the_empty_chain(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -235,7 +236,12 @@ def test_greedy_chain_rejects_decreasing_values():
 def test_greedy_margin_flags():
     f = OrWorld([0.5, 0.5], seed=0).value_oracle()
     report = greedy_chain(f, 2)
-    # budget_for(0.5) = 1; prefix value one past it is 0.75
-    assert report.margin_above(0.5) == pytest.approx(0.25)
+    # budget_for(0.5) = 1; prefix value one past it is 0.75, a margin of 0.25
+    assert report.prefix_values[2] - 0.5 == pytest.approx(0.25)
     assert not report.is_degenerate(0.5)
     assert report.is_degenerate(0.75)  # no prefix beyond the full set
+    assert report.is_degenerate(0.9)  # the target is never reached
+    # a margin at or below 1e-6 is degenerate, one above it is not
+    for margin, degenerate in ((0.25, False), (2e-6, False), (5e-7, True), (0.0, True)):
+        values = (0.0, 0.5, 0.5 + margin)
+        assert dataclasses.replace(report, prefix_values=values).is_degenerate(0.5) == degenerate
