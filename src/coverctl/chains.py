@@ -10,6 +10,7 @@ the OR-style environments collapse to).
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,11 +34,11 @@ class NonMonotoneFeedbackWarning(UserWarning):
 class ChainStats:
     """Per-(position, prefix) running means of observed marginal gains.
 
-    Each context holds (plays, mean, score) arrays over the arms, where
-    score is the optimistic mean + sqrt(2 log(nT) / plays). ``record``
-    refreshes the score of the one pair it updates. Unplayed (context, arm)
-    pairs score +inf, which forces exploration and replaces any explicit
-    warm-up pass.
+    Each context holds (plays, mean, score) as Python float lists over the
+    arms, where score is the optimistic mean + sqrt(2 log(nT) / plays).
+    ``record_chain`` refreshes the score of each pair it updates. Unplayed
+    (context, arm) pairs score +inf, which forces exploration and replaces
+    any explicit warm-up pass.
     """
 
     def __init__(self, n: int, horizon_T: int, variant: str = PREFIX_KEYED):
@@ -56,50 +57,84 @@ class ChainStats:
         self._unplayed = self._fresh()
 
     def _fresh(self) -> tuple:
-        return np.zeros(self.n), np.zeros(self.n), np.full(self.n, np.inf)
+        return [0.0] * self.n, [0.0] * self.n, [math.inf] * self.n
 
     def _key(self, position: int, prefix) -> object:
         if self.variant == POSITION_KEYED:
             return position
         return tuple(sorted(prefix))
 
-    def _context(self, key):
-        ctx = self._table.get(key)
-        if ctx is None:
-            ctx = self._table[key] = self._fresh()
-        return ctx
+    def record_chain(self, chain, prefix_values, t: int) -> None:
+        """Record every probed slot of step ``t``: the arm in slot i gained
+        ``prefix_values[i] - prefix_values[i - 1]`` (the first slot gains its
+        own value) in the context of position i + 1 and the arms before it.
 
-    def record(self, position: int, prefix, arm: int, gain: float) -> None:
-        plays, mean, score = self._context(self._key(position, prefix))
-        # Python scalars for speed: each operation rounds as its numpy form would
-        k = plays[arm] = float(plays[arm]) + 1.0
-        m = float(mean[arm])
-        m = mean[arm] = m + (gain - m) / k
-        score[arm] = m + math.sqrt(self._log_term / k)
+        Every prefix value must lie in [0, 1]; one that does not, NaN
+        included, raises ValueError before any statistic moves. A strictly
+        negative marginal is warned about, at the caller of ``acog_step``,
+        and recorded as-is.
+        """
+        values = [float(v) for v in prefix_values]
+        for position, val in enumerate(values, start=1):
+            if not 0.0 <= val <= 1.0:
+                raise ValueError(f"prefix value {val} at step {t}, position {position} "
+                                 f"outside [0, 1]")
+        table = self._table
+        log_term = self._log_term
+        by_position = self.variant == POSITION_KEYED
+        prefix: list[int] = []  # the arms before this slot, sorted
+        prev = 0.0
+        for position, (arm, val) in enumerate(zip(chain, values, strict=True), start=1):
+            gain = val - prev
+            if gain < -1e-12:
+                warnings.warn(
+                    f"negative marginal gain {gain} at step {t}, position {position}",
+                    NonMonotoneFeedbackWarning,
+                    stacklevel=3,
+                )
+            key = position if by_position else tuple(prefix)
+            ctx = table.get(key)
+            if ctx is None:
+                ctx = table[key] = self._fresh()
+            plays, mean, score = ctx
+            k = plays[arm] = plays[arm] + 1.0
+            m = mean[arm]
+            m = mean[arm] = m + (gain - m) / k
+            score[arm] = m + math.sqrt(log_term / k)
+            if not by_position:
+                bisect.insort(prefix, arm)
+            prev = val
 
     def prime(self, position: int, prefix, means) -> None:
-        """Inject exact statistics (oracle means, negligible widths)."""
-        plays, mean, score = self._context(self._key(position, prefix))
-        plays[:] = float(_EXACT_PLAYS)
-        mean[:] = np.asarray(means, dtype=float)
-        score[:] = mean + np.sqrt(self._log_term / plays)
+        """Inject exact statistics (oracle means, negligible widths): one
+        finite mean per arm."""
+        mean = np.asarray(means, dtype=float)
+        if mean.shape != (self.n,) or not np.isfinite(mean).all():
+            raise ValueError(f"prime needs {self.n} finite means")
+        plays = np.full(self.n, float(_EXACT_PLAYS))
+        score = mean + np.sqrt(self._log_term / plays)
+        self._table[self._key(position, prefix)] = plays.tolist(), mean.tolist(), score.tolist()
 
 
 def select_chain(stats: ChainStats, budget: int) -> list[int]:
-    """Greedy fill of ``budget`` slots by optimistic marginal-gain score.
+    """Greedy fill of ``budget`` slots by optimistic marginal-gain score,
+    read from the score lists of ``stats``.
 
     Ties (including between unplayed pairs, which all score +inf) break to
-    the lowest arm index.
+    the lowest arm index: ``max`` keeps the first maximum of the free arms,
+    which it visits in index order.
     """
     if not 0 <= budget <= stats.n:
         raise ValueError(f"budget {budget} outside [0, {stats.n}]")
+    table, unplayed = stats._table, stats._unplayed
+    by_position = stats.variant == POSITION_KEYED
+    free = list(range(stats.n))
     chain: list[int] = []
-    chosen = np.zeros(stats.n, dtype=bool)
     for position in range(1, budget + 1):
-        score = stats._table.get(stats._key(position, chain), stats._unplayed)[2]
-        arm = int(np.where(chosen, -np.inf, score).argmax())
+        key = position if by_position else tuple(sorted(chain))
+        arm = max(free, key=table.get(key, unplayed)[2].__getitem__)
         chain.append(arm)
-        chosen[arm] = True
+        free.remove(arm)
     return chain
 
 
@@ -124,8 +159,10 @@ def acog_step(theta: ControllerState, stats: ChainStats, cfg: ChainConfig, env) 
     the observed set value.
 
     The environment returns the value of every prefix of the played ordered
-    chain (semi-bandit feedback). Strictly negative marginals indicate a
-    non-monotone environment; they are warned about and recorded as-is.
+    chain (semi-bandit feedback). A value outside [0, 1], NaN included,
+    raises ValueError naming the step and the position before the statistics
+    or theta move. Strictly negative marginals indicate a non-monotone
+    environment; they are warned about and recorded as-is.
     Returns the row ``(chain, set value, K as the cost, decision-time theta,
     1.0 if K is 0 or n)``.
     """
@@ -136,18 +173,7 @@ def acog_step(theta: ControllerState, stats: ChainStats, cfg: ChainConfig, env) 
     prefix_values = env.probe(t, chain)
     if len(prefix_values) != len(chain):
         raise ValueError("environment must return one value per chain prefix")
+    stats.record_chain(chain, prefix_values, t)
     y = float(prefix_values[-1]) if chain else 0.0
-    prev = 0.0
-    for position, arm in enumerate(chain, start=1):
-        val = float(prefix_values[position - 1])
-        gain = val - prev
-        if gain < -1e-12:
-            warnings.warn(
-                f"negative marginal gain {gain} at step {t}, position {position}",
-                NonMonotoneFeedbackWarning,
-                stacklevel=2,
-            )
-        stats.record(position, chain[: position - 1], arm, gain)
-        prev = val
     aci_update(theta, y)
     return tuple(chain), y, float(k_now), theta_now, 1.0 if k_now in (0, cfg.n) else 0.0

@@ -3,6 +3,7 @@ columns (:class:`Trace`) that every reader here works on whole."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,21 +126,19 @@ def deviation_counter(trace: Trace, report, order_sensitive: bool = False) -> in
     The primary comparison is set-based: the reward depends only on which
     arms were probed, so an order-swapped prefix with identical contents
     does not count. Pass ``order_sensitive=True`` for the stricter count.
-    Steps with an empty budget never count.
+    Steps with an empty budget never count. Each chain is compared, in C, with
+    the greedy prefix of its length, precomputed as a tuple or a frozenset.
     """
-    n = len(report.chain)
-    count = 0
-    for chain in trace.action:  # an empty chain equals the empty prefix
-        if any(a >= n or a < 0 for a in chain):
-            raise ValueError("trace chain references an arm outside the benchmark's arm set")
-        prefix = report.chain[: len(chain)]
-        if order_sensitive:
-            mismatch = chain != prefix
-        else:
-            mismatch = set(chain) != set(prefix)
-        if mismatch:
-            count += 1
-    return count
+    chains = trace.action
+    if not set().union(*chains) <= set(range(len(report.chain))):
+        raise ValueError("trace chain references an arm outside the benchmark's arm set")
+    lengths = list(map(len, chains))
+    # an empty chain equals the empty prefix
+    prefixes = [report.chain[:k] for k in range(max(lengths, default=0) + 1)]
+    if not order_sensitive:
+        prefixes = [frozenset(prefix) for prefix in prefixes]
+        chains = map(frozenset, chains)
+    return sum(map(operator.ne, chains, map(prefixes.__getitem__, lengths)))
 
 
 @dataclass

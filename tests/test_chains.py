@@ -1,4 +1,6 @@
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from coverctl.runner import drive_acog
 
 
 def _cell(stats, position, prefix, arm):
-    """(plays, mean gain) of one (context, arm) pair, read from the chain table."""
+    """(plays, mean gain) of one (context, arm) pair, read from the chain
+    table's per-context float lists."""
     ctx = stats._table.get(stats._key(position, prefix))
     return (0.0, 0.0) if ctx is None else (ctx[0][arm], ctx[1][arm])
 
@@ -121,8 +124,25 @@ def test_acog_warns_on_negative_marginal():
     theta = ControllerState(1.5, 0.5, StepSchedule.constant(0.1))
     stats = ChainStats(2, 100)
     env = _ScriptedSets([[0.8, 0.3]])  # value drops along the chain
-    with pytest.warns(NonMonotoneFeedbackWarning):
+    with pytest.warns(NonMonotoneFeedbackWarning, match=r"at step 1, position 2") as caught:
         acog_step(theta, stats, cfg, env)
+    # attributed to the code that called acog_step, not to coverctl
+    assert [w.filename for w in caught] == [__file__]
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1])
+@pytest.mark.parametrize("variant", [PREFIX_KEYED, POSITION_KEYED])
+def test_acog_rejects_prefix_values_outside_unit_interval(variant, bad):
+    cfg = ChainConfig(n=3, phi=0.5, horizon_T=100)
+    theta = ControllerState(2.5, 0.5, StepSchedule.constant(0.1))
+    stats = ChainStats(3, 100, variant)
+    stats.record_chain([2, 0], [0.25, 0.5], 1)
+    before = copy.deepcopy(stats._table)
+    # the bad value sits in the middle slot, after a valid one
+    with pytest.raises(ValueError, match=r"step 1, position 2"):
+        acog_step(theta, stats, cfg, _ScriptedSets([[0.5, bad, 1.0]]))
+    assert stats._table == before
+    assert theta.value == 2.5 and theta.step_index == 1
 
 
 def test_acog_fractional_rewards_keep_ledger_exact():
@@ -160,33 +180,95 @@ def test_budget_never_exceeds_arm_count():
 def test_variant_tables_key_independently():
     pos = ChainStats(4, 100, POSITION_KEYED)
     pre = ChainStats(4, 100, PREFIX_KEYED)
-    pos.record(2, [3, 1], 0, 0.5)
-    pre.record(2, [3, 1], 0, 0.5)
+    # arm 0 gains 0.5 in slot 3, after the prefix [3, 1]
+    pos.record_chain([3, 1, 0], [0.25, 0.25, 0.75], 1)
+    pre.record_chain([3, 1, 0], [0.25, 0.25, 0.75], 1)
     # position-keyed merges across prefixes, prefix-keyed does not
-    assert _cell(pos, 2, [1, 2], 0)[0] == 1
-    assert _cell(pre, 2, [1, 2], 0)[0] == 0
-    assert _cell(pre, 2, [1, 3], 0)[0] == 1
+    assert _cell(pos, 3, [1, 2], 0)[0] == 1
+    assert _cell(pre, 3, [1, 2], 0)[0] == 0
+    assert _cell(pre, 3, [1, 3], 0) == (1, 0.5)
 
 
 def test_ucb_scores_unplayed_infinite():
     stats = ChainStats(3, 100)
-    stats.record(1, [], 0, 0.4)
+    stats.record_chain([0], [0.4], 1)
     # arm 0 now has a finite score; the unplayed arms 1 and 2 tie at +inf
     assert select_chain(stats, 1) == [1]
 
 
+# one step's probed chain (distinct arms of 5) and its prefix values in [0, 1],
+# which may fall along the chain: marginal gains span [-1, 1]
+_STEPS = st.lists(st.integers(0, 4), max_size=5, unique=True).flatmap(
+    lambda chain: st.tuples(st.just(chain), st.lists(st.floats(0.0, 1.0), min_size=len(chain),
+                                                     max_size=len(chain))))
+
+
+def _record_quietly(stats, chain, values, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonMonotoneFeedbackWarning)
+        stats.record_chain(chain, values, t)
+
+
 @settings(max_examples=100, deadline=None)
 @given(variant=st.sampled_from([PREFIX_KEYED, POSITION_KEYED]),
-       calls=st.lists(st.tuples(st.lists(st.integers(0, 4), max_size=3, unique=True),
-                                st.integers(0, 4), st.floats(-1.0, 1.0)), max_size=60))
-def test_cached_scores_equal_a_recomputation_from_the_statistics(variant, calls):
+       steps=st.lists(_STEPS, max_size=60))
+def test_cached_scores_equal_a_recomputation_from_the_statistics(variant, steps):
     stats = ChainStats(5, 100, variant)
-    for prefix, arm, gain in calls:
-        stats.record(len(prefix) + 1, prefix, arm, gain)
+    for t, (chain, values) in enumerate(steps, start=1):
+        _record_quietly(stats, chain, values, t)
     stats.prime(4, [0, 1, 2], [0.1, 0.2, 0.3, 0.4, 0.5])
     for plays, mean, score in [*stats._table.values(), stats._unplayed]:
+        assert all(type(v) is float for v in [*plays, *mean, *score])
         with np.errstate(divide="ignore"):
-            np.testing.assert_array_equal(score, mean + np.sqrt(stats._log_term / plays))
+            np.testing.assert_array_equal(
+                score, np.asarray(mean) + np.sqrt(stats._log_term / np.asarray(plays)))
+
+
+def _numpy_select_chain(stats, budget):
+    """The greedy fill over numpy score arrays that select_chain replaced: mask
+    the chosen arms with -inf and take the first argmax."""
+    chain = []
+    chosen = np.zeros(stats.n, dtype=bool)
+    for position in range(1, budget + 1):
+        score = np.asarray(stats._table.get(stats._key(position, chain), stats._unplayed)[2])
+        arm = int(np.where(chosen, -np.inf, score).argmax())
+        chain.append(arm)
+        chosen[arm] = True
+    return chain
+
+
+# a tie-prone mean: a few repeated values, or any finite float
+_MEANS = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 1.0]), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(variant=st.sampled_from([PREFIX_KEYED, POSITION_KEYED]),
+       calls=st.lists(st.one_of(
+           st.tuples(st.just("record"), _STEPS),
+           st.tuples(st.just("prime"), st.tuples(
+               st.lists(st.integers(0, 4), max_size=4, unique=True),
+               st.lists(_MEANS, min_size=5, max_size=5)))), max_size=40))
+def test_select_chain_matches_the_numpy_greedy_loop(variant, calls):
+    stats = ChainStats(5, 100, variant)
+    for budget in range(6):  # all unplayed: every slot ties at +inf
+        assert select_chain(stats, budget) == _numpy_select_chain(stats, budget)
+    for t, (kind, (arms, values)) in enumerate(calls, start=1):
+        if kind == "record":
+            _record_quietly(stats, arms, values, t)
+        else:
+            stats.prime(len(arms) + 1, arms, values)
+        for budget in range(6):
+            assert select_chain(stats, budget) == _numpy_select_chain(stats, budget)
+
+
+@pytest.mark.parametrize("means", [[0.1, math.nan, 0.2], [0.1, math.inf, 0.2],
+                                   [-math.inf, 0.1, 0.2], [0.3], [0.1, 0.2],
+                                   [0.1, 0.2, 0.3, 0.4]])
+def test_prime_rejects_non_finite_or_missized_means(means):
+    stats = ChainStats(3, 100)
+    with pytest.raises(ValueError):
+        stats.prime(1, [], means)
+    assert stats._table == {}
 
 
 def _ranked_by_learned_means(stats, budget):
@@ -199,7 +281,7 @@ def _ranked_by_learned_means(stats, budget):
         if ctx is None:
             arm = next(a for a in range(stats.n) if a not in chain)
         else:
-            plays, mean, _ = ctx
+            plays, mean = np.asarray(ctx[0]), np.asarray(ctx[1])
             score = np.where(plays > 0, mean, -np.inf)
             score[chain] = -np.inf
             arm = int(np.argmax(score))

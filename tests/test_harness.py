@@ -734,3 +734,20 @@ def _preset_digest(name, out_dir):
 @pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS))
 def test_preset_artifacts_match_pinned_hashes(tmp_path, name):
     assert _preset_digest(name, tmp_path) == PRESET_SHA256[name]
+
+
+def test_prefix_keyed_chain_run_matches_pinned_hashes(tmp_path):
+    # no preset runs the prefix-keyed learner, so its bytes are pinned here
+    cfg = ExperimentConfig.from_dict(dict(
+        algorithm="acog_prefix",
+        environment={"kind": "or_random", "n": 8, "p_low": 0.05, "p_high": 0.30},
+        T=3000, phi=0.6, schedule={"kind": "constant", "c": 8 / (2 * math.sqrt(3000))},
+        seed=3,
+    ))
+    execute(cfg, tmp_path, jobs=1)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("trace_0.csv", "metrics.json")}
+    assert digests == {
+        "trace_0.csv": "ccb8fd8dcf495ec0bb4560e60ea4469d58919e01a0414b4799042b8f92820218",
+        "metrics.json": "9e99dbac216b56bd6145a6377ffb05abc266ab6238ce44a49652a34491d7b19f",
+    }

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverctl.metrics import (
     Trace,
@@ -141,6 +143,50 @@ def test_deviation_counter_rejects_foreign_arms():
     report = _report([0, 1], [0.0, 0.5, 0.7])
     with pytest.raises(ValueError):
         deviation_counter(trace_of(action=[(5,)]), report)
+    # in either mode, an arm at n, above it or below 0, also after valid rows
+    for bad in (2, 3, -1):
+        for order_sensitive in (False, True):
+            with pytest.raises(ValueError):
+                deviation_counter(trace_of(action=[(0, 1), (), (1, bad)]), report,
+                                  order_sensitive)
+
+
+def _loop_deviation_counter(trace, report, order_sensitive=False):
+    """The per-row loop that deviation_counter replaced."""
+    n = len(report.chain)
+    count = 0
+    for chain in trace.action:
+        if any(a >= n or a < 0 for a in chain):
+            raise ValueError("trace chain references an arm outside the benchmark's arm set")
+        prefix = report.chain[: len(chain)]
+        if order_sensitive:
+            mismatch = chain != prefix
+        else:
+            mismatch = set(chain) != set(prefix)
+        if mismatch:
+            count += 1
+    return count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 6), order_sensitive=st.booleans())
+def test_deviation_counter_matches_the_per_row_loop(data, n, order_sensitive):
+    greedy = data.draw(st.permutations(range(n)))
+    # arms in [-1, n]: the out-of-range ones must raise in both versions
+    arms = st.integers(-1, n) if data.draw(st.booleans()) else st.integers(0, n - 1)
+    chains = data.draw(st.lists(st.one_of(
+        st.lists(arms, max_size=n, unique=True).map(tuple),
+        st.integers(0, n).map(lambda k: tuple(greedy[:k])),  # the greedy prefix itself
+    ), max_size=30))
+    report = _report(greedy, [0.0] * (n + 1))
+    trace = trace_of(action=chains)
+    try:
+        expected = _loop_deviation_counter(trace, report, order_sensitive)
+    except ValueError:
+        with pytest.raises(ValueError):
+            deviation_counter(trace, report, order_sensitive)
+    else:
+        assert deviation_counter(trace, report, order_sensitive) == expected
 
 
 def test_metrics_report_checks_invariants():
