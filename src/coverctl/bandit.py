@@ -64,20 +64,22 @@ class BanditConfig:
 
 
 class BanditState:
-    """Dual price plus per-arm statistics, stored as flat arrays.
+    """Dual price plus per-arm statistics and confidence bounds.
 
-    ``reward_ucb`` and ``cost_lcb`` are the optimistic reward and pessimistic
-    cost of each arm: the mean plus (minus c_max times) the confidence width
-    sqrt(2 log(nT) / plays). ``record`` refreshes them for the played arm
-    only, the one arm whose statistics change; an unplayed arm holds the
-    bounds of zero plays, +inf and -inf.
+    ``plays``, ``mean_reward`` and ``mean_cost`` are Python lists, read and
+    written one entry per step. ``reward_ucb`` and ``cost_lcb`` are flat
+    arrays, because :func:`select_arm` takes its argmin over them: the
+    optimistic reward and pessimistic cost of each arm, the mean plus (minus
+    c_max times) the confidence width sqrt(2 log(nT) / plays). ``record``
+    refreshes them for the played arm only, the one arm whose statistics
+    change; an unplayed arm holds the bounds of zero plays, +inf and -inf.
     """
 
     def __init__(self, cfg: BanditConfig, schedule: StepSchedule):
         self.dual = ControllerState(value=0.0, phi=cfg.phi, schedule=schedule)
-        self.plays = np.zeros(cfg.n, dtype=np.int64)
-        self.mean_reward = np.zeros(cfg.n)
-        self.mean_cost = np.zeros(cfg.n)
+        self.plays = [0] * cfg.n
+        self.mean_reward = [0.0] * cfg.n
+        self.mean_cost = [0.0] * cfg.n
         self.reward_ucb = np.full(cfg.n, np.inf)
         self.cost_lcb = np.full(cfg.n, -np.inf)
         self.step = 1
@@ -86,8 +88,8 @@ class BanditState:
 
     def record(self, arm: int, reward: float, cost: float) -> None:
         # Python scalars for speed: each operation rounds as its numpy form would
-        k = self.plays[arm] = int(self.plays[arm]) + 1
-        r, c = float(self.mean_reward[arm]), float(self.mean_cost[arm])
+        k = self.plays[arm] = self.plays[arm] + 1
+        r, c = self.mean_reward[arm], self.mean_cost[arm]
         r = self.mean_reward[arm] = r + (reward - r) / k
         c = self.mean_cost[arm] = c + (cost - c) / k
         delta = math.sqrt(self._log_term / k)

@@ -82,7 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         if args.command == "list-presets":
             for entry in preset_catalog():

@@ -151,7 +151,7 @@ BASE_COLUMNS = ("t", "action", "reward", "cost", "state", "K",
                 "coverage_cum", "regret_cum", "regret_pos_cum")
 
 
-_F17 = "{:.17g}".format  # 17 significant digits: every float round-trips exactly
+_F17 = "%.17g".__mod__  # 17 significant digits: every float round-trips exactly
 
 
 def _f17_repeated(col: np.ndarray):
@@ -162,39 +162,54 @@ def _f17_repeated(col: np.ndarray):
     return map(list(map(_F17, bits.view(np.float64).tolist())).__getitem__, index.tolist())
 
 
+def _f17_reusing(col: np.ndarray, strings: list, values: np.ndarray) -> list:
+    """``col`` formatted, reusing ``strings`` (``values`` formatted) at every
+    step where the two columns are bitwise equal."""
+    differ = np.flatnonzero(col.view(np.uint64) != values.view(np.uint64))
+    if not differ.size:
+        return strings
+    out = np.array(strings, dtype=object)
+    out[differ] = list(map(_F17, col[differ].tolist()))
+    return out.tolist()
+
+
 def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum) -> str:
     """Serialize a trace with its cumulative metric columns.
 
     The three series hold one value per step, as built by
     :func:`~coverctl.metrics.coverage_series` and
-    :func:`~coverctl.metrics.regret_series`. Each column is formatted whole,
-    with one formatter: ``t`` is the row number, ``K`` the probing budget,
-    and every float column carries 17 significant digits. A value repeated
-    across a column is formatted once: ``reward`` and the extra columns hold
-    few distinct values, and ``cost`` reuses the ``action`` strings where the
-    two columns are bitwise equal, as in the threshold setting.
+    :func:`~coverctl.metrics.regret_series`. Every row comes from one ``%``
+    template per trace: ``t`` is the row number, ``K`` the probing budget,
+    and every float carries 17 significant digits (``"%.17g"``, the same
+    bytes as ``format(x, ".17g")``). A value repeated across a column is
+    formatted once: ``reward``, the extra columns and a chain or arm run's
+    ``cost`` hold few distinct values, formatted once per bit pattern, and
+    where the action is a float, ``cost`` and ``state`` reuse the action's
+    string at every step where they are bitwise equal to it, as in the
+    threshold setting.
     """
     if not len(trace):
         raise ValueError("cannot serialize an empty trace")
     first = trace.action[0]
-    costs = None
-    if isinstance(first, tuple):  # probed chains: "a|b|c", or "-" when empty
-        actions = ["|".join(map(str, a)) or "-" for a in trace.action]
-    elif isinstance(first, int):
-        actions = list(map(str, trace.action))
+    # each column as (template field, values)
+    if isinstance(first, (tuple, int)):  # probed chains are "a|b|c", or "-" when empty
+        action = ("%s", ["|".join(map(str, a)) or "-" for a in trace.action]
+                  if isinstance(first, tuple) else trace.action)
+        cost, state = ("%s", _f17_repeated(trace.cost)), ("%.17g", trace.state.tolist())
     else:
-        actions = list(map(_F17, trace.action))
-        if np.array(trace.action, dtype=float).tobytes() == trace.cost.tobytes():
-            costs = actions
-    if costs is None:
-        costs = map(_F17, trace.cost.tolist())
-    series = (coverage_cum, regret_cum, regret_pos_cum)
-    cols = [map(str, range(1, len(trace) + 1)), actions, _f17_repeated(trace.reward), costs,
-            map(_F17, trace.state.tolist()), map(str, trace.k.tolist()),
-            *(map(_F17, col.tolist()) for col in series),
-            *map(_f17_repeated, trace.extras.values())]
+        strings = list(map(_F17, trace.action))
+        values = np.array(trace.action, dtype=float)
+        action = ("%s", strings)
+        cost = ("%s", _f17_reusing(trace.cost, strings, values))
+        state = ("%s", _f17_reusing(trace.state, strings, values))
+    cells = [("%d", range(1, len(trace) + 1)), action, ("%s", _f17_repeated(trace.reward)),
+             cost, state, ("%d", trace.k.tolist()),
+             *(("%.17g", col.tolist()) for col in (coverage_cum, regret_cum, regret_pos_cum)),
+             *(("%s", _f17_repeated(col)) for col in trace.extras.values())]
+    row = ",".join(field for field, _ in cells)
+    rows = map(row.__mod__, zip(*(col for _, col in cells), strict=True))
     header = ",".join(BASE_COLUMNS + tuple(trace.extras))
-    return "\n".join([header, *map(",".join, zip(*cols, strict=True))]) + "\n"
+    return "\n".join([header, *rows]) + "\n"
 
 
 class _Setup(NamedTuple):
@@ -377,8 +392,9 @@ def execute_variant(config: ExperimentConfig, stage_dir: Path, jobs: int = 1,
     stage_dir = Path(stage_dir)
     stage_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(config, k, str(stage_dir)) for k in range(config.replicas)]
-    if jobs > 1 and config.replicas > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, config.replicas)  # a pool starts all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_worker, tasks))
     else:
         outputs = [_worker(t) for t in tasks]
@@ -436,9 +452,13 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
     last. A run that fails or is interrupted removes the staging directory and
     every file it had moved, so ``out_dir`` never holds a partial run of it.
     An ``out_dir`` or variant directory that exists and is not a directory
-    raises NotADirectoryError before anything runs.
+    raises NotADirectoryError, and ``jobs < 1`` ValueError, before anything
+    runs. Each variant runs on at most ``jobs`` worker processes, and on no
+    more than it has replicas.
     Returns a manifest of the metric documents, one per variant.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir).resolve()
     variants = expand_variants(config)
     for path in [out_dir, *(out_dir / var.variant for var in variants)]:

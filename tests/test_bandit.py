@@ -23,7 +23,7 @@ def _loaded_state(cfg, bounds):
     """State past its warm-up pass whose (reward_ucb, cost_lcb) are
     approximately ``bounds``."""
     state = BanditState(cfg, StepSchedule.constant(0.1))
-    state.plays[:] = 10**12
+    state.plays[:] = [10**12] * cfg.n
     width = math.sqrt(state._log_term / 10**12)  # ~ 1e-5
     for i, (r_ucb, c_lcb) in enumerate(bounds):
         state.mean_reward[i] = r_ucb
@@ -82,9 +82,53 @@ def test_cached_bounds_equal_a_recomputation_from_the_statistics(plays):
     for arm, reward, cost in plays:
         state.record(arm, reward, cost)
     with np.errstate(divide="ignore"):
-        delta = np.sqrt(state._log_term / state.plays)
-    np.testing.assert_array_equal(state.reward_ucb, state.mean_reward + delta)
-    np.testing.assert_array_equal(state.cost_lcb, state.mean_cost - cfg.c_max * delta)
+        delta = np.sqrt(state._log_term / np.asarray(state.plays))
+    np.testing.assert_array_equal(state.reward_ucb, np.asarray(state.mean_reward) + delta)
+    np.testing.assert_array_equal(state.cost_lcb,
+                                  np.asarray(state.mean_cost) - cfg.c_max * delta)
+
+
+class _ArrayStatistics:
+    """Reference: the per-arm statistics as numpy arrays, updated through
+    numpy scalars, as BanditState kept them before its lists."""
+
+    def __init__(self, cfg, log_term):
+        self.plays = np.zeros(cfg.n, dtype=np.int64)
+        self.mean_reward = np.zeros(cfg.n)
+        self.mean_cost = np.zeros(cfg.n)
+        self.reward_ucb = np.full(cfg.n, np.inf)
+        self.cost_lcb = np.full(cfg.n, -np.inf)
+        self._c_max = cfg.c_max
+        self._log_term = log_term
+
+    def record(self, arm, reward, cost):
+        k = self.plays[arm] = int(self.plays[arm]) + 1
+        r, c = float(self.mean_reward[arm]), float(self.mean_cost[arm])
+        r = self.mean_reward[arm] = r + (reward - r) / k
+        c = self.mean_cost[arm] = c + (cost - c) / k
+        delta = math.sqrt(self._log_term / k)
+        self.reward_ucb[arm] = r + delta
+        self.cost_lcb[arm] = c - self._c_max * delta
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c_max=st.floats(0.01, 5.0),
+       plays=st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                      max_size=80))
+def test_list_statistics_give_the_bounds_of_array_statistics(c_max, plays):
+    cfg = BanditConfig(n=5, c_max=c_max, phi=0.5, horizon_T=1000, i_min=0, i_max=1)
+    state = BanditState(cfg, StepSchedule.constant(0.1))
+    reference = _ArrayStatistics(cfg, state._log_term)
+    for arm, reward, cost_share in plays:
+        state.record(arm, reward, cost_share * c_max)
+        reference.record(arm, reward, cost_share * c_max)
+    # bit for bit, the infinities of unplayed arms included
+    for name in ("reward_ucb", "cost_lcb", "mean_reward", "mean_cost", "plays"):
+        ours = np.asarray(getattr(state, name))
+        assert ours.dtype == getattr(reference, name).dtype, name
+        assert ours.tobytes() == getattr(reference, name).tobytes(), name
+    assert all(type(k) is int for k in state.plays)
+    assert all(type(x) is float for x in state.mean_reward + state.mean_cost)
 
 
 class _ConstantWorld:
@@ -103,7 +147,7 @@ def test_bandit_step_warm_up_order_and_frozen_dual():
     state = BanditState(cfg, StepSchedule.constant(0.1))
     arms = [bandit_step(state, cfg, env)[0] for _ in range(3)]
     assert arms == [0, 1, 2]
-    assert np.all(state.plays == 1)
+    assert np.all(np.asarray(state.plays) == 1)
     # the dual sits still until the warm-up pass completes
     assert state.dual.value == 0.0
     bandit_step(state, cfg, env)
@@ -157,7 +201,7 @@ def test_boundary_plays_update_stats():
     state = BanditState(cfg, StepSchedule.constant(0.5))
     for _ in range(20):
         bandit_step(state, cfg, env)
-    assert state.plays.sum() == 20
+    assert np.asarray(state.plays).sum() == 20
     assert state.mean_reward[0] == 1.0
 
 

@@ -9,6 +9,7 @@ import re
 import signal
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -163,6 +164,84 @@ def test_csv_writes_chain_actions():
     rows = [line.split(",") for line in _render(trace, 1.0).split("\n")[1:3]]
     assert [r[1] for r in rows] == ["2|0", "-"]
     assert [r[5] for r in rows] == ["2", "0"]  # K is the chain's cost
+
+
+def _reference_render_csv(trace, coverage_cum, regret_cum, regret_pos_cum):
+    """The column-by-column renderer that the one-template render_csv
+    replaced, kept as the reference for its bytes."""
+    f17 = "{:.17g}".format
+
+    def repeated(col):
+        bits, index = np.unique(np.asarray(col, dtype=np.float64).view(np.uint64),
+                                return_inverse=True)
+        return map(list(map(f17, bits.view(np.float64).tolist())).__getitem__, index.tolist())
+
+    if not len(trace):
+        raise ValueError("cannot serialize an empty trace")
+    first = trace.action[0]
+    costs = None
+    if isinstance(first, tuple):
+        actions = ["|".join(map(str, a)) or "-" for a in trace.action]
+    elif isinstance(first, int):
+        actions = list(map(str, trace.action))
+    else:
+        actions = list(map(f17, trace.action))
+        if np.array(trace.action, dtype=float).tobytes() == trace.cost.tobytes():
+            costs = actions
+    if costs is None:
+        costs = map(f17, trace.cost.tolist())
+    series = (coverage_cum, regret_cum, regret_pos_cum)
+    cols = [map(str, range(1, len(trace) + 1)), actions, repeated(trace.reward), costs,
+            map(f17, trace.state.tolist()), map(str, trace.k.tolist()),
+            *(map(f17, col.tolist()) for col in series),
+            *map(repeated, trace.extras.values())]
+    header = ",".join(runner.BASE_COLUMNS + tuple(trace.extras))
+    return "\n".join([header, *map(",".join, zip(*cols, strict=True))]) + "\n"
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, 0.1])
+_ANY_FLOAT = st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _traces(draw):
+    """A trace of tuple, int or float actions; with float actions, cost and
+    state equal the action at some steps and not at others."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["chain", "arm", "float"]))
+    if kind == "chain":
+        action = draw(st.lists(st.lists(st.integers(0, 12), max_size=4).map(tuple),
+                               min_size=n, max_size=n))
+        cost = [float(len(a)) for a in action]  # a chain's cost is its length
+        state = draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n))
+    elif kind == "arm":
+        action = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+        cost = draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n))
+        state = draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n))
+    else:
+        action = draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n))
+        cost, state = ([a if same else other for a, same, other in zip(
+            action, draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n)))] for _ in range(2))
+    reward = draw(st.lists(_SPECIAL, min_size=n, max_size=n))
+    extras = {name: np.array(draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n)))
+              for name in ("boundary", "a", "leftover")[:draw(st.integers(0, 3))]}
+    series = [np.array(draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n))) for _ in range(3)]
+    trace = Trace(action, np.array(reward), np.array(cost), np.array(state), extras)
+    return trace, series
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_traces())
+def test_render_csv_equals_the_reference_renderer(case):
+    trace, series = case
+    assert render_csv(trace, *series) == _reference_render_csv(trace, *series)
+
+
+def test_render_csv_rejects_an_empty_trace():
+    empty = Trace.from_rows([], ("boundary",))
+    with pytest.raises(ValueError, match="empty trace"):
+        render_csv(empty, *([np.zeros(0)] * 3))
 
 
 def test_execute_writes_artifacts_and_is_deterministic(tmp_path):
@@ -694,6 +773,58 @@ def test_jobs_1_and_jobs_2_write_the_same_bytes(tmp_path, capsys):
     assert not list(tmp_path.rglob(".*"))
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it was asked
+    for and maps in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, size", [(1, None), (2, 2), (3, 3), (64, 3)])
+def test_pool_size_is_capped_at_the_replica_count(tmp_path, monkeypatch, jobs, size):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
+    execute(small_config(replicas=3), tmp_path / "pooled", jobs=jobs)
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+    monkeypatch.undo()
+    execute(small_config(replicas=3), tmp_path / "serial", jobs=1)
+    for name in ("trace_0.csv", "trace_1.csv", "trace_2.csv", "metrics.json"):
+        assert ((tmp_path / "pooled" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes())
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_execute_rejects_fewer_than_one_job(tmp_path, monkeypatch, jobs):
+    calls = _count_replicas(monkeypatch)
+    with pytest.raises(ValueError, match="jobs"):
+        execute(small_config(replicas=1), tmp_path / "out", jobs=jobs)
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
+    calls = _count_replicas(monkeypatch)
+    argv = ["run", "--preset", "threshold-primal", "--jobs", jobs, "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "Traceback" not in err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 def test_svg_plots_are_self_contained(tmp_path):
     execute(small_config(replicas=1), tmp_path, jobs=1, plot=True)
     svg = (tmp_path / "coverage.svg").read_text()
@@ -750,4 +881,21 @@ def test_prefix_keyed_chain_run_matches_pinned_hashes(tmp_path):
     assert digests == {
         "trace_0.csv": "ccb8fd8dcf495ec0bb4560e60ea4469d58919e01a0414b4799042b8f92820218",
         "metrics.json": "9e99dbac216b56bd6145a6377ffb05abc266ab6238ce44a49652a34491d7b19f",
+    }
+
+
+def test_iid_run_matches_pinned_hashes(tmp_path):
+    # no preset runs the i.i.d. arm world; its uniform-cost arm gives the cost
+    # column many distinct values, so every one of them is formatted on its own
+    cfg = ExperimentConfig.from_dict(dict(
+        algorithm="pd_bandit",
+        environment={"kind": "iid", "specs": [[0.7, [0.1, 0.5]]]},
+        T=3000, phi=0.8, schedule={"kind": "constant", "c": 0.05}, seed=3,
+    ))
+    execute(cfg, tmp_path, jobs=1)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("trace_0.csv", "metrics.json")}
+    assert digests == {
+        "trace_0.csv": "9dc7c118bd7afeb53d362e995f592b6a70aa51eae37a8c848d838fb900fc5cf9",
+        "metrics.json": "54564dd7874ae40c1dd84bd6fbaae5c0eef6068630965cfa50357bd149e5e77d",
     }
