@@ -45,12 +45,10 @@ class BanditConfig:
     mode: str = BOUNDARY_RULE
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one arm")
         if not 0.0 < self.phi < 1.0:
             raise ValueError("phi must lie strictly in (0, 1)")
-        if self.c_max <= 0.0:
-            raise ValueError("c_max must be positive")
+        if not 0.0 < self.c_max < math.inf:
+            raise ValueError(f"c_max must be positive and finite, got {self.c_max}")
         if self.n * self.horizon_T < 3:
             raise ValueError("n * horizon_T must be at least 3")
         if not (0 <= self.i_min < self.n and 0 <= self.i_max < self.n):
@@ -59,8 +57,8 @@ class BanditConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.lambda_cap is None:
             self.lambda_cap = self.c_max / (1.0 - self.phi)
-        if self.lambda_cap <= 0.0:
-            raise ValueError("lambda_cap must be positive")
+        if not 0.0 < self.lambda_cap < math.inf:
+            raise ValueError(f"lambda_cap must be positive and finite, got {self.lambda_cap}")
 
 
 class BanditState:

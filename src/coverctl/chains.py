@@ -69,12 +69,14 @@ class ChainStats:
         ``prefix_values[i] - prefix_values[i - 1]`` (the first slot gains its
         own value) in the context of position i + 1 and the arms before it.
 
-        Every prefix value must lie in [0, 1]; one that does not, NaN
-        included, raises ValueError before any statistic moves. A strictly
-        negative marginal is warned about, at the caller of ``acog_step``,
-        and recorded as-is.
+        One prefix value per chain arm, each in [0, 1]: a count mismatch, or a
+        value outside, NaN included, raises ValueError before any statistic
+        moves. A strictly negative marginal is warned about, at the caller of
+        ``acog_step``, and recorded as-is.
         """
         values = [float(v) for v in prefix_values]
+        if len(values) != len(chain):
+            raise ValueError(f"{len(values)} prefix values for {len(chain)} chain arms at step {t}")
         for position, val in enumerate(values, start=1):
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"prefix value {val} at step {t}, position {position} "
@@ -84,7 +86,7 @@ class ChainStats:
         by_position = self.variant == POSITION_KEYED
         prefix: list[int] = []  # the arms before this slot, sorted
         prev = 0.0
-        for position, (arm, val) in enumerate(zip(chain, values, strict=True), start=1):
+        for position, (arm, val) in enumerate(zip(chain, values), start=1):
             gain = val - prev
             if gain < -1e-12:
                 warnings.warn(
@@ -159,10 +161,10 @@ def acog_step(theta: ControllerState, stats: ChainStats, cfg: ChainConfig, env) 
     the observed set value.
 
     The environment returns the value of every prefix of the played ordered
-    chain (semi-bandit feedback). A value outside [0, 1], NaN included,
-    raises ValueError naming the step and the position before the statistics
-    or theta move. Strictly negative marginals indicate a non-monotone
-    environment; they are warned about and recorded as-is.
+    chain (semi-bandit feedback). Anything but one value per prefix, each in
+    [0, 1] (NaN fails), raises ValueError naming the step before the
+    statistics or theta move. Strictly negative marginals indicate a
+    non-monotone environment; they are warned about and recorded as-is.
     Returns the row ``(chain, set value, K as the cost, decision-time theta,
     1.0 if K is 0 or n)``.
     """
@@ -171,8 +173,6 @@ def acog_step(theta: ControllerState, stats: ChainStats, cfg: ChainConfig, env) 
     k_now = budget_from_theta(theta_now, cfg.n)
     chain = select_chain(stats, k_now)
     prefix_values = env.probe(t, chain)
-    if len(prefix_values) != len(chain):
-        raise ValueError("environment must return one value per chain prefix")
     stats.record_chain(chain, prefix_values, t)
     y = float(prefix_values[-1]) if chain else 0.0
     aci_update(theta, y)

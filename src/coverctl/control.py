@@ -17,6 +17,7 @@ numbers, the window's reward sum and its step count, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -51,12 +52,12 @@ class StepSchedule:
     index_offset: int = 0
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {self.p}")
-        if self.index_offset < 0:
-            raise ValueError(f"index_offset must be non-negative, got {self.index_offset}")
+        if not 0 <= self.index_offset < math.inf:
+            raise ValueError(f"index_offset must be finite and >= 0, got {self.index_offset}")
 
     @classmethod
     def constant(cls, c: float) -> "StepSchedule":
@@ -93,8 +94,12 @@ class ControllerState:
     step_index: int = 1
 
     def __post_init__(self):
+        # every driver builds its state from its config's phi, so the configs leave phi
+        # unchecked; only BanditConfig checks it too, as its cap default divides by 1 - phi
         if not 0.0 < self.phi < 1.0:
             raise ValueError(f"coverage target must lie strictly in (0, 1), got {self.phi}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"initial state must be finite, got {self.value}")
 
     def drift(self, amount: float) -> float:
         """Move the state by eta_t * amount and advance the step index.

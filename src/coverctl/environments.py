@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oracles import beta_cdf
+from .oracles import beta_cdf, grid_cells
 from .rng import uniform, uniforms
 
 # component ids for substream separation
@@ -83,6 +83,9 @@ class ArmSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"success probability {self.p} outside [0, 1]")
+        lo, hi = self.cost if isinstance(self.cost, (tuple, list)) else (self.cost, self.cost)
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValueError(f"cost {self.cost!r} must be finite, >= 0 and, as a range, lo <= hi")
 
     @property
     def mean_cost(self) -> float:
@@ -152,11 +155,7 @@ class IntervalWorld:
     i_min = 0
 
     def __init__(self, delta: float, point_dist, seed: int):
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
-        m = round(1.0 / delta)
-        if m < 1 or abs(m * delta - 1.0) > 1e-12:
-            raise ValueError(f"delta={delta} does not divide 1")
+        m = grid_cells(delta)
         self.delta = delta
         self.arms = [None] + [(i * delta, j * delta)
                               for i in range(m) for j in range(i + 1, m + 1)]
@@ -166,8 +165,8 @@ class IntervalWorld:
         if len(point_dist) != 3 or point_dist[0] != "beta":
             raise ValueError(f"unknown point distribution {point_dist!r}")
         _, a, b = point_dist
-        if int(a) != a or int(b) != b or a < 1 or b < 1:
-            raise ValueError("beta point distribution needs integer shapes >= 1")
+        if not all(1 <= s < math.inf and int(s) == s for s in (a, b)):
+            raise ValueError(f"beta point distribution needs integer shapes >= 1, got {a}, {b}")
         self._shape = (int(a), int(b))
         self._points = _StepBlocks(self._fill_points, int(a) + int(b) - 1)
         self.n = len(self.arms)
@@ -210,8 +209,8 @@ class TrapWorld:
 
     def __init__(self, window: tuple[int, int]):
         start, end = window
-        if not 0 <= start < end:
-            raise ValueError("window must satisfy 0 <= start < end")
+        if not 0 <= start < end < math.inf:
+            raise ValueError(f"window must satisfy 0 <= start < end < inf, got {window!r}")
         self.window = (int(start), int(end))
 
     def pull(self, t: int, arm: int) -> Observation:
@@ -284,10 +283,10 @@ class PoissonDemand:
     """
 
     def __init__(self, before: float, after: float, shift_t: int, cap: float, seed: int):
-        if before <= 0 or after <= 0:
-            raise ValueError("rates must be positive")
-        if cap < 1:
-            raise ValueError("cap must be at least 1")
+        if not (0 < before < math.inf and 0 < after < math.inf):
+            raise ValueError(f"rates must be positive and finite, got {before}, {after}")
+        if not 1 <= cap < math.inf:
+            raise ValueError(f"cap must be finite and at least 1, got {cap}")
         self.before = before
         self.after = after
         self.shift_t = shift_t

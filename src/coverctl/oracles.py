@@ -153,6 +153,15 @@ def _continuous_interval_optimum(point_cdf, phi: float) -> float:
     return hi_w
 
 
+def grid_cells(delta: float) -> int:
+    """The cell count m of the grid of [0, 1] with step ``delta``; ValueError unless
+    m * delta is within 1e-12 of 1 (NaN, infinities and overflowing 1/delta fail)."""
+    m = round(1.0 / delta) if 0.0 < delta and 1.0 / delta < math.inf else 0
+    if not abs(m * delta - 1.0) <= 1e-12:
+        raise ValueError(f"delta={delta} does not divide 1")
+    return m
+
+
 def interval_benchmark(delta: float, point_cdf, phi: float) -> IntervalBenchmark:
     """Shortest grid interval with true mass at least phi.
 
@@ -161,9 +170,7 @@ def interval_benchmark(delta: float, point_cdf, phi: float) -> IntervalBenchmark
     continuous optimum is reported alongside so the rounding loss is visible
     separately.
     """
-    m = round(1.0 / delta)
-    if m < 1 or abs(m * delta - 1.0) > 1e-12:
-        raise ValueError(f"delta={delta} does not divide 1")
+    m = grid_cells(delta)
     cdf = [point_cdf(i * delta) for i in range(m + 1)]
     best = None
     for j_minus_i in range(1, m + 1):

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from . import environments as envs
+from . import environments as envs, oracles
 from .control import StepSchedule
 
 
@@ -87,8 +87,11 @@ def _arm_cost(path, x):  # a fixed cost, or a [lo, hi] range it is drawn from un
     _check(path, x, _COST_RANGE if isinstance(x, list) else _COST)
 
 
-def _grid_step(d):  # IntervalWorld's test that d divides 1, safe where 1/d overflows
-    return 1 / d < math.inf and abs(round(1 / d) * d - 1.0) <= 1e-12
+def _grid_step(d):  # oracles.grid_cells's test that d divides 1, as a yes or no
+    try:
+        return oracles.grid_cells(d)
+    except ValueError:
+        return False
 
 
 _UNIT, _COST, _SHAPE = "number [0, 1]", "number [0, inf)", "integer [1, inf)"

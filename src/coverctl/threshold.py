@@ -23,10 +23,8 @@ class ThresholdConfig:
     schedule: StepSchedule
 
     def __post_init__(self):
-        if self.tau_max <= self.tau_min:
+        if not self.tau_min < self.tau_max:
             raise ValueError("tau_max must exceed tau_min")
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError("phi must lie strictly in (0, 1)")
 
 
 def threshold_step(tau: ControllerState, cfg: ThresholdConfig, env) -> tuple:
@@ -66,10 +64,8 @@ class NewsvendorConfig:
     dynamic_carryover: bool = False
 
     def __post_init__(self):
-        if self.demand_cap < 1.0:
+        if not 1.0 <= self.demand_cap:
             raise ValueError("demand cap D must be at least 1")
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError("phi must lie strictly in (0, 1)")
         if self.dynamic_carryover and self.schedule.max_eta() >= 1.0:
             raise ValueError(
                 "dynamic carry-over requires step sizes in (0, 1); "
@@ -95,9 +91,9 @@ def newsvendor_step(q: ControllerState, cfg: NewsvendorConfig, demand: float) ->
     q_eff = min(raw, cfg.demand_cap)
     y = min(demand, q_eff)
     leftover = max(q_eff - demand, 0.0)
-    eta = q.drift(cfg.phi * demand - y)
+    eta = q.drift(q.phi * demand - y)
     if cfg.dynamic_carryover:
-        order_up = y * (1.0 - eta) + eta * cfg.phi * demand
+        order_up = y * (1.0 - eta) + eta * q.phi * demand
         if order_up < 0.0:
             raise InvariantViolation(t, order_up, (0.0, math.inf), "no-returns order")
         if q.value - leftover < -1e-9:

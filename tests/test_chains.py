@@ -271,6 +271,16 @@ def test_prime_rejects_non_finite_or_missized_means(means):
     assert stats._table == {}
 
 
+@pytest.mark.parametrize("variant", [POSITION_KEYED, PREFIX_KEYED])
+@pytest.mark.parametrize("chain, values", [([0, 1, 2], [0.5, 0.7]), ([0], [0.5, 0.7])],
+                         ids=["short-values", "long-values"])
+def test_record_chain_refuses_a_count_mismatch_before_any_update(variant, chain, values):
+    stats = ChainStats(3, 100, variant)
+    with pytest.raises(ValueError, match="step 1"):
+        stats.record_chain(chain, values, 1)
+    assert stats._table == {}
+
+
 def _ranked_by_learned_means(stats, budget):
     """Greedy fill of ``budget`` slots by learned means alone (unplayed pairs
     score -inf, ties break to the lowest index): the converged chain without

@@ -60,7 +60,8 @@ def test_reward_range_validated():
 def test_schedule_validation():
     # each error is a ValueError that names the out-of-range field
     for args, field in (((0.0,), "c"), ((-1.0, 0.5), "c"), ((1.0, 1.0), "p"),
-                        ((1.0, -0.1), "p"), ((1.0, 0.0, -1), "index_offset")):
+                        ((1.0, -0.1), "p"), ((1.0, 0.0, -1), "index_offset"),
+                        ((math.nan,), "c"), ((math.inf, 0.5), "c")):
         with pytest.raises(ValueError, match=f"^{field} "):
             StepSchedule(*args)
 

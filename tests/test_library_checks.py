@@ -1,0 +1,73 @@
+"""Range checks of the library constructors, and the rule that keeps every
+check alive under ``python -O``."""
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+import coverctl
+from coverctl.bandit import BanditConfig
+from coverctl.control import ControllerState, StepSchedule
+from coverctl.environments import ArmSpec, IntervalWorld, PoissonDemand, TrapWorld
+from coverctl.oracles import interval_benchmark
+from coverctl.threshold import NewsvendorConfig, ThresholdConfig
+
+_STEP = StepSchedule(0.1)
+
+
+def _bandit(**over):
+    return BanditConfig(**{"n": 3, "c_max": 1.0, "phi": 0.5, "horizon_T": 10, "i_min": 2,
+                           "i_max": 0, **over})
+
+
+# each row is an out-of-range value that a library constructor must refuse
+# with ValueError: not accept it, and not fail with OverflowError or
+# ZeroDivisionError, which are not ValueErrors
+_BAD = {
+    "schedule-c-nan": lambda: StepSchedule(math.nan),
+    "schedule-c-inf": lambda: StepSchedule(math.inf),
+    "schedule-offset-nan": lambda: StepSchedule(1.0, 0.5, math.nan),
+    "schedule-offset-inf": lambda: StepSchedule(1.0, 0.5, math.inf),
+    "state-value-nan": lambda: ControllerState(math.nan, 0.5, _STEP),
+    "state-value-inf": lambda: ControllerState(math.inf, 0.5, _STEP),
+    "state-value-minus-inf": lambda: ControllerState(-math.inf, 0.5, _STEP),
+    "interval-delta-1e-320": lambda: IntervalWorld(1e-320, ("uniform",), 1),
+    "interval-shape-inf": lambda: IntervalWorld(0.25, ("beta", math.inf, 2), 1),
+    "interval-shape-minus-inf": lambda: IntervalWorld(0.25, ("beta", 2, -math.inf), 1),
+    "benchmark-delta-1e-320": lambda: interval_benchmark(1e-320, lambda x: x, 0.5),
+    "benchmark-delta-zero": lambda: interval_benchmark(0.0, lambda x: x, 0.5),
+    "benchmark-delta-minus-zero": lambda: interval_benchmark(-0.0, lambda x: x, 0.5),
+    "poisson-before-nan": lambda: PoissonDemand(math.nan, 5.0, 10, 20.0, 1),
+    "poisson-after-nan": lambda: PoissonDemand(5.0, math.nan, 10, 20.0, 1),
+    "poisson-before-inf": lambda: PoissonDemand(math.inf, 5.0, 10, 20.0, 1),
+    "poisson-cap-inf": lambda: PoissonDemand(5.0, 5.0, 10, math.inf, 1),
+    "trap-end-inf": lambda: TrapWorld((0, math.inf)),
+    "arm-cost-negative": lambda: ArmSpec(0.5, -0.1),
+    "arm-cost-nan": lambda: ArmSpec(0.5, math.nan),
+    "arm-cost-inf": lambda: ArmSpec(0.5, math.inf),
+    "arm-range-reversed": lambda: ArmSpec(0.5, (0.3, 0.1)),
+    "arm-range-negative-lo": lambda: ArmSpec(0.5, (-0.1, 0.2)),
+    "arm-range-hi-inf": lambda: ArmSpec(0.5, (0.1, math.inf)),
+    "bandit-c-max-nan": lambda: _bandit(c_max=math.nan),
+    "bandit-c-max-inf": lambda: _bandit(c_max=math.inf),
+    "bandit-lambda-cap-nan": lambda: _bandit(lambda_cap=math.nan),
+    "bandit-lambda-cap-inf": lambda: _bandit(lambda_cap=math.inf),
+    "threshold-tau-max-nan": lambda: ThresholdConfig(0.0, math.nan, 0.5, _STEP),
+    "newsvendor-cap-nan": lambda: NewsvendorConfig(math.nan, 0.5, _STEP),
+}
+
+
+@pytest.mark.parametrize("build", _BAD.values(), ids=_BAD.keys())
+def test_library_constructors_refuse_out_of_range_values(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips asserts, and every invariant must hold in that mode too
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(coverctl.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

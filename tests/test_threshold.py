@@ -137,6 +137,16 @@ def test_newsvendor_rejects_demand_outside_range():
         newsvendor_step(q, cfg, 60.0)
 
 
+@pytest.mark.parametrize("phi", [0.0, 1.0, -0.5, float("nan")])
+def test_drivers_refuse_phi_outside_the_open_unit_interval(phi):
+    # the configs hold phi unchecked; the controller state the driver builds checks it
+    schedule = StepSchedule.constant(0.1)
+    with pytest.raises(ValueError, match="coverage target"):
+        drive_threshold(ThresholdConfig(0.0, 1.0, phi, schedule), uniform_score_world(1), 5)
+    with pytest.raises(ValueError, match="coverage target"):
+        drive_newsvendor(NewsvendorConfig(50.0, phi, schedule), _ScriptedDemand([10.0] * 5), 5)
+
+
 def test_dynamic_mode_requires_small_steps():
     with pytest.raises(ValueError):
         NewsvendorConfig(50.0, 0.9, StepSchedule.constant(1.0), dynamic_carryover=True)
