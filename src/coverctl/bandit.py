@@ -137,6 +137,8 @@ def bandit_step(state: BanditState, cfg: BanditConfig, env) -> tuple:
         arm = select_arm(state, cfg)
         boundary = cfg.mode == BOUNDARY_RULE and (lam >= cfg.lambda_cap or lam <= 0.0)
     reward, cost = env.pull(t, arm)
+    if not 0.0 <= reward <= 1.0:  # checked here too: the warm-up pass skips aci_update's check
+        raise FeedbackError(f"arm {arm} returned reward {reward} outside [0, 1] at step {t}")
     if not -1e-9 <= cost <= cfg.c_max + 1e-9:
         raise FeedbackError(
             f"arm {arm} returned cost {cost} outside [0, {cfg.c_max}] at step {t}"

@@ -34,7 +34,7 @@ _C_SETUP = 6
 _C_BITS = 7
 
 # uniforms per block of a multi-lane world: its rows are this over the lane
-# count, so one block stays near 0.5 MB of draws whatever the lane count
+# count, but at least one, so a block stays near 0.5 MB up to 65536 lanes
 _BLOCK_CELLS = 65536
 
 
@@ -49,7 +49,7 @@ class _StepBlocks:
 
     def __init__(self, fill, lanes: int):
         self._fill = fill
-        self.steps = _BLOCK_CELLS // max(1, lanes)
+        self.steps = max(1, _BLOCK_CELLS // max(1, lanes))
         self._t0 = 0
         self._rows: list = []
 

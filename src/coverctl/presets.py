@@ -316,14 +316,13 @@ def preset_config(name: str, seed: int = 1, replicas: int | None = None,
     """Resolve a preset name into its base config (variants expand later)."""
     _check("preset", name, tuple(_PRESETS))
     base = copy.deepcopy(_PRESETS[name][1])
-    base["replicas"] = replicas or base.get("replicas", 1)
+    base["replicas"] = base.get("replicas", 1) if replicas is None else replicas
     return ExperimentConfig(preset=name, seed=seed, output_dir=output_dir, **base)
 
 
 def expand_variants(cfg: ExperimentConfig) -> list[ExperimentConfig]:
-    """Expand sweep presets into fully resolved single-run configs.
-
-    Single presets return themselves (with an empty variant label).
-    """
-    variants = _PRESETS[cfg.preset][2] if cfg.preset in _PRESETS else []
+    """Expand a sweep preset's base config (variant label ``""``, as
+    :func:`preset_config` returns it) into fully resolved single-run configs.
+    Any other config, such as one variant's own ``config.json``, returns itself."""
+    variants = _PRESETS[cfg.preset][2] if cfg.preset in _PRESETS and not cfg.variant else []
     return [cfg.replace(variant=label, **copy.deepcopy(over)) for label, over in variants] or [cfg]

@@ -8,11 +8,12 @@ columnar :class:`~coverctl.metrics.Trace`. The experiment layer resolves an
 oracle, driver) and turns it plus a replica index into a trace CSV, a
 metrics summary, and benchmark values; replicas
 derive independent substreams from the master seed and may run in any order
-or in parallel without changing a byte of output. A run writes into a
-staging directory next to its output directory, where each replica's worker
-writes its own trace, and publishes the files by rename only once every
-replica has returned: traces first, metrics next, the sweep manifest last.
-A failed or interrupted run publishes nothing.
+or in parallel without changing a byte of output. A run maps one task per
+replica of every variant, on one process pool or in the parent; each task
+writes its own trace into a staging directory next to the output directory,
+and the files are published by rename only once every task has returned:
+traces first, metrics next, the sweep manifest last. A failed or
+interrupted run publishes nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -371,36 +372,25 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     if setup.coverage_mode == "fill":
         summary["fill_rate"] = float(coverage[-1])
     csv_text = render_csv(trace, coverage, regret, regret_pos)
-    return {"replica": replica, "csv": csv_text, "summary": summary, "benchmark": setup.bench}
+    return {"csv": csv_text, "summary": summary, "benchmark": setup.bench}
 
 
 def _worker(args) -> dict:
     """Run one replica, write its ``trace_<replica>.csv`` into the staging
     directory, and return its outputs without the CSV text."""
     config, replica, staging_dir = args
+    if not os.path.isdir(staging_dir):  # the run has failed: a queued task starts nothing
+        return {}
     out = run_replica(config, replica)
     (Path(staging_dir) / f"trace_{replica}.csv").write_text(out.pop("csv"))
     return out
 
 
-def execute_variant(config: ExperimentConfig, stage_dir: Path, jobs: int = 1,
-                    plot: bool = False) -> dict:
-    """Run every replica of one resolved config into the staging directory
-    ``stage_dir``: each worker writes its own trace there, and
-    ``config.json``, ``metrics.json`` and the plots follow once every replica
-    has returned. :func:`execute` publishes the staged files."""
-    stage_dir = Path(stage_dir)
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(config, k, str(stage_dir)) for k in range(config.replicas)]
-    workers = min(jobs, config.replicas)  # a pool starts all its workers up front
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_worker, tasks))
-    else:
-        outputs = [_worker(t) for t in tasks]
+def _write_variant(config: ExperimentConfig, stage_dir: Path, outputs: list[dict],
+                   plot: bool) -> dict:
+    """Write one variant's ``config.json``, ``metrics.json`` and plots into
+    ``stage_dir`` from its replicas' outputs, in replica order."""
     (stage_dir / "config.json").write_text(config.to_json() + "\n")
-    summaries = [o["summary"] for o in outputs]
-    aggregate = _aggregate(summaries)
     metrics_doc = {
         "preset": config.preset,
         "variant": config.variant,
@@ -408,10 +398,8 @@ def execute_variant(config: ExperimentConfig, stage_dir: Path, jobs: int = 1,
         "T": config.T,
         "phi": config.phi,
         "benchmark": outputs[0]["benchmark"],
-        "replicas": [
-            {**o["summary"], "benchmark": o["benchmark"]} for o in outputs
-        ],
-        "aggregate": aggregate,
+        "replicas": [{**o["summary"], "benchmark": o["benchmark"]} for o in outputs],
+        "aggregate": _aggregate([o["summary"] for o in outputs]),
     }
     (stage_dir / "metrics.json").write_text(json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n")
     if plot:
@@ -441,21 +429,21 @@ def _aggregate(summaries: list[dict]) -> dict:
 _PUBLISH_LAST = {"config.json": 1, "metrics.json": 2, "manifest.json": 3}
 
 
-def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
-            plot: bool = False) -> dict:
+def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool = False) -> None:
     """Run a config (expanding sweep presets) and write all artifacts.
 
-    Every artifact is first written to a staging directory next to
-    ``out_dir``, on the same filesystem; once every variant has returned,
-    the files move into ``out_dir`` by rename, traces and plots first, then
-    each variant's ``config.json`` and ``metrics.json``, and ``manifest.json``
-    last. A run that fails or is interrupted removes the staging directory and
-    every file it had moved, so ``out_dir`` never holds a partial run of it.
+    One task per replica of every variant, in variant order, runs through
+    ``_worker``: on one pool of ``min(jobs, tasks)`` processes, or in the
+    parent when that is 1. Each task writes its trace to a staging directory
+    next to ``out_dir``, on the same filesystem; each variant's
+    ``config.json``, ``metrics.json`` and plots follow once every task has
+    returned. The files then move into ``out_dir`` by rename, traces and plots
+    first, then every ``config.json`` and ``metrics.json``, and
+    ``manifest.json`` last. A failed or interrupted run deletes the staging
+    directory before it waits for the pool, so a queued task starts nothing,
+    and every file it had moved: ``out_dir`` never holds a partial run of it.
     An ``out_dir`` or variant directory that exists and is not a directory
-    raises NotADirectoryError, and ``jobs < 1`` ValueError, before anything
-    runs. Each variant runs on at most ``jobs`` worker processes, and on no
-    more than it has replicas.
-    Returns a manifest of the metric documents, one per variant.
+    raises NotADirectoryError, and ``jobs < 1`` ValueError, before anything runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -468,7 +456,23 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
     stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))
     published = []
     try:
-        docs = [execute_variant(var, stage / var.variant, jobs=jobs, plot=plot)
+        for var in variants:
+            (stage / var.variant).mkdir(parents=True, exist_ok=True)
+        tasks = [(var, k, str(stage / var.variant)) for var in variants
+                 for k in range(var.replicas)]
+        workers = min(jobs, len(tasks))  # a pool starts all its workers up front
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                try:
+                    outputs = list(pool.map(_worker, tasks))
+                except BaseException:  # before the pool waits for its queued tasks
+                    shutil.rmtree(stage, ignore_errors=True)
+                    raise
+        else:
+            outputs = list(map(_worker, tasks))
+        replicas = iter(outputs)  # each variant's slice, in replica order
+        docs = [_write_variant(var, stage / var.variant,
+                               [next(replicas) for _ in range(var.replicas)], plot)
                 for var in variants]
         if len(variants) > 1:
             manifest = {"preset": config.preset, "variants": [v.variant for v in variants]}
@@ -478,13 +482,8 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
                 # statement is about
                 pts = [(d["T"], d["aggregate"]["regret_pos_final_mean"]) for d in docs]
                 fit = mt.sublinearity_fit(pts)
-                manifest["slope_fit"] = {
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "r2": fit.r2,
-                    "clipped": fit.clipped,
-                    "points": [{"T": t, "regret_mean": r} for t, r in pts],
-                }
+                manifest["slope_fit"] = {**asdict(fit),  # slope, intercept, r2, clipped
+                                         "points": [{"T": t, "regret_mean": r} for t, r in pts]}
             (stage / "manifest.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         staged = [p.relative_to(stage) for p in sorted(stage.rglob("*")) if p.is_file()]
@@ -499,7 +498,6 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1,
         raise
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-    return {"variants": docs}
 
 
 def benchmark_values(config: ExperimentConfig) -> dict:

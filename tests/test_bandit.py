@@ -175,6 +175,15 @@ def test_bandit_step_rejects_cost_out_of_range():
         bandit_step(state, cfg, env)
 
 
+def test_bandit_step_rejects_a_reward_out_of_range_during_the_warm_up_pass():
+    cfg = BanditConfig(n=3, c_max=1.0, phi=0.5, horizon_T=3, i_min=0, i_max=1)
+    env = _ConstantWorld(dict.fromkeys(range(3), (2.5, 0.0)))
+    state = BanditState(cfg, StepSchedule.constant(0.1))
+    with pytest.raises(FeedbackError, match=r"arm 0 returned reward 2.5 .* at step 1"):
+        bandit_step(state, cfg, env)
+    assert state.plays == [0, 0, 0] and state.mean_reward == [0.0, 0.0, 0.0]
+
+
 def test_projected_mode_clamps_dual():
     cfg = BanditConfig(n=2, c_max=1.0, phi=0.8, horizon_T=10, i_min=0, i_max=1,
                       lambda_cap=0.05, mode=PROJECTED_BASELINE)

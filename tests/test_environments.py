@@ -184,6 +184,15 @@ def test_interval_world_blocks_match_the_scalar_draws_in_any_step_order():
                 assert world.pull(t, arm) == _reference_pull(world, t, arm), (dist, t)
 
 
+def test_interval_world_with_more_lanes_than_a_block_holds_reads_one_step_blocks():
+    # Beta(70000, 1) draws 70000 lanes a step, more than one block's cells
+    world = IntervalWorld(1.0, ("beta", 70000, 1), seed=5)
+    assert world.pull(1, 1) == Observation(1.0, 1.0)
+    assert world._points.steps == 1
+    # the 70000th smallest of 70000 uniforms is their maximum
+    assert world._points[1] == max(uniform(5, _C_POINT, 1, lane) for lane in range(70000))
+
+
 def test_or_world_blocks_match_the_scalar_draws_in_any_step_order():
     world = OrWorld([0.55, 0.4, 0.28, 0.18, 0.1, 0.05, 0.9, 0.0, 1.0, 0.3], seed=77)
     chain = [3, 0, 8, 5, 1]

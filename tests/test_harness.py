@@ -277,6 +277,42 @@ def test_multi_variant_layout(tmp_path):
         assert (tmp_path / label / "metrics.json").exists()
 
 
+def test_a_sweep_variant_config_reruns_only_that_variant(tmp_path, capsys):
+    execute(preset_config("threshold-decay", seed=2, replicas=1).replace(T=400), tmp_path / "a")
+    config = tmp_path / "a" / "p-0.3" / "config.json"
+    out = tmp_path / "b"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    # no manifest and no sibling variant: the variant runs as itself
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "p-0.3", "p-0.3/config.json", "p-0.3/metrics.json", "p-0.3/trace_0.csv"]
+    for name in ("trace_0.csv", "metrics.json"):
+        assert (out / "p-0.3" / name).read_bytes() == (config.parent / name).read_bytes()
+    capsys.readouterr()
+    assert main(["oracle", "--config", str(config)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["p-0.3"]
+
+
+def test_an_edited_sweep_variant_config_runs_as_edited(tmp_path, capsys):
+    execute(preset_config("threshold-decay", seed=2, replicas=1).replace(T=400), tmp_path / "a")
+    doc = json.loads((tmp_path / "a" / "p-0.3" / "config.json").read_text())
+    doc["schedule"]["p"] = 0.9
+    config = tmp_path / "edited.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+    written = json.loads((tmp_path / "b" / "p-0.3" / "config.json").read_text())
+    assert written["schedule"]["p"] == 0.9
+    trace = (tmp_path / "b" / "p-0.3" / "trace_0.csv").read_text()
+    assert trace == run_replica(ExperimentConfig.from_dict(doc), 0)["csv"]
+    assert trace != (tmp_path / "a" / "p-0.3" / "trace_0.csv").read_text()
+
+
+@pytest.mark.parametrize("name", ["regret-scaling", "threshold-primal"])
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_preset_config_refuses_fewer_than_one_replica(name, replicas):
+    with pytest.raises(ConfigError, match="key 'replicas'"):
+        preset_config(name, replicas=replicas)
+
+
 def test_metrics_document_shape():
     out = run_replica(small_config(), 0)
     assert set(out["summary"]) >= {"replica", "coverage_final", "regret_final",
@@ -733,12 +769,15 @@ def test_failed_or_interrupted_run_leaves_no_artifacts(tmp_path, monkeypatch, fa
     cfg = preset_config("regret-scaling", seed=1, replicas=3) if sweep else small_config(replicas=3)
     stop_at = 4000 if sweep else cfg.T  # the sweep's second horizon
     runs = tmp_path / "runs"
+    started = tmp_path / "started"
+    started.mkdir()
     parent = os.getpid()
     run = runner.run_replica
 
     def failing_replica(config, replica):
         # pool workers fork, so they run this too; replica 2 starts only
         # after an earlier replica has written its trace to staging
+        (started / f"{config.T}-{replica}").touch()
         if replica == 2 and config.T == stop_at:
             assert any(runs.rglob("trace_*.csv"))
             if failure == "raise":
@@ -755,6 +794,9 @@ def test_failed_or_interrupted_run_leaves_no_artifacts(tmp_path, monkeypatch, fa
         signal.signal(signal.SIGINT, handler)
     # no trace, metrics or manifest file in OUT and no staging directory next to it
     assert list(runs.iterdir()) == []
+    # the failure stops the sweep: a replica already running or queued may
+    # still start, but none of the last two horizons does
+    assert not [p.name for p in started.iterdir() if p.name.startswith(("16000-", "32000-"))]
 
 
 def test_jobs_1_and_jobs_2_write_the_same_bytes(tmp_path, capsys):
@@ -792,15 +834,22 @@ class _RecordingPool:
         return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("jobs, size", [(1, None), (2, 2), (3, 3), (64, 3)])
-def test_pool_size_is_capped_at_the_replica_count(tmp_path, monkeypatch, jobs, size):
+@pytest.mark.parametrize("jobs, size, preset", [
+    pytest.param(1, None, None, id="1-None"), pytest.param(2, 2, None, id="2-2"),
+    pytest.param(3, 3, None, id="3-3"), pytest.param(64, 3, None, id="64-3"),
+    # a sweep's 15 replicas run on one pool, not one pool per horizon
+    pytest.param(2, 2, "regret-scaling", id="sweep-2-2"),
+])
+def test_pool_size_is_capped_at_the_replica_count(tmp_path, monkeypatch, jobs, size, preset):
+    cfg = preset_config(preset, seed=4, replicas=3) if preset else small_config(replicas=3)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
-    execute(small_config(replicas=3), tmp_path / "pooled", jobs=jobs)
+    execute(cfg, tmp_path / "pooled", jobs=jobs)
     assert _RecordingPool.sizes == ([] if size is None else [size])
     monkeypatch.undo()
-    execute(small_config(replicas=3), tmp_path / "serial", jobs=1)
-    for name in ("trace_0.csv", "trace_1.csv", "trace_2.csv", "metrics.json"):
+    execute(cfg, tmp_path / "serial", jobs=1)
+    names = ["trace_0.csv", "trace_1.csv", "trace_2.csv", "metrics.json"]
+    for name in names if preset is None else [f"T-{T}/{n}" for T in (2000, 32000) for n in names]:
         assert ((tmp_path / "pooled" / name).read_bytes()
                 == (tmp_path / "serial" / name).read_bytes())
 
