@@ -14,12 +14,7 @@ from .bandit import (
     select_arm,
 )
 from .chains import ChainConfig, ChainStats, acog_step, budget_from_theta, select_chain
-from .control import (
-    ControllerState,
-    StepSchedule,
-    aci_update,
-    telescoping_check,
-)
+from .control import ControllerState, StepSchedule, aci_update
 from .metrics import (
     MetricsReport,
     Trace,

@@ -6,19 +6,20 @@ level) moves each step by ``eta_t * (phi - Y_t)``, where ``Y_t`` in [0, 1]
 is the observed success feedback and ``phi`` is the coverage target. The
 state is never clamped here; any boundary handling belongs to the module
 that consumes the state. Keeping the update raw is what makes the coverage
-ledger identity exact: over any window driven with a constant step size,
+ledger identity exact for any schedule and any feedback: split a window of
+L steps into maximal segments that each applied one step size eta, and
 
-    mean(Y) - phi == -(state_end - state_start) / (eta * L)
+    mean(Y) - phi == -sum over segments of (state_end - state_start) / eta / L
 
-up to floating-point rounding. The driver loop keeps that ledger as two
-numbers, the window's reward sum and its step count, and
-:func:`telescoping_check` evaluates the identity from them.
+up to floating-point rounding. A constant step is one segment. The driver
+loop in :mod:`coverctl.runner` keeps that ledger; :attr:`ControllerState.eta`
+tells it where a segment ends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class InvariantViolation(RuntimeError):
@@ -67,10 +68,6 @@ class StepSchedule:
     def power(cls, c: float, p: float, index_offset: int = 0) -> "StepSchedule":
         return cls(c, p, index_offset)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.p == 0.0
-
     def eta(self, t: int) -> float:
         """Step size at update index t (1-based)."""
         if t < 1:
@@ -92,6 +89,7 @@ class ControllerState:
     phi: float
     schedule: StepSchedule
     step_index: int = 1
+    eta: float = field(init=False)  # the latest update's step size; before any, the first's
 
     def __post_init__(self):
         # every driver builds its state from its config's phi, so the configs leave phi
@@ -100,14 +98,16 @@ class ControllerState:
             raise ValueError(f"coverage target must lie strictly in (0, 1), got {self.phi}")
         if not math.isfinite(self.value):
             raise ValueError(f"initial state must be finite, got {self.value}")
+        self.eta = self.schedule.eta(self.step_index)
 
     def drift(self, amount: float) -> float:
         """Move the state by eta_t * amount and advance the step index.
 
-        Returns the step size that was applied. This is the raw primitive;
-        use :func:`aci_update` for the standard (phi - reward) form.
+        Returns the step size that was applied, which ``eta`` records too.
+        This is the raw primitive; use :func:`aci_update` for the standard
+        (phi - reward) form.
         """
-        eta = self.schedule.eta(self.step_index)
+        eta = self.eta = self.schedule.eta(self.step_index)
         self.value += eta * amount
         self.step_index += 1
         return eta
@@ -125,23 +125,3 @@ def aci_update(state: ControllerState, reward: float) -> ControllerState:
     state.drift(state.phi - reward)
     return state
 
-
-def telescoping_check(state: ControllerState, state_start: float, reward_sum: float,
-                      steps: int) -> float:
-    """Residual of the exact coverage identity over a window of ``steps``
-    updates whose rewards sum to ``reward_sum`` and that moved ``state`` from
-    ``state_start`` to its current value.
-
-    Returns ((reward_sum / L) - phi) + (state_end - state_start) / (eta * L).
-    For any window driven exclusively by :func:`aci_update` with a constant
-    step size the residual is zero up to accumulated floating rounding
-    (<= 1e-9 for windows up to 1e6 steps with states of magnitude <= 100).
-    Decaying schedules are rejected: the identity is only stated for a
-    constant step.
-    """
-    if not state.schedule.is_constant:
-        raise ValueError("telescoping identity requires a constant step size")
-    if steps < 1:
-        raise ValueError("ledger window is empty")
-    drift_term = (state.value - state_start) / (state.schedule.eta(1) * steps)
-    return (reward_sum / steps - state.phi) + drift_term

@@ -235,7 +235,9 @@ class ScoreWorld:
     Each step hides a cutoff tau_x uniform on [0, 1]; the submitted
     threshold succeeds iff it reaches the cutoff (success at equality), so
     for fixed context the outcome is a single-jump non-decreasing step
-    function of the threshold. The cost is the submitted threshold.
+    function of the threshold. The cost is the submitted threshold. The
+    expected reward is r(tau) = tau, so the reward margin constant is 1 and
+    the cost Lipschitz constant is 1.
     """
 
     tau_min = 0.0
@@ -253,13 +255,7 @@ class ScoreWorld:
         return min(max(tau, self.tau_min), self.tau_max)
 
 
-def uniform_score_world(seed: int) -> ScoreWorld:
-    """Cutoffs uniform on [0, 1], cost equal to the submitted threshold.
-
-    Expected reward r(tau) = tau, so the reward margin constant is 1 and the
-    cost Lipschitz constant is 1.
-    """
-    return ScoreWorld(seed)
+uniform_score_world = ScoreWorld  # the name acceptance criterion 10 builds its worlds by
 
 
 def _poisson_law(lam: float, n: int) -> tuple[list[float], list[float]]:

@@ -95,6 +95,10 @@ def _grid_step(d):  # oracles.grid_cells's test that d divides 1, as a yes or no
 
 
 _UNIT, _COST, _SHAPE = "number [0, 1]", "number [0, inf)", "integer [1, inf)"
+# a variant label names a directory under OUT, and a preset name one under runs/
+# when no OUT is given
+_LABEL = _also("string", lambda s: not {"/", "\\", "\0"} & set(s) and s not in (".", ".."),
+               "expected one plain path component")
 _COST_RANGE = _also([_COST, _COST], lambda c: c[0] <= c[1], "expected lo <= hi")
 
 # environment kind -> {key: spec}
@@ -140,8 +144,8 @@ _FIELDS = {
     "phi": "number (0, 1)",
     "replicas": "integer [1, inf)",
     "seed": "integer",
-    "preset": "string",
-    "variant": "string",
+    "preset": _LABEL,
+    "variant": _LABEL,
     "output_dir": "string or null",
     "schedule": {"kind": ("constant", "power"), "c": "number (0, inf)",
                  "p?": "number [0, 1)", "index_offset?": "integer [0, inf)"},

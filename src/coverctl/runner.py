@@ -36,7 +36,7 @@ from . import metrics as mt
 from . import oracles
 from .bandit import BOUNDARY_RULE, PROJECTED_BASELINE, BanditConfig, BanditState, bandit_step
 from .chains import POSITION_KEYED, PREFIX_KEYED, ChainConfig, ChainStats, acog_step
-from .control import ControllerState, InvariantViolation, StepSchedule, telescoping_check
+from .control import ControllerState, InvariantViolation, StepSchedule
 from .presets import WORLDS, ExperimentConfig, expand_variants
 from .rng import replica_seed
 from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
@@ -61,28 +61,39 @@ class SimulationResult:
 
 
 def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
-           keep_trace: bool, columns: tuple[str, ...], window_start: int = 1,
-           exact: bool = True) -> SimulationResult:
+           keep_trace: bool, columns: tuple[str, ...], window_start: int = 1) -> SimulationResult:
     """The per-step loop behind every driver: call ``step()`` T times.
 
     Each call returns a row ``(action, reward, cost, state, *columns)``; with
     ``keep_trace`` the rows become the result's trace, transposed once. From
-    step ``window_start`` on, each reward feeds the ledger's reward sum and the
-    decision-time state must lie in ``band``, as must the final ``state``; an
-    escape raises InvariantViolation, under ``python -O`` too. ``info`` holds
-    the window coverage and, for a constant step where the ledger identity is
-    ``exact``, its residual.
+    step ``window_start`` on, the decision-time state must lie in ``band``, as
+    must the final ``state`` (else InvariantViolation, under ``python -O``
+    too), and the steps feed the coverage ledger: Y served over L asked (the
+    reward sum over the step count, or the sums of the ``y`` and ``a``
+    columns), and D, the sum of (state_end - state_start) / eta over each
+    maximal segment of steps that applied one ``state.eta``. For any schedule
+    and feedback, the unprojected update makes the ``ledger_residual`` Y/L -
+    phi + D/L vanish up to rounding. ``info`` holds it, the ``coverage`` Y/L
+    and the a-priori ``coverage_bound`` (hi - lo) / (eta_T * L) on |Y/L - phi|
+    that Abel summation gives a non-increasing schedule (inf for an open band).
     """
     lo, hi = band
-    start = state.value
-    reward_sum = 0.0
+    y_at, a_at = (4 + columns.index("y"), 4 + columns.index("a")) if "a" in columns else (1, None)
+    seg_start, eta = state.value, state.eta
+    closed = 0.0  # the closed segments' sum of (state_end - state_start) / eta
+    served = asked = 0.0
     rows = []
     for t in range(1, T + 1):
         row = step()
         if t >= window_start:
-            reward_sum += row[1]
+            served += row[y_at]
+            if a_at:
+                asked += row[a_at]
             if not lo <= row[3] <= hi:
                 raise InvariantViolation(t, row[3], band)
+            if state.eta != eta:  # this step opened a segment at its decision-time state
+                closed += (row[3] - seg_start) / eta
+                seg_start, eta = row[3], state.eta
         if keep_trace:
             rows.append(row)
     info = {}
@@ -90,9 +101,11 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
     if steps > 0:
         if not lo <= state.value <= hi:
             raise InvariantViolation(T + 1, state.value, band)
-        info["coverage"] = reward_sum / steps
-        if exact and state.schedule.is_constant:
-            info["ledger_residual"] = telescoping_check(state, start, reward_sum, steps)
+        total = asked if a_at else steps
+        coverage = info["coverage"] = served / total
+        info["ledger_residual"] = (coverage - state.phi) + (
+            closed / total + (state.value - seg_start) / (eta * total))
+        info["coverage_bound"] = (hi - lo) / (eta * total)
     return SimulationResult(mt.Trace.from_rows(rows, columns), state.value, info)
 
 
@@ -110,7 +123,7 @@ def drive_bandit(cfg: BanditConfig, schedule: StepSchedule, env, T: int,
     boundary = cfg.mode == BOUNDARY_RULE
     band = (-eta_max - _TOL, cfg.lambda_cap + eta_max + _TOL) if boundary else (-math.inf, math.inf)
     sim = _drive(lambda: bandit_step(state, cfg, env), state.dual, T, band, keep_trace,
-                 ("boundary",), window_start=cfg.n + 1, exact=boundary)
+                 ("boundary",), window_start=cfg.n + 1)
     if sim.info:
         sim.info["window_coverage"] = sim.info.pop("coverage")
         sim.info["window_len"] = T - cfg.n
@@ -127,11 +140,16 @@ def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True) 
 
 def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
                      keep_trace: bool = True, q_init: float = 0.0) -> SimulationResult:
-    """Run the inventory controller for T periods; the level never goes negative."""
+    """Run the inventory controller for T periods; the level never goes negative.
+
+    Nor above max(q_init, D + eta_max * phi * D): above D the update is
+    -eta * (1 - phi) * a, and at or below D it rises by at most eta * phi * D.
+    """
     state = ControllerState(value=q_init, phi=cfg.phi, schedule=cfg.schedule)
+    D = cfg.demand_cap
+    band = (-1e-9, max(q_init, D + cfg.schedule.max_eta() * cfg.phi * D) + _TOL)
     return _drive(lambda: newsvendor_step(state, cfg, demand_stream.draw(state.step_index)),
-                  state, T, (-1e-9, math.inf), keep_trace,
-                  ("a", "leftover", "y"), exact=False)
+                  state, T, band, keep_trace, ("a", "leftover", "y"))
 
 
 def drive_acog(cfg: ChainConfig, schedule: StepSchedule, env, T: int,
@@ -257,7 +275,7 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
 
 
 def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
-    world = envs.uniform_score_world(seed)
+    world = envs.ScoreWorld(seed)
     tau_star, c_star = oracles.threshold_benchmark(
         world.expected_reward, lambda tau: tau, config.phi,
         world.tau_min, world.tau_max,
@@ -369,6 +387,10 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     for key in ("ledger_residual", "window_coverage", "window_len"):
         if key in sim.info:
             summary[key] = sim.info[key]
+    # metrics.json keeps the residual of a constant step only, and neither for the
+    # projected baseline, whose clamp breaks the identity, nor for the inventory controller
+    if config.step_schedule.p or config.algorithm in ("pd_bandit_projected", "newsvendor"):
+        summary.pop("ledger_residual", None)
     if setup.coverage_mode == "fill":
         summary["fill_rate"] = float(coverage[-1])
     csv_text = render_csv(trace, coverage, regret, regret_pos)

@@ -14,7 +14,7 @@ from coverctl.bandit import (
     bandit_step,
     select_arm,
 )
-from coverctl.control import StepSchedule, telescoping_check
+from coverctl.control import StepSchedule
 from coverctl.environments import TrapWorld
 from coverctl.runner import drive_bandit
 
@@ -216,18 +216,18 @@ def test_boundary_plays_update_stats():
 
 def test_coverage_identity_on_trap_run():
     cfg = BanditConfig(n=3, c_max=1.0, phi=0.5, horizon_T=5000, i_min=2, i_max=0)
-    env = TrapWorld((2000, 3200))
-    state = BanditState(cfg, StepSchedule.constant(0.02))
+    sim = drive_bandit(cfg, StepSchedule.constant(0.02), TrapWorld((2000, 3200)), 5000)
     # the ledger window starts once the warm-up pass (and with it the
-    # controlled dual) begins: only steps t > n are recorded below
-    reward_sum = 0.0
+    # controlled dual) begins: only steps t > n count
     eta_max = 0.02
-    for t in range(1, 5001):
-        _, reward, _, dual, _ = bandit_step(state, cfg, env)
-        if t > cfg.n:
-            reward_sum += reward
-            assert -eta_max - 1e-12 <= dual <= cfg.lambda_cap + eta_max + 1e-12
-    assert abs(telescoping_check(state.dual, 0.0, reward_sum, 5000 - cfg.n)) <= 1e-9
+    window = sim.trace.state[cfg.n:]
+    assert (-eta_max - 1e-12 <= window).all() and (window <= cfg.lambda_cap + eta_max + 1e-12).all()
+    assert sim.info["window_coverage"] == sum(sim.trace.reward[cfg.n:].tolist()) / (5000 - cfg.n)
+    assert sim.info["window_len"] == 5000 - cfg.n
+    assert abs(sim.info["ledger_residual"]) <= 1e-9
+    # the same identity read off the trace: the dual starts the window at 0
+    reference = (sim.info["window_coverage"] - cfg.phi) + sim.final_state / (eta_max * 4997)
+    assert abs(reference) <= 1e-9
 
 
 def test_ucb_concentration_on_bernoulli_draws():
@@ -259,12 +259,18 @@ class _ScriptedTrap:
         return (1.0, 1.0) if arm == 0 else (0.0, 0.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(phi=st.floats(0.01, 0.99), eta=st.floats(1e-3, 0.5),
+# constant steps, and t^-p steps with p in (0, 1) and an index offset
+SCHEDULES = st.builds(StepSchedule, st.floats(1e-3, 0.5),
+                      st.one_of(st.just(0.0), st.floats(0.01, 0.99)), st.integers(0, 100))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phi=st.floats(0.01, 0.99), schedule=SCHEDULES,
        script=st.lists(st.booleans(), min_size=1, max_size=64))
-def test_ledger_and_band_hold_for_any_reward_script(phi, eta, script):
+def test_ledger_and_band_hold_for_any_reward_script(phi, schedule, script):
     cfg = BanditConfig(n=3, c_max=1.0, phi=phi, horizon_T=300, i_min=2, i_max=0)
-    sim = drive_bandit(cfg, StepSchedule.constant(eta), _ScriptedTrap(script), 300,
-                       keep_trace=False)
+    sim = drive_bandit(cfg, schedule, _ScriptedTrap(script), 300, keep_trace=False)
+    eta = schedule.max_eta()
     assert abs(sim.info["ledger_residual"]) <= 1e-9
     assert -eta <= sim.final_state <= cfg.lambda_cap + eta
+    assert abs(sim.info["window_coverage"] - phi) <= sim.info["coverage_bound"]

@@ -11,13 +11,27 @@ from coverctl.control import (
     InvariantViolation,
     StepSchedule,
     aci_update,
-    telescoping_check,
 )
+from coverctl.runner import _drive
 
 
 def make_state(value, phi, eta, step_index=1):
     return ControllerState(value=value, phi=phi, schedule=StepSchedule.constant(eta),
                            step_index=step_index)
+
+
+def ledger(s, rewards):
+    """Apply ``aci_update`` once per reward through the driver loop, from the
+    state's current value, and return the loop's ledger ``info``."""
+    rewards = list(rewards)
+    feed = iter(rewards)
+
+    def step():
+        raw, y = s.value, next(feed)
+        aci_update(s, y)
+        return raw, y, 0.0, raw
+
+    return _drive(step, s, len(rewards), (-math.inf, math.inf), False, ()).info
 
 
 def test_update_moves_against_success():
@@ -74,7 +88,9 @@ def test_eta_is_one_formula(c, p, offset, t, later):
     sched = StepSchedule(c, p, offset)
     expected = c if p == 0.0 else c * float(t + offset) ** -p
     assert sched.eta(t).hex() == expected.hex()
-    assert sched.is_constant == (p == 0.0)
+    # a state records the step size its next update applies, then the applied one
+    state = ControllerState(0.0, 0.5, sched, step_index=t)
+    assert state.eta == sched.eta(t) == state.drift(0.0) == state.eta
     assert 0.0 < sched.eta(t + later) <= sched.eta(t) <= sched.max_eta() == sched.eta(1)
 
 
@@ -88,39 +104,50 @@ def test_phi_strictly_interior():
 def test_telescoping_three_step_example():
     # Y = (1, 0, 1), phi = 0.5, eta = 0.2: state walks 0 -> -0.1 -> 0 -> -0.1
     s = make_state(0.0, 0.5, 0.2)
-    for y in (1.0, 0.0, 1.0):
-        aci_update(s, y)
+    info = ledger(s, (1.0, 0.0, 1.0))
     assert s.value == pytest.approx(-0.1, abs=1e-15)
-    assert telescoping_check(s, 0.0, 2.0, 3) == pytest.approx(0.0, abs=1e-12)
+    assert info["coverage"] == 2.0 / 3.0
+    assert info["ledger_residual"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_telescoping_zero_drift_with_fractional_rewards():
     s = make_state(0.3, 0.6, 0.05)
-    reward_sum = 0.0
-    for _ in range(50):
-        aci_update(s, 0.6)  # reward equals the target: exactly no motion
-        reward_sum += 0.6
+    info = ledger(s, [0.6] * 50)  # reward equals the target: exactly no motion
     assert s.value == 0.3
-    assert telescoping_check(s, 0.3, reward_sum, 50) == pytest.approx(0.0, abs=1e-12)
+    assert info["ledger_residual"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_telescoping_constant_failure_stream():
     s = make_state(0.0, 0.8, 0.1)
-    for _ in range(10):
-        aci_update(s, 1.0)
+    info = ledger(s, [1.0] * 10)
     assert s.value == pytest.approx(-0.2, abs=1e-12)
-    assert telescoping_check(s, 0.0, 10.0, 10) == pytest.approx(0.0, abs=1e-12)
+    assert info["ledger_residual"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_telescoping_rejects_decaying_schedule():
-    s = ControllerState(0.0, 0.5, StepSchedule.power(1.0, 0.5))
-    with pytest.raises(ValueError):
-        telescoping_check(s, 0.0, 1.0, 1)
+def test_telescoping_holds_for_a_decaying_schedule():
+    # the driver sums (state_end - state_start) / eta over each run of equal
+    # step sizes; p = 1e-16 makes runs of 1, 4, 11, 32, ... steps
+    rng = random.Random(7)
+    rewards = [float(rng.random() < 0.7) for _ in range(3000)]
+    for schedule in (StepSchedule.power(1.0, 0.5), StepSchedule.power(5.0, 0.5, index_offset=1),
+                     StepSchedule.power(1.0, 1e-16)):
+        s = ControllerState(0.0, 0.5, schedule)
+        states = [s.value]
+        for y in rewards:
+            aci_update(s, y)
+            states.append(s.value)
+        drift = sum((b - a) / schedule.eta(t)
+                    for t, (a, b) in enumerate(zip(states, states[1:]), start=1))
+        info = ledger(ControllerState(0.0, 0.5, schedule), rewards)
+        assert info["ledger_residual"] == pytest.approx(0.0, abs=1e-12)
+        assert info["ledger_residual"] == pytest.approx(
+            sum(rewards) / 3000 - 0.5 + drift / 3000, abs=1e-12)
+        if schedule.p == 0.5:  # one constant-step segment would miss the decay
+            assert abs(sum(rewards) / 3000 - 0.5 + s.value / schedule.eta(3000) / 3000) > 1e-3
 
 
-def test_telescoping_rejects_empty_window():
-    with pytest.raises(ValueError):
-        telescoping_check(make_state(0.0, 0.5, 0.1), 0.0, 0.0, 0)
+def test_telescoping_empty_window_has_no_ledger():
+    assert ledger(make_state(0.0, 0.5, 0.1), []) == {}
 
 
 def test_telescoping_residual_small_on_long_random_runs():
@@ -129,12 +156,9 @@ def test_telescoping_residual_small_on_long_random_runs():
         eta = rng.choice([0.01, 0.1, 1.0])
         phi = rng.uniform(0.1, 0.9)
         s = make_state(rng.uniform(-50, 50), phi, eta)
-        start, reward_sum = s.value, 0.0
-        for _ in range(100_000):
-            y = rng.random() if rng.random() < 0.3 else float(rng.random() < phi)
-            aci_update(s, y)
-            reward_sum += y
-        assert abs(telescoping_check(s, start, reward_sum, 100_000)) <= 1e-9
+        rewards = [rng.random() if rng.random() < 0.3 else float(rng.random() < phi)
+                   for _ in range(100_000)]
+        assert abs(ledger(s, rewards)["ledger_residual"]) <= 1e-9
 
 
 def test_update_symmetry_around_target():
@@ -169,10 +193,7 @@ def test_ledger_window_started_mid_run():
     s = make_state(0.0, 0.5, 0.1)
     for y in (1.0, 1.0, 0.0):
         aci_update(s, y)
-    start = s.value
-    for y in (0.0, 1.0):
-        aci_update(s, y)
-    assert telescoping_check(s, start, 1.0, 2) == pytest.approx(0.0, abs=1e-12)
+    assert ledger(s, (0.0, 1.0))["ledger_residual"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_schedule_round_trip():

@@ -16,7 +16,6 @@ from coverctl.environments import (
     _C_DEMAND,
     _C_POINT,
     draw_or_probabilities,
-    uniform_score_world,
 )
 from coverctl.oracles import newsvendor_benchmark
 from coverctl.rng import uniform
@@ -217,7 +216,7 @@ def test_trap_world_schedule():
 
 
 def test_score_world_boundaries_and_rate():
-    world = uniform_score_world(21)
+    world = ScoreWorld(21)
     n = 50_000
     assert all(world.evaluate(t, 1.0).reward == 1.0 for t in range(1, 500))
     assert sum(world.evaluate(t, 0.0).reward for t in range(1, 5000)) == 0.0
@@ -227,7 +226,7 @@ def test_score_world_boundaries_and_rate():
 
 
 def test_score_world_monotone_step_in_threshold():
-    world = uniform_score_world(33)
+    world = ScoreWorld(33)
     for t in range(1, 200):
         outcomes = [world.evaluate(t, tau).reward for tau in np.linspace(0, 1, 21)]
         assert outcomes == sorted(outcomes)  # single upward jump

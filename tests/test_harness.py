@@ -32,6 +32,7 @@ from coverctl.runner import (benchmark_values, drive_acog, drive_bandit, drive_n
                              drive_threshold, execute, render_csv, run_replica)
 from coverctl.threshold import NewsvendorConfig, ThresholdConfig
 from coverctl.metrics import Trace, coverage_series, regret_series
+from coverctl.rng import replica_seed
 
 EXPECTED_PRESETS = {
     "interval-beta",
@@ -442,28 +443,28 @@ def test_every_valid_algorithm_has_a_setup():
     assert set(ALGORITHMS) == set(runner._SETUPS)
 
 
-def _drive_bandit(keep_trace):
+def _drive_bandit(keep_trace, schedule):
     world = envs.TrapWorld((100, 250))
     cfg = BanditConfig(n=world.n, c_max=world.c_max, phi=0.5, horizon_T=400,
                        i_min=world.i_min, i_max=world.i_max)
-    return drive_bandit(cfg, StepSchedule.constant(0.05), world, 400, keep_trace=keep_trace)
+    return drive_bandit(cfg, schedule, world, 400, keep_trace=keep_trace)
 
 
-def _drive_threshold(keep_trace):
-    world = envs.uniform_score_world(3)
-    cfg = ThresholdConfig(world.tau_min, world.tau_max, 0.8, StepSchedule.constant(0.05))
+def _drive_threshold(keep_trace, schedule):
+    world = envs.ScoreWorld(3)
+    cfg = ThresholdConfig(world.tau_min, world.tau_max, 0.8, schedule)
     return drive_threshold(cfg, world, 400, keep_trace=keep_trace)
 
 
-def _drive_newsvendor(keep_trace):
-    cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.power(5.0, 0.5, index_offset=1))
+def _drive_newsvendor(keep_trace, schedule):
+    cfg = NewsvendorConfig(100.0, 0.9, schedule)
     return drive_newsvendor(cfg, envs.PoissonDemand(20.0, 50.0, 200, 100.0, seed=3), 400,
                             keep_trace=keep_trace, q_init=20.0)
 
 
-def _drive_chain(keep_trace):
+def _drive_chain(keep_trace, schedule):
     cfg = ChainConfig(n=3, phi=0.7, horizon_T=400)
-    return drive_acog(cfg, StepSchedule.constant(0.1), envs.OrWorld([0.6, 0.5, 0.4], 3), 400,
+    return drive_acog(cfg, schedule, envs.OrWorld([0.6, 0.5, 0.4], 3), 400,
                       keep_trace=keep_trace)
 
 
@@ -471,18 +472,51 @@ def _drive_chain(keep_trace):
                                    _drive_chain], ids=["bandit", "threshold", "newsvendor",
                                                        "chain"])
 def test_keep_trace_does_not_change_the_result(drive):
-    kept, bare = drive(True), drive(False)
-    # the ledger lives in the driver loop, not in the trace: same final
-    # state, residual and window coverage bit for bit (repr round-trips)
-    assert repr(kept.final_state) == repr(bare.final_state)
-    assert repr(kept.info) == repr(bare.info) and "coverage" in repr(bare.info)
-    assert len(bare.trace) == 0 and bare.records == []
-    rows = kept.records
-    assert [r.t for r in rows] == list(range(1, 401))
-    if drive is _drive_chain:
-        assert "ledger_residual" in bare.info
-        assert all(r.k == budget_from_theta(r.state, 3) == len(r.action) for r in rows)
-        assert 0 < max(r.k for r in rows)
+    for schedule in (StepSchedule.constant(0.05), StepSchedule.constant(0.1),
+                     StepSchedule.power(5.0, 0.5, index_offset=1)):
+        kept, bare = drive(True, schedule), drive(False, schedule)
+        # the ledger lives in the driver loop, not in the trace: same final
+        # state, residual, coverage and bound bit for bit (repr round-trips)
+        assert repr(kept.final_state) == repr(bare.final_state)
+        assert repr(kept.info) == repr(bare.info) and "coverage" in repr(bare.info)
+        assert abs(bare.info["ledger_residual"]) <= 1e-9 and bare.info["coverage_bound"] > 0.0
+        assert len(bare.trace) == 0 and bare.records == []
+        rows = kept.records
+        assert [r.t for r in rows] == list(range(1, 401))
+        if drive is _drive_chain:
+            assert all(r.k == budget_from_theta(r.state, 3) == len(r.action) for r in rows)
+            assert 0 < max(r.k for r in rows)
+
+
+def _ledgers(name, replicas=1):
+    """Each variant of a preset and the ``info`` of its drives, replicas 0.."""
+    return [(var, [runner._SETUPS[var.algorithm](var, replica_seed(var.seed, k)).drive().info
+                   for k in range(replicas)])
+            for var in expand_variants(preset_config(name))]
+
+
+def test_decaying_and_inventory_presets_keep_the_ledger_and_their_bound():
+    # the decaying-step settings: every threshold-decay variant at its full
+    # T = 50000, and 20 newsvendor-shift replicas, whose fill rate is the coverage
+    for var, infos in _ledgers("threshold-decay") + _ledgers("newsvendor-shift", 20):
+        assert var.schedule["kind"] == "power"
+        for info in infos:
+            assert abs(info["ledger_residual"]) <= 1e-9, var.variant
+            assert abs(info["coverage"] - var.phi) <= info["coverage_bound"] < math.inf
+
+
+def test_the_projected_baseline_breaks_the_ledger():
+    [(_, [boundary]), (_, [projected])] = _ledgers("adversarial-shift")
+    assert abs(boundary["ledger_residual"]) <= 1e-9
+    assert abs(projected["ledger_residual"]) > 1e-6 and projected["coverage_bound"] == math.inf
+
+
+@pytest.mark.parametrize("name", ["threshold-decay", "newsvendor-shift", "adversarial-shift"])
+def test_metrics_json_holds_a_residual_for_a_constant_unprojected_aci_step_only(name):
+    for var in expand_variants(preset_config(name)):
+        summary = run_replica(var.replace(T=200), 0)["summary"]
+        assert ("ledger_residual" in summary) == (var.variant == "boundary"), var.variant
+        assert "coverage_bound" not in summary and "coverage" not in summary
 
 
 @pytest.mark.parametrize("algorithm,environment", [
@@ -512,6 +546,9 @@ _OR_FIXED = {"algorithm": "acog_position", "environment": {"kind": "or_fixed", "
 _POISSON = {"algorithm": "newsvendor", "environment": {
     "kind": "poisson_demand", "before": 20.0, "after": 50.0, "shift_t": 50, "cap": 100.0}}
 _SCORES = {"algorithm": "primal_threshold", "environment": {"kind": "score_uniform"}}
+# labels that are not one plain path component: each would name a directory
+# outside OUT, or OUT itself, or no directory at all
+_BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
@@ -547,6 +584,8 @@ _SCORES = {"algorithm": "primal_threshold", "environment": {"kind": "score_unifo
     ({"preset": {"name": "interval-beta"}}, "preset"),
     ({"variant": ["a"]}, "variant"),
     ({"variant": {"label": "a"}}, "variant"),
+    *(({"variant": label}, "variant") for label in _BAD_LABELS),
+    *(({"preset": label}, "preset") for label in _BAD_LABELS),
     ({"algorithm": "primal_threshold"}, "environment.kind"),
     ({"environment": {"kind": {"name": "interval"}}}, "environment.kind"),
     ({"schedule": {"kind": "x", "c": 0.1}}, "schedule.kind"),
@@ -606,6 +645,8 @@ _SCORES = {"algorithm": "primal_threshold", "environment": {"kind": "score_unifo
         "list-params", "string-initial-level", "string-carryover", "short-window",
         "short-spec", "long-cost", "short-beta-points", "long-uniform-points",
         "unknown-point-law", "list-preset", "dict-preset", "list-variant", "dict-variant",
+        *(f"{key}-{name}" for key in ("variant", "preset") for name in (
+            "parent", "nested", "backslash", "dot", "dot-dot", "absolute", "nul")),
         "mismatched-kind", "dict-kind", "unknown-schedule-kind", "negative-step",
         "decay-exponent-one-or-more", "negative-index-offset", "list-output-dir",
         "unknown-param", "misspelt-lambda-cap", "bandit-param-on-newsvendor",
@@ -635,7 +676,7 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, over
 # mutations for the fuzz test: wrong JSON types, non-finite numbers, zero,
 # negatives and fractions; a list may also lose or repeat its last entry
 _FUZZ_VALUES = ("x", None, True, [], {}, [0.5], {"a": 1}, math.nan, math.inf, -math.inf,
-                0, 0.0, -1, -2.5, 0.5, 1.5)
+                0, 0.0, -1, -2.5, 0.5, 1.5, *_BAD_LABELS)
 _FUZZ_DOCS = [preset_config(name).to_dict() for name in sorted(EXPECTED_PRESETS)] + [
     {**_DOC, **_OR_FIXED}, {**_DOC, **_POISSON}]
 
@@ -669,6 +710,26 @@ def test_fuzzed_config_exits_0_2_3_or_4(tmp_path, capsys, data):
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4) and "Traceback" not in err
     assert code != 2 or "key '" in err, err
+
+
+@pytest.mark.parametrize("key,out", [("variant", ["--out", "runs/out"]), ("preset", [])])
+def test_a_label_that_leaves_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                            key, out):
+    # without --out, a run writes to runs/<preset>
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**_DOC, key: "../escaped"}))
+    assert main(["run", "--config", "cfg.json", *out]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+
+def test_every_preset_label_passes_the_label_rule():
+    # expanding a preset builds each variant's config, which checks its label;
+    # the empty label of a preset without variants stays legal
+    labels = {var.variant for name in EXPECTED_PRESETS
+              for var in expand_variants(preset_config(name))}
+    assert {"", "eta-0.01", "p-0.3", "T-2000", "boundary", "projected"} <= labels
 
 
 def _count_replicas(monkeypatch) -> list:

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverctl
+from coverctl import runner
 from coverctl.control import ControllerState, InvariantViolation, StepSchedule
-from coverctl.environments import PoissonDemand, uniform_score_world
+from coverctl.environments import PoissonDemand, ScoreWorld
 from coverctl.metrics import coverage_series
 from coverctl.runner import drive_newsvendor, drive_threshold
 from coverctl.threshold import (
@@ -74,7 +75,7 @@ def test_threshold_rejects_non_binary_feedback():
 
 def test_threshold_coverage_identity_and_bounds():
     cfg = ThresholdConfig(0.0, 1.0, 0.7, StepSchedule.constant(0.05))
-    env = uniform_score_world(99)
+    env = ScoreWorld(99)
     sim = drive_threshold(cfg, env, 4000)
     assert abs(sim.info["ledger_residual"]) <= 1e-9
     assert -0.05 - 1e-12 <= sim.trace.state.min() <= sim.trace.state.max() <= 1.05 + 1e-12
@@ -89,17 +90,39 @@ def test_threshold_adversarial_cutoffs_stay_bounded():
     assert len(sim.trace) == 20000
 
 
-@settings(max_examples=200, deadline=None)
-@given(phi=st.floats(0.01, 0.99), eta=st.floats(1e-3, 0.5),
+def _schedules(c_max):
+    """Constant steps, and t^-p steps with p in (0, 1) and an index offset."""
+    return st.builds(StepSchedule, st.floats(1e-3, c_max),
+                     st.one_of(st.just(0.0), st.floats(0.01, 0.99)), st.integers(0, 100))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phi=st.floats(0.01, 0.99), schedule=_schedules(0.5),
        script=st.lists(st.booleans(), min_size=1, max_size=64))
-def test_ledger_and_band_hold_for_any_reward_script(phi, eta, script):
+def test_ledger_and_band_hold_for_any_reward_script(phi, schedule, script):
     # bit 1: a cutoff every threshold above the floor reaches; bit 0: one only
     # the ceiling reaches. Away from the clamps the reward is the scripted bit.
     cutoffs = [1e-9 if bit else 1.0 for bit in script]
-    cfg = ThresholdConfig(0.0, 1.0, phi, StepSchedule.constant(eta))
+    cfg = ThresholdConfig(0.0, 1.0, phi, schedule)
     sim = drive_threshold(cfg, _ScriptedScores(cutoffs), 500, keep_trace=False)
+    eta = schedule.max_eta()
     assert abs(sim.info["ledger_residual"]) <= 1e-9
     assert cfg.tau_min - eta <= sim.final_state <= cfg.tau_max + eta
+    assert abs(sim.info["coverage"] - phi) <= sim.info["coverage_bound"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phi=st.floats(0.01, 0.99), schedule=_schedules(1.0), q_init=st.floats(0.0, 40.0),
+       demands=st.lists(st.floats(1.0, 40.0), min_size=1, max_size=64))
+def test_inventory_ledger_and_band_hold_for_any_demand_script(phi, schedule, q_init, demands):
+    # steps up to 1 keep the level at or above 0 for any demand in [1, D]
+    cfg = NewsvendorConfig(40.0, phi, schedule)
+    sim = drive_newsvendor(cfg, _ScriptedDemand(demands * 300), 300, q_init=q_init)
+    assert abs(sim.info["ledger_residual"]) <= 1e-9
+    assert -1e-9 <= sim.final_state <= max(q_init, 40.0 * (1.0 + schedule.max_eta() * phi))
+    # the ledger's coverage is the fill rate, served over asked totals
+    assert sim.info["coverage"] == coverage_series(sim.trace, "fill")[-1]
+    assert abs(sim.info["coverage"] - phi) <= sim.info["coverage_bound"]
 
 
 def test_newsvendor_step_served_and_update():
@@ -142,7 +165,7 @@ def test_drivers_refuse_phi_outside_the_open_unit_interval(phi):
     # the configs hold phi unchecked; the controller state the driver builds checks it
     schedule = StepSchedule.constant(0.1)
     with pytest.raises(ValueError, match="coverage target"):
-        drive_threshold(ThresholdConfig(0.0, 1.0, phi, schedule), uniform_score_world(1), 5)
+        drive_threshold(ThresholdConfig(0.0, 1.0, phi, schedule), ScoreWorld(1), 5)
     with pytest.raises(ValueError, match="coverage target"):
         drive_newsvendor(NewsvendorConfig(50.0, phi, schedule), _ScriptedDemand([10.0] * 5), 5)
 
@@ -210,6 +233,27 @@ def test_fill_rate_rejects_empty_trace():
     cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
     with pytest.raises(ValueError):
         coverage_series(drive_newsvendor(cfg, _ScriptedDemand([]), 0).trace, "fill")
+
+
+def test_inventory_level_escaping_its_upper_band_raises():
+    # a step that leaves the level past max(q_init, D + eta_max * phi * D) is
+    # caught at the next decision, which names its step
+    cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
+    step = runner.newsvendor_step
+
+    def pushed(q, cfg, demand):
+        row = step(q, cfg, demand)
+        if q.step_index == 8:  # the update of step 7
+            q.value = 50.0 * (1.0 + 0.5 * 0.9) + 1e-6
+        return row
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "newsvendor_step", pushed)
+        with pytest.raises(InvariantViolation, match="at step 8$") as err:
+            drive_newsvendor(cfg, _ScriptedDemand([10.0] * 20), 20, q_init=20.0)
+    assert err.value.step == 8 and err.value.band[1] == pytest.approx(72.5)
+    # the same run stays inside without the push
+    assert drive_newsvendor(cfg, _ScriptedDemand([10.0] * 20), 20, q_init=20.0).final_state < 72.5
 
 
 _OVERSHOOT = """
