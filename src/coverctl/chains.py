@@ -141,11 +141,11 @@ def select_chain(stats: ChainStats, budget: int) -> list[int]:
 
 
 def budget_from_theta(theta: float, n: int) -> int:
-    """Discrete budget ceil(theta) clipped to [0, n]. ``runner.drive_acog``
-    bounds theta below by -eta_max * (1 - phi) only, so a large step can take
-    it below -1, and above by nothing; every theta <= 0 probes the empty
-    chain."""
-    return max(0, min(n, math.ceil(theta)))
+    """Discrete budget ceil(theta) clipped to [0, n], for any theta but NaN.
+    ``runner.drive_acog`` bounds theta below by -eta_max * (1 - phi), which a
+    large step takes below -1, and above by no finite number: a theta that
+    overflows to inf probes n arms before the driver loop refuses it."""
+    return math.ceil(max(min(theta, n), 0))
 
 
 @dataclass(frozen=True)

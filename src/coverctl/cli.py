@@ -93,7 +93,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "oracle":
             cfg = _resolve_config(args)
-            print(json.dumps(benchmark_values(cfg), indent=2, sort_keys=True))
+            print(json.dumps(benchmark_values(cfg), indent=2, sort_keys=True, allow_nan=False))
             return 0
         cfg = _resolve_config(args)
         out_dir = Path(cfg.output_dir or Path("runs") / cfg.preset)

@@ -88,7 +88,7 @@ class ControllerState:
     value: float
     phi: float
     schedule: StepSchedule
-    step_index: int = 1
+    step_index: int = field(default=1, init=False)
     eta: float = field(init=False)  # the latest update's step size; before any, the first's
 
     def __post_init__(self):

@@ -27,7 +27,7 @@ class Trace:
     extras: dict
 
     @classmethod
-    def from_rows(cls, rows, extras=()) -> "Trace":
+    def from_rows(cls, rows, extras) -> "Trace":
         """Transpose ``(action, reward, cost, state, *extras)`` rows, as the
         step functions return them, into columns named ``extras``."""
         action, *floats = list(zip(*rows)) or [()] * (4 + len(extras))
@@ -60,19 +60,18 @@ class TraceRecord:
     extras: dict
 
 
-def coverage_series(trace: Trace, mode: str = "mean") -> np.ndarray:
-    """Running coverage of a trace.
+def coverage_series(trace: Trace) -> np.ndarray:
+    """Running coverage of a trace, served over asked, by the trace's columns.
 
-    ``mode='mean'``: coverage_cum[t] = (1/t) * sum_{s<=t} Y_s.
-    ``mode='fill'``: served over asked totals, sum_{s<=t} y_s / sum_{s<=t} a_s,
-    read from the inventory columns ``y`` and ``a``.
+    A trace with ``y`` and ``a`` columns (an inventory run) serves y_s of a_s
+    asked: sum_{s<=t} y_s / sum_{s<=t} a_s. Any other trace asks one unit a
+    step and serves Y_s of it: (1/t) * sum_{s<=t} Y_s. This is the rule of the
+    ledger that :func:`coverctl.runner._drive` keeps.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    if mode == "fill":
+    if "a" in trace.extras:
         return np.cumsum(trace.extras["y"]) / np.cumsum(trace.extras["a"])
-    if mode != "mean":
-        raise ValueError(f"unknown coverage mode {mode!r}")
     return np.cumsum(trace.reward) / np.arange(1, len(trace) + 1)
 
 
@@ -94,7 +93,7 @@ class SlopeFit:
     slope: float
     intercept: float
     r2: float
-    clipped: bool = False
+    clipped: bool
 
 
 def sublinearity_fit(end_regrets) -> SlopeFit:

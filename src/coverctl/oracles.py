@@ -100,21 +100,20 @@ def _bisect(f, target: float, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def threshold_benchmark(r_curve, c_curve, phi: float, tau_min: float = 0.0,
-                        tau_max: float = 1.0) -> tuple[float, float]:
+def threshold_benchmark(r_curve, phi: float, tau_min: float, tau_max: float) -> float:
     """Cheapest stationary threshold meeting the target in expectation.
 
-    ``r_curve`` must be continuous and non-decreasing with
-    r(tau_min) <= phi <= r(tau_max); the root of r(tau) = phi is located by
-    bisection to 1e-10 and its cost is read off ``c_curve``.
+    ``r_curve`` must be continuous and non-decreasing on [tau_min, tau_max]
+    with r(tau_min) <= phi <= r(tau_max); the root tau* of r(tau) = phi is
+    located by bisection to 1e-10 and returned. A threshold is its own cost
+    in the score world, so tau* is also the cost benchmark c*.
     """
     r_lo, r_hi = r_curve(tau_min), r_curve(tau_max)
     if not r_lo <= phi <= r_hi:
         raise InfeasibleBenchmarkError(
             f"threshold benchmark infeasible: phi={phi} outside [{r_lo}, {r_hi}]"
         )
-    tau_star = _bisect(r_curve, phi, tau_min, tau_max, 1e-10)
-    return tau_star, float(c_curve(tau_star))
+    return _bisect(r_curve, phi, tau_min, tau_max, 1e-10)
 
 
 @dataclass(frozen=True)
@@ -219,12 +218,13 @@ class GreedyReport:
 
     ``prefix_values[k]`` is the true expected value of the first k chain
     arms (prefix_values[0] == 0). ``gap_delta`` is the smallest positional
-    gap between the chosen arm and any competitor.
+    gap between the chosen arm and any competitor; None for one arm, which
+    has no competitor.
     """
 
     chain: tuple[int, ...]
     prefix_values: tuple[float, ...]
-    gap_delta: float
+    gap_delta: float | None
 
     def budget_for(self, rho: float) -> int | None:
         """Minimum prefix length whose value reaches rho (None if never)."""
@@ -271,5 +271,5 @@ def greedy_chain(f_oracle, n: int) -> GreedyReport:
     return GreedyReport(
         chain=tuple(chain),
         prefix_values=tuple(values),
-        gap_delta=min(gaps) if gaps else math.inf,
+        gap_delta=min(gaps, default=None),
     )

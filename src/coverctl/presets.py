@@ -226,9 +226,9 @@ _INTERVAL = dict(algorithm="pd_bandit", T=25000, phi=0.8,
 _SCORES = dict(algorithm="primal_threshold", phi=0.8, environment={"kind": "score_uniform"})
 
 # name -> (description, base settings, [(variant label, overrides), ...]).
-# The base omits name, seed, replicas and output_dir, which come from the
-# caller (replicas defaults to 1 unless the base says otherwise); a preset
-# with no variants runs its base once, under an empty label.
+# The base omits name, seed and replicas, which come from the caller (replicas
+# defaults to 1 unless the base says otherwise), and output_dir, which the CLI
+# sets; a preset with no variants runs its base once, under an empty label.
 _PRESETS = {
     "interval-beta": (
         "interval selection over a 0.05 grid, skewed input points, "
@@ -315,13 +315,12 @@ def preset_catalog() -> list[dict]:
     return [{"name": k, "description": v[0]} for k, v in _PRESETS.items()]
 
 
-def preset_config(name: str, seed: int = 1, replicas: int | None = None,
-                  output_dir: str | None = None) -> ExperimentConfig:
+def preset_config(name: str, seed: int = 1, replicas: int | None = None) -> ExperimentConfig:
     """Resolve a preset name into its base config (variants expand later)."""
     _check("preset", name, tuple(_PRESETS))
     base = copy.deepcopy(_PRESETS[name][1])
     base["replicas"] = base.get("replicas", 1) if replicas is None else replicas
-    return ExperimentConfig(preset=name, seed=seed, output_dir=output_dir, **base)
+    return ExperimentConfig(preset=name, seed=seed, **base)
 
 
 def expand_variants(cfg: ExperimentConfig) -> list[ExperimentConfig]:

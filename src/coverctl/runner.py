@@ -22,6 +22,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -66,18 +67,19 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
 
     Each call returns a row ``(action, reward, cost, state, *columns)``; with
     ``keep_trace`` the rows become the result's trace, transposed once. From
-    step ``window_start`` on, the decision-time state must lie in ``band``, as
-    must the final ``state`` (else InvariantViolation, under ``python -O``
-    too), and the steps feed the coverage ledger: Y served over L asked (the
-    reward sum over the step count, or the sums of the ``y`` and ``a``
-    columns), and D, the sum of (state_end - state_start) / eta over each
-    maximal segment of steps that applied one ``state.eta``. For any schedule
-    and feedback, the unprojected update makes the ``ledger_residual`` Y/L -
-    phi + D/L vanish up to rounding. ``info`` holds it, the ``coverage`` Y/L
-    and the a-priori ``coverage_bound`` (hi - lo) / (eta_T * L) on |Y/L - phi|
-    that Abel summation gives a non-increasing schedule (inf for an open band).
+    step ``window_start`` on, the decision-time state, and the final one, must
+    be finite and lie in ``band`` (else InvariantViolation, under ``python -O``
+    too), and the steps feed the coverage ledger: Y served over L asked, by the
+    rule of :func:`~coverctl.metrics.coverage_series` (the sums of the ``y``
+    and ``a`` columns where there is an ``a`` column), and D, the sum of
+    (state_end - state_start) / eta over each maximal segment of steps that
+    applied one ``state.eta``. For any schedule and feedback, the unprojected
+    update makes the ``ledger_residual`` Y/L - phi + D/L vanish up to rounding.
+    ``info`` holds it, the ``coverage`` Y/L and the a-priori ``coverage_bound``
+    (hi - lo) / (eta_T * L) on |Y/L - phi| that Abel summation gives a
+    non-increasing schedule (inf for an open band).
     """
-    lo, hi = band
+    lo, hi = max(band[0], -sys.float_info.max), min(band[1], sys.float_info.max)
     y_at, a_at = (4 + columns.index("y"), 4 + columns.index("a")) if "a" in columns else (1, None)
     seg_start, eta = state.value, state.eta
     closed = 0.0  # the closed segments' sum of (state_end - state_start) / eta
@@ -90,7 +92,7 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
             if a_at:
                 asked += row[a_at]
             if not lo <= row[3] <= hi:
-                raise InvariantViolation(t, row[3], band)
+                raise InvariantViolation(t, row[3], (lo, hi))
             if state.eta != eta:  # this step opened a segment at its decision-time state
                 closed += (row[3] - seg_start) / eta
                 seg_start, eta = row[3], state.eta
@@ -100,12 +102,12 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
     steps = T - window_start + 1
     if steps > 0:
         if not lo <= state.value <= hi:
-            raise InvariantViolation(T + 1, state.value, band)
+            raise InvariantViolation(T + 1, state.value, (lo, hi))
         total = asked if a_at else steps
         coverage = info["coverage"] = served / total
         info["ledger_residual"] = (coverage - state.phi) + (
             closed / total + (state.value - seg_start) / (eta * total))
-        info["coverage_bound"] = (hi - lo) / (eta * total)
+        info["coverage_bound"] = (band[1] - band[0]) / (eta * total)
     return SimulationResult(mt.Trace.from_rows(rows, columns), state.value, info)
 
 
@@ -237,7 +239,6 @@ class _Setup(NamedTuple):
     bench: dict  # the benchmark block of metrics.json
     c_star: object  # cost benchmark: a scalar, or one value per step
     drive: Callable[[], SimulationResult]
-    coverage_mode: str = "mean"  # see metrics.coverage_series
     summary: Callable[[mt.Trace], dict] = lambda trace: {}  # extra summary fields
 
 
@@ -276,13 +277,12 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
 
 def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
     world = envs.ScoreWorld(seed)
-    tau_star, c_star = oracles.threshold_benchmark(
-        world.expected_reward, lambda tau: tau, config.phi,
-        world.tau_min, world.tau_max,
-    )
-    bench = {"benchmark": "threshold_root", "tau_star": tau_star, "c_star": c_star}
+    tau_star = oracles.threshold_benchmark(world.expected_reward, config.phi,
+                                           world.tau_min, world.tau_max)
+    # a threshold is its own cost, so c* is tau*
+    bench = {"benchmark": "threshold_root", "tau_star": tau_star, "c_star": tau_star}
     cfg = ThresholdConfig(world.tau_min, world.tau_max, config.phi, config.step_schedule)
-    return _Setup(bench, c_star, lambda: drive_threshold(cfg, world, config.T))
+    return _Setup(bench, tau_star, lambda: drive_threshold(cfg, world, config.T))
 
 
 def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -306,7 +306,7 @@ def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
     q_init = float(config.algorithm_params.get("initial_level", 0.0))
     c_star = np.where(np.arange(1, config.T + 1) <= stream.shift_t, q1, q2)
     return _Setup(bench, c_star,
-                  lambda: drive_newsvendor(cfg, stream, config.T, q_init=q_init), "fill")
+                  lambda: drive_newsvendor(cfg, stream, config.T, q_init=q_init))
 
 
 def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -368,7 +368,7 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     setup = _SETUPS[config.algorithm](config, seed)
     sim = setup.drive()
     trace = sim.trace
-    coverage = mt.coverage_series(trace, setup.coverage_mode)
+    coverage = mt.coverage_series(trace)
     regret = mt.regret_series(trace, setup.c_star)
     regret_pos = mt.regret_series(trace, setup.c_star, positive_part=True)
     report = mt.MetricsReport(
@@ -391,7 +391,7 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     # projected baseline, whose clamp breaks the identity, nor for the inventory controller
     if config.step_schedule.p or config.algorithm in ("pd_bandit_projected", "newsvendor"):
         summary.pop("ledger_residual", None)
-    if setup.coverage_mode == "fill":
+    if "a" in trace.extras:
         summary["fill_rate"] = float(coverage[-1])
     csv_text = render_csv(trace, coverage, regret, regret_pos)
     return {"csv": csv_text, "summary": summary, "benchmark": setup.bench}
@@ -423,7 +423,8 @@ def _write_variant(config: ExperimentConfig, stage_dir: Path, outputs: list[dict
         "replicas": [{**o["summary"], "benchmark": o["benchmark"]} for o in outputs],
         "aggregate": _aggregate([o["summary"] for o in outputs]),
     }
-    (stage_dir / "metrics.json").write_text(json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n")
+    (stage_dir / "metrics.json").write_text(
+        json.dumps(metrics_doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if plot:
         from .svgplot import plot_trace_csv
 
@@ -507,7 +508,7 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool =
                 manifest["slope_fit"] = {**asdict(fit),  # slope, intercept, r2, clipped
                                          "points": [{"T": t, "regret_mean": r} for t, r in pts]}
             (stage / "manifest.json").write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
         staged = [p.relative_to(stage) for p in sorted(stage.rglob("*")) if p.is_file()]
         for var in variants:
             (out_dir / var.variant).mkdir(parents=True, exist_ok=True)

@@ -13,11 +13,10 @@ _ML, _MR, _MT, _MB = 64, 16, 28, 44
 _COLOR = "#1f77b4"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    # five even ticks; line_chart has already widened a flat range to lo + 1
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def line_chart(path, label: str, xs, ys, title: str, xlabel: str, ylabel: str,

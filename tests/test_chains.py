@@ -37,6 +37,11 @@ def test_budget_from_theta():
     assert budget_from_theta(25.0, 20) == 20
     assert budget_from_theta(0.0, 20) == 0
     assert budget_from_theta(-1.5, 20) == 0
+    # a state that overflowed: the driver loop refuses it once the step returns
+    assert budget_from_theta(math.inf, 20) == 20
+    assert budget_from_theta(-math.inf, 20) == 0
+    with pytest.raises(ValueError):
+        budget_from_theta(math.nan, 20)
 
 
 def test_select_chain_empty_budget():

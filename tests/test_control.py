@@ -15,9 +15,8 @@ from coverctl.control import (
 from coverctl.runner import _drive
 
 
-def make_state(value, phi, eta, step_index=1):
-    return ControllerState(value=value, phi=phi, schedule=StepSchedule.constant(eta),
-                           step_index=step_index)
+def make_state(value, phi, eta):
+    return ControllerState(value=value, phi=phi, schedule=StepSchedule.constant(eta))
 
 
 def ledger(s, rewards):
@@ -50,7 +49,8 @@ def test_decaying_schedule_indexing():
     # 5 / sqrt(t + 1) at t = 24 is exactly 1
     sched = StepSchedule.power(5.0, 0.5, index_offset=1)
     assert sched.eta(24) == pytest.approx(1.0, abs=1e-12)
-    s = ControllerState(0.5, 0.9, sched, step_index=24)
+    s = ControllerState(0.5, 0.9, sched)
+    s.step_index = 24  # as after 23 updates
     aci_update(s, 1.0)
     assert s.value == pytest.approx(0.4, abs=1e-12)
     assert s.step_index == 25
@@ -61,6 +61,8 @@ def test_step_index_starts_at_one():
     assert sched.eta(1) == pytest.approx(2.0)
     s = ControllerState(0.0, 0.5, sched)
     assert s.step_index == 1
+    with pytest.raises(TypeError):  # no state starts mid-schedule
+        ControllerState(0.0, 0.5, sched, step_index=5)
 
 
 def test_reward_range_validated():
@@ -89,8 +91,10 @@ def test_eta_is_one_formula(c, p, offset, t, later):
     expected = c if p == 0.0 else c * float(t + offset) ** -p
     assert sched.eta(t).hex() == expected.hex()
     # a state records the step size its next update applies, then the applied one
-    state = ControllerState(0.0, 0.5, sched, step_index=t)
-    assert state.eta == sched.eta(t) == state.drift(0.0) == state.eta
+    state = ControllerState(0.0, 0.5, sched)
+    assert state.eta == sched.eta(1) == state.drift(0.0) == state.eta
+    state.step_index = t  # as after t - 1 updates
+    assert sched.eta(t) == state.drift(0.0) == state.eta
     assert 0.0 < sched.eta(t + later) <= sched.eta(t) <= sched.max_eta() == sched.eta(1)
 
 

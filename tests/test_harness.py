@@ -8,6 +8,7 @@ import os
 import re
 import signal
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -377,8 +378,10 @@ def test_every_preset_executes_end_to_end(tmp_path):
         # `oracle` prints exactly the benchmark block that `run` writes
         oracle = benchmark_values(cfg)
         for var in variants:
-            metrics = json.loads((out / var.variant / "metrics.json").read_text())
+            metrics = strict_json((out / var.variant / "metrics.json").read_text())
             assert oracle[var.variant or "run"] == metrics["benchmark"], (name, var.variant)
+        if len(variants) > 1:
+            strict_json((out / "manifest.json").read_text())
 
 
 def test_oracle_values_available_for_every_preset():
@@ -676,9 +679,11 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, over
 # mutations for the fuzz test: wrong JSON types, non-finite numbers, zero,
 # negatives and fractions; a list may also lose or repeat its last entry
 _FUZZ_VALUES = ("x", None, True, [], {}, [0.5], {"a": 1}, math.nan, math.inf, -math.inf,
-                0, 0.0, -1, -2.5, 0.5, 1.5, *_BAD_LABELS)
+                0, 0.0, -1, -2.5, 0.5, 1.5, 1e308, *_BAD_LABELS)
 _FUZZ_DOCS = [preset_config(name).to_dict() for name in sorted(EXPECTED_PRESETS)] + [
-    {**_DOC, **_OR_FIXED}, {**_DOC, **_POISSON}]
+    {**_DOC, **_OR_FIXED}, {**_DOC, **_POISSON},
+    # one arm, so no competitor: a benchmark with no positional gap
+    {**_DOC, **_OR_FIXED, "environment": {"kind": "or_fixed", "p": [0.9]}}]
 
 
 def _key_paths(doc, path=()):
@@ -707,9 +712,11 @@ def test_fuzzed_config_exits_0_2_3_or_4(tmp_path, capsys, data):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     code = main(["oracle", "--config", str(path)])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 2, 3, 4) and "Traceback" not in err
     assert code != 2 or "key '" in err, err
+    if code == 0:  # strict JSON: no NaN or Infinity
+        strict_json(out)
 
 
 @pytest.mark.parametrize("key,out", [("variant", ["--out", "runs/out"]), ("preset", [])])
@@ -807,6 +814,54 @@ def test_cli_chain_run_whose_full_chain_can_fail_climbs_past_n(tmp_path, capsys)
     states = [float(r.split(",")[i_state]) for r in rows[1:]]
     assert max(states) > 3.0
     assert min(states) >= -1.0 * (1 - 0.85)
+
+
+def strict_json(text: str):
+    """Parse ``text`` as strict JSON: ``NaN`` and ``Infinity`` raise ValueError."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_one_arm_chain_world_writes_strict_json(tmp_path, capsys):
+    # one arm has no competitor, so no positional gap: gap_delta is null
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "algorithm": "acog_prefix", "environment": {"kind": "or_fixed", "p": [1.0]}, "T": 3,
+        "phi": 0.5, "seed": 1, "schedule": {"kind": "constant", "c": 0.5}}))
+    assert main(["oracle", "--config", str(path)]) == 0
+    assert strict_json(capsys.readouterr().out)["run"]["gap_delta"] is None
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    metrics = strict_json((tmp_path / "o" / "metrics.json").read_text())
+    assert metrics["benchmark"]["gap_delta"] is metrics["replicas"][0]["benchmark"]["gap_delta"]
+    assert metrics["benchmark"]["gap_delta"] is None
+    with pytest.raises(ValueError, match="Infinity"):
+        strict_json('{"gap_delta": Infinity}')
+
+
+_OVERFLOWS = {
+    # the chain's band is open above, so theta reaches inf
+    "chain": ({"algorithm": "acog_position", "environment": {"kind": "or_fixed", "p": [0.9]},
+               "T": 2000, "phi": 0.5, "schedule": {"kind": "constant", "c": 1e308}}, 645),
+    # the level's upper band D + eta_max * phi * D overflows to inf, and so does the level
+    "inventory": ({**_POISSON, "environment": {**_POISSON["environment"], "after": 20.0,
+                                               "shift_t": 0},
+                   "T": 20, "phi": 0.9, "schedule": {"kind": "constant", "c": 1e307}}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWS))
+def test_a_state_that_overflows_exits_4_and_writes_nothing(tmp_path, capsys, name):
+    # steps the schema accepts push the state to inf; the driver loop checks an
+    # open end of a band as the largest float, so the state escapes it
+    config, step = _OVERFLOWS[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "seed": 1}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: state inf escaped [") and "Traceback" not in err
+    assert err.endswith(f", {sys.float_info.max!r}] at step {step}\n"), err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_invariant_violation_exits_4_and_writes_nothing(tmp_path, capsys):

@@ -38,14 +38,12 @@ def test_coverage_series_alternating():
 
 
 def test_coverage_series_fill_mode():
-    # served over asked totals: large demands weigh more than a per-step mean
+    # a trace with y and a columns gives served over asked totals: large
+    # demands weigh more than they would in a per-step mean of the rewards
     trace = trace_of(reward=[0.5, 1.0], y=[5.0, 30.0], a=[10.0, 30.0])
-    assert coverage_series(trace, "fill").tolist() == [0.5, 35.0 / 40.0]
-    assert coverage_series(trace).tolist() == [0.5, 0.75]
+    assert coverage_series(trace).tolist() == [0.5, 35.0 / 40.0]
     with pytest.raises(ValueError):
-        coverage_series(trace, "median")
-    with pytest.raises(ValueError):
-        coverage_series(trace_of(reward=[], y=[], a=[]), "fill")
+        coverage_series(trace_of(reward=[], y=[], a=[]))
 
 
 def test_series_equal_running_sums_exactly():
@@ -70,8 +68,8 @@ def test_series_equal_running_sums_exactly():
         fill.append(served / asked)
         plain.append(cum)
         pos.append(cum_pos)
-    assert coverage_series(trace).tolist() == mean
-    assert coverage_series(trace, "fill").tolist() == fill
+    assert coverage_series(trace_of(reward=reward)).tolist() == mean
+    assert coverage_series(trace).tolist() == fill
     assert regret_series(trace, c_star).tolist() == plain
     assert regret_series(trace, c_star, positive_part=True).tolist() == pos
 

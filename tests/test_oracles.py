@@ -81,19 +81,18 @@ def test_lp_benchmark_matches_scipy():
 
 
 def test_threshold_benchmark_identity_curve():
-    tau_star, c_star = threshold_benchmark(lambda t: t, lambda t: t, 0.8)
-    assert tau_star == pytest.approx(0.8, abs=1e-9)
-    assert c_star == pytest.approx(0.8, abs=1e-9)
+    assert threshold_benchmark(lambda t: t, 0.8, 0.0, 1.0) == pytest.approx(0.8, abs=1e-9)
+    # the root is searched on the bracket the caller passes
+    assert threshold_benchmark(lambda t: t / 2, 0.8, 0.0, 2.0) == pytest.approx(1.6, abs=1e-9)
 
 
 def test_threshold_benchmark_quadratic_reward():
-    tau_star, _ = threshold_benchmark(lambda t: t * t, lambda t: t, 0.25)
-    assert tau_star == pytest.approx(0.5, abs=1e-9)
+    assert threshold_benchmark(lambda t: t * t, 0.25, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_threshold_benchmark_infeasible():
     with pytest.raises(InfeasibleBenchmarkError):
-        threshold_benchmark(lambda t: 0.5 * t, lambda t: t, 0.9)
+        threshold_benchmark(lambda t: 0.5 * t, 0.9, 0.0, 1.0)
 
 
 def test_grid_right_endpoint_for_skewed_points():

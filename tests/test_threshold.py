@@ -121,7 +121,7 @@ def test_inventory_ledger_and_band_hold_for_any_demand_script(phi, schedule, q_i
     assert abs(sim.info["ledger_residual"]) <= 1e-9
     assert -1e-9 <= sim.final_state <= max(q_init, 40.0 * (1.0 + schedule.max_eta() * phi))
     # the ledger's coverage is the fill rate, served over asked totals
-    assert sim.info["coverage"] == coverage_series(sim.trace, "fill")[-1]
+    assert sim.info["coverage"] == coverage_series(sim.trace)[-1]
     assert abs(sim.info["coverage"] - phi) <= sim.info["coverage_bound"]
 
 
@@ -200,7 +200,7 @@ def test_nonnegative_inventory_under_small_steps():
 def test_fill_rate_identity_single_step():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
     sim = drive_newsvendor(cfg, _ScriptedDemand([25.0]), 1, q_init=20.0)
-    assert coverage_series(sim.trace, "fill")[-1] == pytest.approx(0.8, abs=1e-12)
+    assert coverage_series(sim.trace)[-1] == pytest.approx(0.8, abs=1e-12)
     rhs = 0.9 - (sim.final_state - 20.0) / (0.5 * 25.0)
     assert rhs == pytest.approx(0.8, abs=1e-12)
 
@@ -211,13 +211,13 @@ def test_fill_rate_identity_long_run():
     cfg = NewsvendorConfig(80.0, 0.9, StepSchedule.constant(0.3))
     sim = drive_newsvendor(cfg, _ScriptedDemand(demands), len(demands))
     rhs = 0.9 - (sim.final_state - 0.0) / (0.3 * sum(demands))
-    assert coverage_series(sim.trace, "fill")[-1] == pytest.approx(rhs, abs=1e-9)
+    assert coverage_series(sim.trace)[-1] == pytest.approx(rhs, abs=1e-9)
 
 
 def test_fill_rate_full_service_when_stocked():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
     sim = drive_newsvendor(cfg, _ScriptedDemand([10.0, 12.0, 9.0]), 3, q_init=90.0)
-    assert coverage_series(sim.trace, "fill")[-1] == 1.0
+    assert coverage_series(sim.trace)[-1] == 1.0
     values = sim.trace.state.tolist()
     assert values == sorted(values, reverse=True)  # state falls while over-serving
 
@@ -226,13 +226,13 @@ def test_fill_rate_positive_after_two_steps():
     # the positive drift at empty inventory makes an all-zero fill impossible
     cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
     sim = drive_newsvendor(cfg, _ScriptedDemand([10.0, 10.0]), 2)
-    assert coverage_series(sim.trace, "fill")[-1] > 0.0
+    assert coverage_series(sim.trace)[-1] > 0.0
 
 
 def test_fill_rate_rejects_empty_trace():
     cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
     with pytest.raises(ValueError):
-        coverage_series(drive_newsvendor(cfg, _ScriptedDemand([]), 0).trace, "fill")
+        coverage_series(drive_newsvendor(cfg, _ScriptedDemand([]), 0).trace)
 
 
 def test_inventory_level_escaping_its_upper_band_raises():
