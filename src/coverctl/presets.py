@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import environments as envs, oracles
@@ -180,6 +181,14 @@ class ExperimentConfig:
         # the bandit and chain statistics take log(n * T) over the world's n arms
         if self.T < 3 and kind in WORLDS and WORLDS[kind](self.environment, 0).n * self.T < 3:
             _fail("T", "the arm count times T must be at least 3")
+        # a run sums up to T arm costs, and the bandit's default price cap is
+        # c_max / (1 - phi): both must be finite floats (T compared as an int,
+        # which may exceed every float)
+        if kind == "iid":
+            c_max = WORLDS[kind](self.environment, 0).c_max
+            if self.T > sys.float_info.max / c_max or not math.isfinite(c_max / (1.0 - self.phi)):
+                _fail("environment.specs", f"the largest arm cost {c_max!r} must stay finite"
+                      f" times T = {self.T} and over 1 - phi = 1 - {self.phi!r}")
         if (self.algorithm_params.get("dynamic_carryover")
                 and self.step_schedule.max_eta() >= 1.0):
             _fail("algorithm_params.dynamic_carryover", "carry-over needs every step below 1")

@@ -43,6 +43,9 @@ from .rng import replica_seed
 from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
 
 _TOL = 1e-12
+# rows per chunk: _drive transposes, and render_csv renders, this many rows at
+# a time, so a replica never holds one object per row of its whole run
+_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -66,7 +69,8 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
     """The per-step loop behind every driver: call ``step()`` T times.
 
     Each call returns a row ``(action, reward, cost, state, *columns)``; with
-    ``keep_trace`` the rows become the result's trace, transposed once. From
+    ``keep_trace`` the rows become the result's trace: every ``_CHUNK_ROWS``
+    rows are transposed into columns, and the chunks joined at the end. From
     step ``window_start`` on, the decision-time state, and the final one, must
     be finite and lie in ``band`` (else InvariantViolation, under ``python -O``
     too), and the steps feed the coverage ledger: Y served over L asked, by the
@@ -84,7 +88,7 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
     seg_start, eta = state.value, state.eta
     closed = 0.0  # the closed segments' sum of (state_end - state_start) / eta
     served = asked = 0.0
-    rows = []
+    chunks, rows = [], []
     for t in range(1, T + 1):
         row = step()
         if t >= window_start:
@@ -98,6 +102,11 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
                 seg_start, eta = row[3], state.eta
         if keep_trace:
             rows.append(row)
+            if len(rows) == _CHUNK_ROWS:
+                chunks.append(mt.Trace.from_rows(rows, columns))
+                rows = []
+    chunks.append(mt.Trace.from_rows(rows, columns))
+    del rows  # freed before the join below copies every column once
     info = {}
     steps = T - window_start + 1
     if steps > 0:
@@ -108,7 +117,11 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
         info["ledger_residual"] = (coverage - state.phi) + (
             closed / total + (state.value - seg_start) / (eta * total))
         info["coverage_bound"] = (band[1] - band[0]) / (eta * total)
-    return SimulationResult(mt.Trace.from_rows(rows, columns), state.value, info)
+    reward, cost, value, *extras = (np.concatenate(col) for col in zip(
+        *((c.reward, c.cost, c.state, *c.extras.values()) for c in chunks)))
+    trace = mt.Trace([a for c in chunks for a in c.action], reward, cost, value,
+                     dict(zip(columns, extras, strict=True)))
+    return SimulationResult(trace, state.value, info)
 
 
 def drive_bandit(cfg: BanditConfig, schedule: StepSchedule, env, T: int,
@@ -199,18 +212,37 @@ def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum) -> str
 
     The three series hold one value per step, as built by
     :func:`~coverctl.metrics.coverage_series` and
-    :func:`~coverctl.metrics.regret_series`. Every row comes from one ``%``
-    template per trace: ``t`` is the row number, ``K`` the probing budget,
-    and every float carries 17 significant digits (``"%.17g"``, the same
-    bytes as ``format(x, ".17g")``). A value repeated across a column is
-    formatted once: ``reward``, the extra columns and a chain or arm run's
-    ``cost`` hold few distinct values, formatted once per bit pattern, and
-    where the action is a float, ``cost`` and ``state`` reuse the action's
-    string at every step where they are bitwise equal to it, as in the
-    threshold setting.
+    :func:`~coverctl.metrics.regret_series`. The rows are rendered
+    ``_CHUNK_ROWS`` at a time by :func:`_render_rows`, and the chunk strings
+    joined once, so the returned text is the only full-size object made here.
     """
     if not len(trace):
         raise ValueError("cannot serialize an empty trace")
+    series = (coverage_cum, regret_cum, regret_pos_cum)
+    if any(len(col) != len(trace) for col in series):
+        raise ValueError("every series needs one value per step")
+    texts = [",".join(BASE_COLUMNS + tuple(trace.extras)) + "\n"]
+    for start in range(0, len(trace), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        part = mt.Trace(trace.action[rows], trace.reward[rows], trace.cost[rows],
+                        trace.state[rows], {name: col[rows] for name, col in trace.extras.items()})
+        texts.append(_render_rows(start + 1, part, [col[rows] for col in series]))
+    return "".join(texts)
+
+
+def _render_rows(t0: int, trace: mt.Trace, series) -> str:
+    """The CSV rows of ``trace`` and its three ``series``, numbered from
+    ``t0``, each row ending in a newline.
+
+    Every row comes from one ``%`` template: ``t`` is the row number, ``K``
+    the probing budget, and every float carries 17 significant digits
+    (``"%.17g"``, the same bytes as ``format(x, ".17g")``). A value repeated
+    across a column is formatted once: ``reward``, the extra columns and a
+    chain or arm run's ``cost`` hold few distinct values, formatted once per
+    bit pattern, and where the action is a float, ``cost`` and ``state``
+    reuse the action's string at every step where they are bitwise equal to
+    it, as in the threshold setting.
+    """
     first = trace.action[0]
     # each column as (template field, values)
     if isinstance(first, (tuple, int)):  # probed chains are "a|b|c", or "-" when empty
@@ -223,14 +255,11 @@ def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum) -> str
         action = ("%s", strings)
         cost = ("%s", _f17_reusing(trace.cost, strings, values))
         state = ("%s", _f17_reusing(trace.state, strings, values))
-    cells = [("%d", range(1, len(trace) + 1)), action, ("%s", _f17_repeated(trace.reward)),
-             cost, state, ("%d", trace.k.tolist()),
-             *(("%.17g", col.tolist()) for col in (coverage_cum, regret_cum, regret_pos_cum)),
+    cells = [("%d", range(t0, t0 + len(trace))), action, ("%s", _f17_repeated(trace.reward)),
+             cost, state, ("%d", trace.k.tolist()), *(("%.17g", col.tolist()) for col in series),
              *(("%s", _f17_repeated(col)) for col in trace.extras.values())]
-    row = ",".join(field for field, _ in cells)
-    rows = map(row.__mod__, zip(*(col for _, col in cells), strict=True))
-    header = ",".join(BASE_COLUMNS + tuple(trace.extras))
-    return "\n".join([header, *rows]) + "\n"
+    row = ",".join(field for field, _ in cells) + "\n"
+    return "".join(map(row.__mod__, zip(*(col for _, col in cells), strict=True)))
 
 
 class _Setup(NamedTuple):

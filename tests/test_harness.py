@@ -9,6 +9,7 @@ import re
 import signal
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,89 @@ def test_render_csv_rejects_an_empty_trace():
     empty = Trace.from_rows([], ("boundary",))
     with pytest.raises(ValueError, match="empty trace"):
         render_csv(empty, *([np.zeros(0)] * 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_traces())
+def test_render_csv_in_small_chunks_equals_the_reference_renderer(case):
+    # t continues across chunks, and each chunk's format-once memos give the
+    # same strings as the whole trace's
+    trace, series = case
+    for rows in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner, "_CHUNK_ROWS", rows)
+            assert render_csv(trace, *series) == _reference_render_csv(trace, *series)
+
+
+def test_render_csv_rejects_a_series_of_another_length(monkeypatch):
+    # one chunk of 4 rows: a longer series would otherwise lose its last value
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", 4)
+    trace = Trace.from_rows([(0.5, 1.0, 0.5, 0.5, 0.0)] * 4, ("boundary",))
+    with pytest.raises(ValueError, match="one value per step"):
+        render_csv(trace, np.ones(4), np.ones(5), np.ones(4))
+
+
+def _columns(trace):
+    """A trace's columns, compared bit for bit (repr round-trips a float)."""
+    return (repr(trace.action), *(col.tobytes() for col in (trace.reward, trace.cost, trace.state)),
+            {name: col.tobytes() for name, col in trace.extras.items()})
+
+
+def test_a_trace_drawn_in_chunks_equals_the_one_chunk_trace(monkeypatch):
+    def drive(T, keep_trace=True):
+        world = envs.ScoreWorld(3)
+        cfg = ThresholdConfig(world.tau_min, world.tau_max, 0.8, StepSchedule.constant(0.05))
+        return drive_threshold(cfg, world, T, keep_trace=keep_trace)
+
+    c = 7
+    assert 2 * c < runner._CHUNK_ROWS
+    whole = {T: drive(T) for T in (c - 1, c, c + 1, 2 * c)}
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", c)
+    for T, one in whole.items():
+        chunked, bare = drive(T), drive(T, keep_trace=False)
+        assert len(chunked.trace) == T and _columns(chunked.trace) == _columns(one.trace)
+        assert _columns(bare.trace) == _columns(Trace.from_rows([], ("boundary",)))
+        for sim in (chunked, bare):
+            assert repr((sim.final_state, sim.info)) == repr((one.final_state, one.info))
+
+
+def _preset_setup(name, T):
+    cfg = preset_config(name).replace(T=T)
+    return runner._SETUPS[cfg.algorithm](cfg, replica_seed(cfg.seed, 0))
+
+
+def _peak_bytes(fn):
+    """``fn()`` and the peak of the memory it allocated, in bytes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["threshold-primal", "combinatorial-or"])
+def test_render_csv_holds_at_most_its_chunks_beside_its_result(name):
+    # rendering whole traces at once peaked at 2.9 (threshold) and 4.3 (chain)
+    # times the text above it; chunk by chunk, the peak is the last join, the
+    # chunk strings beside the text they make
+    setup = _preset_setup(name, 20000)
+    trace = setup.drive().trace
+    series = (coverage_series(trace), regret_series(trace, setup.c_star),
+              regret_series(trace, setup.c_star, positive_part=True))
+    text, peak = _peak_bytes(lambda: render_csv(trace, *series))
+    assert peak - len(text) <= 1.1 * len(text)
+    assert len(trace) >= 4 * runner._CHUNK_ROWS  # enough chunks for the last join to dominate
+
+
+def test_drive_holds_no_row_object_of_the_whole_run():
+    # the kept columns cost about 64 B a step (four float64 columns, and a list
+    # slot and a float object per action), and joining the chunks copies the
+    # arrays and the list once; one row tuple per step of the whole run, as a
+    # trace transposed only at the end holds, peaked at about 217 B a step
+    sim, peak = _peak_bytes(_preset_setup("threshold-primal", 20000).drive)
+    assert peak / len(sim.trace) < 160
 
 
 def test_execute_writes_artifacts_and_is_deterministic(tmp_path):
@@ -643,6 +727,13 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
     ({**_OR_FIXED, "environment": {"kind": "or_fixed", "p": [0.9]}, "T": 1}, "T"),
     ({"environment": {"kind": "interval", "delta": 1.0, "points": ["uniform"]}, "T": 1}, "T"),
     ({"environment": {"kind": "iid", "specs": [[1.0, 0.2]]}, "T": 1}, "T"),
+    # a run's cost sums, and the default price cap c_max / (1 - phi), overflow
+    ({"environment": {"kind": "iid", "specs": [[0.5, 1e308]]}, "T": 10, "phi": 0.3},
+     "environment.specs"),
+    ({"environment": {"kind": "iid", "specs": [[0.5, 1e308]]}, "T": 10, "phi": 0.8},
+     "environment.specs"),
+    ({"environment": {"kind": "iid", "specs": [[0.5, [0.0, 5e307]]]}, "T": 2, "phi": 0.8},
+     "environment.specs"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
         "list-params", "string-initial-level", "string-carryover", "short-window",
@@ -661,7 +752,8 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
         "empty-specs", "empty-p", "probability-above-one", "or-probability-above-one",
         "zero-arms", "negative-arms", "negative-rate", "cap-below-one", "zero-lambda-cap",
         "negative-lambda-cap", "one-arm-one-step", "two-arm-interval-one-step",
-        "two-arm-iid-one-step"])
+        "two-arm-iid-one-step", "cost-sum-overflow", "cost-sum-and-cap-overflow",
+        "cap-overflow"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = {**_DOC, **override}
     path = tmp_path / "cfg.json"
@@ -1032,21 +1124,37 @@ def test_preset_artifacts_match_pinned_hashes(tmp_path, name):
     assert _preset_digest(name, tmp_path) == PRESET_SHA256[name]
 
 
-def test_prefix_keyed_chain_run_matches_pinned_hashes(tmp_path):
-    # no preset runs the prefix-keyed learner, so its bytes are pinned here
+# no preset runs the prefix-keyed learner, so its bytes are pinned here
+PREFIX_KEYED_SHA256 = {
+    "trace_0.csv": "ccb8fd8dcf495ec0bb4560e60ea4469d58919e01a0414b4799042b8f92820218",
+    "metrics.json": "9e99dbac216b56bd6145a6377ffb05abc266ab6238ce44a49652a34491d7b19f",
+}
+
+
+def _prefix_keyed_digests(out_dir):
     cfg = ExperimentConfig.from_dict(dict(
         algorithm="acog_prefix",
         environment={"kind": "or_random", "n": 8, "p_low": 0.05, "p_high": 0.30},
         T=3000, phi=0.6, schedule={"kind": "constant", "c": 8 / (2 * math.sqrt(3000))},
         seed=3,
     ))
-    execute(cfg, tmp_path, jobs=1)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("trace_0.csv", "metrics.json")}
-    assert digests == {
-        "trace_0.csv": "ccb8fd8dcf495ec0bb4560e60ea4469d58919e01a0414b4799042b8f92820218",
-        "metrics.json": "9e99dbac216b56bd6145a6377ffb05abc266ab6238ce44a49652a34491d7b19f",
-    }
+    execute(cfg, out_dir, jobs=1)
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in PREFIX_KEYED_SHA256}
+
+
+def test_prefix_keyed_chain_run_matches_pinned_hashes(tmp_path):
+    assert _prefix_keyed_digests(tmp_path) == PREFIX_KEYED_SHA256
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_artifacts_drawn_and_rendered_in_small_chunks_match_pinned_hashes(tmp_path, monkeypatch,
+                                                                          rows):
+    # float, int and tuple actions, the a,leftover,y extras and all four controllers
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", rows)
+    for name in ("threshold-primal", "interval-beta", "combinatorial-or", "newsvendor-shift"):
+        assert _preset_digest(name, tmp_path / name) == PRESET_SHA256[name], name
+    assert _prefix_keyed_digests(tmp_path / "prefix-keyed") == PREFIX_KEYED_SHA256
 
 
 def test_iid_run_matches_pinned_hashes(tmp_path):
