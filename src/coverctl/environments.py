@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -60,6 +61,17 @@ class _StepBlocks:
             self._t0 = t - i
             self._rows = self._fill(self._t0, self.steps)
         return self._rows[i]
+
+
+def _beta_points(seed: int, a: int, b: int, t0: int, steps: int) -> list[float]:
+    # the a-th smallest of a+b-1 uniforms has the Beta(a, b) law
+    u = uniforms(seed, _C_POINT, t0, steps, a + b - 1)
+    return np.partition(u, a - 1, axis=1)[:, a - 1].tolist()
+
+
+def _success_bits(seed: int, p: np.ndarray, t0: int, steps: int) -> list[list[bool]]:
+    # row t, column i: whether arm i succeeds at step t
+    return (uniforms(seed, _C_BITS, t0, steps, len(p)) < p).tolist()
 
 
 class Observation(NamedTuple):
@@ -167,17 +179,11 @@ class IntervalWorld:
         _, a, b = point_dist
         if not all(1 <= s < math.inf and int(s) == s for s in (a, b)):
             raise ValueError(f"beta point distribution needs integer shapes >= 1, got {a}, {b}")
-        self._shape = (int(a), int(b))
-        self._points = _StepBlocks(self._fill_points, int(a) + int(b) - 1)
+        self._shape = a, b = int(a), int(b)
+        self._points = _StepBlocks(partial(_beta_points, seed, a, b), a + b - 1)
         self.n = len(self.arms)
         self.c_max = m * delta
         self.i_max = m
-
-    def _fill_points(self, t0: int, steps: int) -> list[float]:
-        # the a-th smallest of a+b-1 uniforms has the Beta(a, b) law
-        a, b = self._shape
-        u = uniforms(self.seed, _C_POINT, t0, steps, a + b - 1)
-        return np.partition(u, a - 1, axis=1)[:, a - 1].tolist()
 
     def pull(self, t: int, arm: int) -> Observation:
         y = self._points[t]
@@ -326,11 +332,7 @@ class OrWorld:
         self.p = p
         self.n = len(p)
         self.seed = seed
-        self._bits = _StepBlocks(self._fill_bits, self.n)
-
-    def _fill_bits(self, t0: int, steps: int) -> list[list[bool]]:
-        # row t, column i: whether arm i succeeds at step t
-        return (uniforms(self.seed, _C_BITS, t0, steps, self.n) < np.asarray(self.p)).tolist()
+        self._bits = _StepBlocks(partial(_success_bits, seed, np.asarray(p)), self.n)
 
     def probe(self, t: int, chain) -> list[float]:
         values = []

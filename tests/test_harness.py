@@ -1,5 +1,6 @@
 import copy
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -328,6 +329,22 @@ def test_drive_holds_no_row_object_of_the_whole_run():
     # trace transposed only at the end holds, peaked at about 217 B a step
     sim, peak = _peak_bytes(_preset_setup("threshold-primal", 20000).drive)
     assert peak / len(sim.trace) < 160
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS) + ["prefix-keyed"])
+def test_replica_leaves_no_cyclic_garbage(name):
+    # a world whose draw block filled through a bound method of the world was
+    # a cycle, freed with its rows only by a later collection: 216 objects a
+    # replica on interval-beta, 3281 on combinatorial-or at T = 3000
+    cfg = (preset_config("combinatorial-or").replace(algorithm="acog_prefix")
+           if name == "prefix-keyed" else preset_config(name))
+    gc.collect()
+    gc.disable()
+    try:
+        run_replica(cfg.replace(T=300), 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_execute_writes_artifacts_and_is_deterministic(tmp_path):
