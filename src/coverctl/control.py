@@ -19,6 +19,7 @@ tells it where a segment ends.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 
@@ -43,9 +44,9 @@ class InvariantViolation(RuntimeError):
 class StepSchedule:
     """Step-size sequence eta_t = c * (t + index_offset)**(-p) for t >= 1.
 
-    p = 0 is the constant step eta_t = c; p in (0, 1) decays, strictly
-    positive and non-increasing in t. ``index_offset`` shifts the decay
-    index; a schedule like 5/sqrt(t+1) is ``power(c=5, p=0.5, index_offset=1)``.
+    p = 0 is the constant step eta_t = c; p in (0, 1) decays, non-increasing
+    in t (a step that is not a positive float raises ValueError). A schedule
+    like 5/sqrt(t+1) is ``power(c=5, p=0.5, index_offset=1)``.
     """
 
     c: float
@@ -74,7 +75,11 @@ class StepSchedule:
             raise ValueError("step index starts at 1")
         if self.p == 0.0:
             return self.c
-        return self.c * float(t + self.index_offset) ** (-self.p)
+        index = t + self.index_offset  # an int, which may exceed every float
+        eta = self.c * float(index) ** (-self.p) if index <= sys.float_info.max else 0.0
+        if eta == 0.0:
+            raise ValueError(f"the step at t = {t} is not a positive float")
+        return eta
 
     def max_eta(self) -> float:
         """Largest step size the schedule ever produces (eta_1)."""

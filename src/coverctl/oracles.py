@@ -140,11 +140,8 @@ def _continuous_interval_optimum(point_cdf, phi: float) -> float:
     lo_w, hi_w = 0.0, 1.0
     for _ in range(40):
         w = 0.5 * (lo_w + hi_w)
-        offset = int(round(w * _RESOLUTION))
-        if offset >= _RESOLUTION:
-            best = cdf[-1] - cdf[0]
-        else:
-            best = float(np.max(cdf[offset:] - cdf[: _RESOLUTION + 1 - offset]))
+        offset = int(round(w * _RESOLUTION))  # w < 1, so at most _RESOLUTION
+        best = float(np.max(cdf[offset:] - cdf[: _RESOLUTION + 1 - offset]))
         if best >= phi:
             hi_w = w
         else:
@@ -167,7 +164,7 @@ def interval_benchmark(delta: float, point_cdf, phi: float) -> IntervalBenchmark
     Enumerates all intervals [i delta, j delta]; ties break to the smallest
     left endpoint. This discrete optimum is the regret benchmark; the
     continuous optimum is reported alongside so the rounding loss is visible
-    separately.
+    separately. InfeasibleBenchmarkError if even [0, 1] has mass below phi.
     """
     m = grid_cells(delta)
     cdf = [point_cdf(i * delta) for i in range(m + 1)]
@@ -181,8 +178,9 @@ def interval_benchmark(delta: float, point_cdf, phi: float) -> IntervalBenchmark
         if best is not None:
             break
     if best is None:
-        # full support not reached; fall back to the whole interval
-        best = (0.0, 1.0, 1.0)
+        raise InfeasibleBenchmarkError(
+            f"grid-interval benchmark infeasible: mass {cdf[-1] - cdf[0]} of [0, 1] below phi={phi}"
+        )
     cont = _continuous_interval_optimum(point_cdf, phi)
     return IntervalBenchmark(lo=best[0], hi=best[1], c_star=best[2], continuous_c_star=cont)
 

@@ -171,12 +171,18 @@ class ExperimentConfig:
         # every key is checked against the schema tables; no value is rewritten
         for key, spec in _FIELDS.items():
             _check(key, getattr(self, key), spec)
+        try:  # the step is non-increasing, so a positive float at T is one at every step
+            self.step_schedule.eta(self.T)
+        except ValueError as err:
+            _fail("schedule", str(err))
         kinds, params = _ALGORITHMS[self.algorithm]
         kind = self.environment.get("kind") if isinstance(self.environment, dict) else None
         if kind not in kinds:
             _fail("environment.kind",
                   f"{self.algorithm} expects {' or '.join(kinds)}, got {kind!r}")
         _check("environment", self.environment, {"kind": (kind,), **_ENVIRONMENTS[kind]})
+        if kind == "or_random" and self.environment["p_low"] > self.environment["p_high"]:
+            _fail("environment.p_high", f"expected p_low <= p_high, got {self.environment}")
         _check("algorithm_params", self.algorithm_params, params)
         # the bandit and chain statistics take log(n * T) over the world's n arms
         if self.T < 3 and kind in WORLDS and WORLDS[kind](self.environment, 0).n * self.T < 3:

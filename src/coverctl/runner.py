@@ -391,7 +391,7 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
     """Execute one replica and return its serialized artifacts.
 
     The replica's substream seed is mix(master_seed, replica); outputs are
-    independent of execution order.
+    independent of execution order. ``series`` holds its coverage and regret arrays.
     """
     seed = replica_seed(config.seed, replica)
     setup = _SETUPS[config.algorithm](config, seed)
@@ -422,24 +422,29 @@ def run_replica(config: ExperimentConfig, replica: int) -> dict:
         summary.pop("ledger_residual", None)
     if "a" in trace.extras:
         summary["fill_rate"] = float(coverage[-1])
-    csv_text = render_csv(trace, coverage, regret, regret_pos)
-    return {"csv": csv_text, "summary": summary, "benchmark": setup.bench}
+    return {"csv": render_csv(trace, coverage, regret, regret_pos), "summary": summary,
+            "benchmark": setup.bench, "series": (coverage, regret)}
 
 
 def _worker(args) -> dict:
-    """Run one replica, write its ``trace_<replica>.csv`` into the staging
-    directory, and return its outputs without the CSV text."""
-    config, replica, staging_dir = args
+    """Run one replica and write its ``trace_<replica>.csv``, and with ``plot``
+    replica 0's plots, into the staging directory; return the replica's outputs
+    without the CSV text and the series, which never leave this process."""
+    config, replica, staging_dir, plot = args
     if not os.path.isdir(staging_dir):  # the run has failed: a queued task starts nothing
         return {}
     out = run_replica(config, replica)
+    if plot and replica == 0:
+        from .svgplot import plot_series
+
+        plot_series(staging_dir, *out["series"], config.phi)
+    del out["series"]  # freed before the write
     (Path(staging_dir) / f"trace_{replica}.csv").write_text(out.pop("csv"))
     return out
 
 
-def _write_variant(config: ExperimentConfig, stage_dir: Path, outputs: list[dict],
-                   plot: bool) -> dict:
-    """Write one variant's ``config.json``, ``metrics.json`` and plots into
+def _write_variant(config: ExperimentConfig, stage_dir: Path, outputs: list[dict]) -> dict:
+    """Write one variant's ``config.json`` and ``metrics.json`` into
     ``stage_dir`` from its replicas' outputs, in replica order."""
     (stage_dir / "config.json").write_text(config.to_json() + "\n")
     metrics_doc = {
@@ -454,10 +459,6 @@ def _write_variant(config: ExperimentConfig, stage_dir: Path, outputs: list[dict
     }
     (stage_dir / "metrics.json").write_text(
         json.dumps(metrics_doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    if plot:
-        from .svgplot import plot_trace_csv
-
-        plot_trace_csv((stage_dir / "trace_0.csv").read_text(), stage_dir, config.phi)
     return metrics_doc
 
 
@@ -486,11 +487,12 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool =
 
     One task per replica of every variant, in variant order, runs through
     ``_worker``: on one pool of ``min(jobs, tasks)`` processes, or in the
-    parent when that is 1. Each task writes its trace to a staging directory
-    next to ``out_dir``, on the same filesystem; each variant's
-    ``config.json``, ``metrics.json`` and plots follow once every task has
-    returned. The files then move into ``out_dir`` by rename, traces and plots
-    first, then every ``config.json`` and ``metrics.json``, and
+    parent when that is 1. Each task writes its trace, and with ``plot``
+    replica 0's task its variant's plots, to a staging directory next to
+    ``out_dir``, on the same filesystem; each variant's ``config.json`` and
+    ``metrics.json`` follow once every task has returned, and the parent reads
+    back no file. The files then move into ``out_dir`` by rename, traces and
+    plots first, then every ``config.json`` and ``metrics.json``, and
     ``manifest.json`` last. A failed or interrupted run deletes the staging
     directory before it waits for the pool, so a queued task starts nothing,
     and every file it had moved: ``out_dir`` never holds a partial run of it.
@@ -510,7 +512,7 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool =
     try:
         for var in variants:
             (stage / var.variant).mkdir(parents=True, exist_ok=True)
-        tasks = [(var, k, str(stage / var.variant)) for var in variants
+        tasks = [(var, k, str(stage / var.variant), plot) for var in variants
                  for k in range(var.replicas)]
         workers = min(jobs, len(tasks))  # a pool starts all its workers up front
         if workers > 1:
@@ -524,7 +526,7 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool =
             outputs = list(map(_worker, tasks))
         replicas = iter(outputs)  # each variant's slice, in replica order
         docs = [_write_variant(var, stage / var.variant,
-                               [next(replicas) for _ in range(var.replicas)], plot)
+                               [next(replicas) for _ in range(var.replicas)])
                 for var in variants]
         if len(variants) > 1:
             manifest = {"preset": config.preset, "variants": [v.variant for v in variants]}

@@ -191,6 +191,17 @@ def test_power_decay_positive_and_nonincreasing():
         t = max(t + 1, int(t * 1.37))
 
 
+def test_a_decaying_step_that_is_not_a_positive_float_raises():
+    tiny = StepSchedule.power(5e-324, 0.5)
+    assert tiny.eta(3) == 5e-324
+    with pytest.raises(ValueError, match="step at t = 4 "):  # rounds to 0.0
+        tiny.eta(4)
+    with pytest.raises(ValueError, match="step at t = 1 "):  # 1 + 10**400 is past every float
+        StepSchedule.power(1.0, 0.5, index_offset=10**400).eta(1)
+    # a constant step is c at every t
+    assert StepSchedule(5e-324, 0.0, 10**400).eta(10**9) == 5e-324
+
+
 def test_ledger_window_started_mid_run():
     # a window may open at any step: its identity uses the state at the
     # window's first step, not the controller's initial value

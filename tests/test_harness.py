@@ -11,6 +11,7 @@ import signal
 import struct
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -751,6 +752,13 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
      "environment.specs"),
     ({"environment": {"kind": "iid", "specs": [[0.5, [0.0, 5e307]]]}, "T": 2, "phi": 0.8},
      "environment.specs"),
+    # a decaying step that underflows to 0.0 by step T, or whose t + index_offset
+    # exceeds every float
+    ({**_SCORES, "T": 10, "schedule": {"kind": "power", "c": 5e-324, "p": 0.5}}, "schedule"),
+    ({**_SCORES, "T": 10, "schedule": {"kind": "power", "c": 1.0, "p": 0.5,
+                                       "index_offset": 10**400}}, "schedule"),
+    ({**_OR_FIXED, "environment": {"kind": "or_random", "n": 5, "p_low": 0.9, "p_high": 0.1}},
+     "environment.p_high"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
         "list-params", "string-initial-level", "string-carryover", "short-window",
@@ -770,7 +778,8 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
         "zero-arms", "negative-arms", "negative-rate", "cap-below-one", "zero-lambda-cap",
         "negative-lambda-cap", "one-arm-one-step", "two-arm-interval-one-step",
         "two-arm-iid-one-step", "cost-sum-overflow", "cost-sum-and-cap-overflow",
-        "cap-overflow"])
+        "cap-overflow", "underflowing-decay-step", "overflowing-index-offset",
+        "reversed-or-range"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = {**_DOC, **override}
     path = tmp_path / "cfg.json"
@@ -1024,6 +1033,25 @@ def test_failed_or_interrupted_run_leaves_no_artifacts(tmp_path, monkeypatch, fa
     assert not [p.name for p in started.iterdir() if p.name.startswith(("16000-", "32000-"))]
 
 
+def test_a_failed_publish_takes_back_every_file_it_moved(tmp_path, monkeypatch):
+    replace, moved = os.replace, []
+
+    def failing_replace(src, dst):  # the third rename fails
+        if len(moved) == 2:
+            raise OSError("rename failed")
+        replace(src, dst)
+        moved.append(dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="rename failed"):
+        execute(small_config(replicas=3), out, jobs=1, plot=True)
+    assert len(moved) == 2 and all(path.parent == out for path in moved)
+    # OUT holds no file of the run, and no staging directory is left next to it
+    assert list(out.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_jobs_1_and_jobs_2_write_the_same_bytes(tmp_path, capsys):
     digests = []
     for jobs in (1, 2):
@@ -1104,6 +1132,25 @@ def test_svg_plots_are_self_contained(tmp_path):
     svg = (tmp_path / "coverage.svg").read_text()
     assert svg.startswith("<svg")
     assert "polyline" in svg and "</svg>" in svg
+
+
+def test_plots_are_drawn_without_reading_back_an_artifact(tmp_path, monkeypatch):
+    # replica 0's task draws the plots from its own series: a run reads no
+    # file under tmp_path, which holds OUT and the staging directory
+    def refuse(read):
+        def guarded(path, *args, **kwargs):
+            if tmp_path in path.resolve().parents:
+                raise AssertionError(f"{path} was read back")
+            return read(path, *args, **kwargs)
+        return guarded
+
+    for name in ("read_text", "read_bytes"):
+        monkeypatch.setattr(Path, name, refuse(getattr(Path, name)))
+    execute(small_config(replicas=2), tmp_path / "out", jobs=1, plot=True)
+    monkeypatch.undo()
+    for name in ("coverage.svg", "regret.svg"):
+        svg = (tmp_path / "out" / name).read_text()
+        assert svg.startswith("<svg") and "polyline" in svg
 
 
 # SHA-256 of every artifact but config.json, plus the `oracle` values, per

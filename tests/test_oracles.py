@@ -113,6 +113,13 @@ def test_interval_benchmark_uniform():
 def test_interval_benchmark_full_interval_at_phi_one():
     bench = interval_benchmark(0.25, lambda x: min(max(x, 0.0), 1.0), 0.999999999)
     assert bench.c_star == pytest.approx(1.0)
+    # the continuous search reaches the whole interval, offset _RESOLUTION
+    assert bench.continuous_c_star == pytest.approx(1.0, abs=1e-3)
+
+
+def test_interval_benchmark_refuses_a_target_above_the_whole_mass():
+    with pytest.raises(InfeasibleBenchmarkError, match="mass 0.5 of .* below phi=0.8"):
+        interval_benchmark(0.25, lambda x: 0.5 * x, 0.8)
 
 
 def test_interval_benchmark_skewed_points():

@@ -90,6 +90,15 @@ def test_threshold_adversarial_cutoffs_stay_bounded():
     assert len(sim.trace) == 20000
 
 
+def test_final_state_outside_the_band_raises_at_step_t_plus_1():
+    # every threshold fails, even tau_max: the decision-time states 0, 0.9 and
+    # 1.8 lie in the band (-1, 2], and the state after the last update, 2.7, not
+    cfg = ThresholdConfig(0.0, 1.0, 0.9, StepSchedule(1.0))
+    with pytest.raises(InvariantViolation) as err:
+        drive_threshold(cfg, _ScriptedScores([2.0]), 3)
+    assert err.value.step == 4 and err.value.value == pytest.approx(2.7)
+
+
 def _schedules(c_max):
     """Constant steps, and t^-p steps with p in (0, 1) and an index offset."""
     return st.builds(StepSchedule, st.floats(1e-3, c_max),
