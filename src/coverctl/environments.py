@@ -14,6 +14,7 @@ are read through benchmark-only methods that no controller touches.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -21,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .oracles import beta_cdf, grid_cells
+from .oracles import beta_cdf, beta_cdf_in_range, grid_cells
 from .rng import uniform, uniforms
 
 # component ids for substream separation
@@ -152,7 +153,8 @@ class IntervalWorld:
     with 0 <= i < j <= m = 1/delta in (i, j) order; index m is [0, 1], the
     guaranteed arm. Playing an arm reveals only whether the hidden point
     landed in that closed interval, plus the interval's length as cost.
-    The point law is ``("beta", a, b)`` with integer shapes, or ``("uniform",)``,
+    The point law is ``("beta", a, b)`` with integer shapes that
+    :func:`~coverctl.oracles.beta_cdf_in_range` accepts, or ``("uniform",)``,
     which is Beta(1, 1).
     """
 
@@ -172,6 +174,9 @@ class IntervalWorld:
         if not all(1 <= s < math.inf and int(s) == s for s in (a, b)):
             raise ValueError(f"beta point distribution needs integer shapes >= 1, got {a}, {b}")
         self._shape = a, b = int(a), int(b)
+        if not beta_cdf_in_range(a, b):
+            raise ValueError(f"beta shapes {a}, {b} out of range: a coefficient"
+                             f" C(a+b-1, j), j >= a, of beta_cdf exceeds the largest float")
         self._points = _StepBlocks(partial(_beta_points, seed, a, b), a + b - 1)
         self.n = len(self.arms)
         self.c_max = m * delta
@@ -256,56 +261,58 @@ class ScoreWorld:
 uniform_score_world = ScoreWorld  # the name acceptance criterion 10 builds its worlds by
 
 
-def _poisson_law(lam: float, n: int) -> tuple[list[float], list[float]]:
-    """P(Poisson(lam) = k) for k < n, and their running sums, ending early at
-    the first term that underflows to 0.0: every later term is 0.0 as well."""
-    terms = [math.exp(-lam)]
-    for k in range(1, n):
-        if terms[-1] == 0.0:
+def clamped_poisson(lam: float, cap: float) -> dict[int, float]:
+    """Law of clamp(Poisson(lam), 1, int(cap)) as {demand: probability}, in demand order,
+    from the terms k < int(cap) up to the first that underflows to 0.0. ValueError for a cap
+    not in [1, inf) or a rate not positive with exp(-lam) a normal float (lam <= ~708.4)."""
+    if not 1 <= cap < math.inf:
+        raise ValueError(f"cap must be finite and at least 1, got {cap}")
+    if not (0 < lam and math.exp(-lam) >= sys.float_info.min):
+        raise ValueError(f"Poisson rate must be positive with exp(-rate) a normal float"
+                         f" (rate at most about 708.4), got {lam}")
+    top = int(cap)
+    term = total = math.exp(-lam)
+    law = {1: term}
+    for k in range(1, top):
+        if term == 0.0:
             break
-        terms.append(terms[-1] * (lam / k))
-    return terms, list(accumulate(terms))
+        term *= lam / k
+        law[k] = law.get(k, 0.0) + term
+        total += term
+    law[top] = law.get(top, 0.0) + max(1.0 - total, 0.0)
+    return law
 
 
 class PoissonDemand:
     """Truncated Poisson demand with a mid-horizon rate shift.
 
-    a_t = clamp(Poisson(lam_t), 1, cap) with lam_t = ``before`` for
-    t <= shift_t and ``after`` beyond. Sampled by CDF inversion over the
-    terms k < cap; a draw past the last nonzero term is int(cap), and the
-    clamp realizes the truncation.
+    a_t = clamp(Poisson(lam_t), 1, int(cap)) with lam_t = ``before`` for t <= shift_t
+    and ``after`` beyond, drawn by inverting the running sums of the law that
+    :func:`clamped_poisson` states (and checks the rates and cap of), which ``pmf`` returns.
     """
 
     def __init__(self, before: float, after: float, shift_t: int, cap: float, seed: int):
-        if not (0 < before < math.inf and 0 < after < math.inf):
-            raise ValueError(f"rates must be positive and finite, got {before}, {after}")
-        if not 1 <= cap < math.inf:
-            raise ValueError(f"cap must be finite and at least 1, got {cap}")
         self.before = before
         self.after = after
         self.shift_t = shift_t
         self.cap = cap
         self.seed = seed
-        self._cdf = {lam: _poisson_law(lam, int(cap))[1] for lam in (before, after)}
+        laws = {lam: clamped_poisson(lam, cap) for lam in (before, after)}
+        # each rate's demands, and the running sums of their probabilities
+        self._inverse = {lam: (list(law), list(accumulate(law.values())))
+                         for lam, law in laws.items()}
 
     def rate(self, t: int) -> float:
         return self.before if t <= self.shift_t else self.after
 
     def draw(self, t: int) -> float:
-        cdf = self._cdf[self.rate(t)]
-        k = bisect_left(cdf, uniform(self.seed, _C_DEMAND, t, 0))
-        return float(min(max(k, 1), self.cap) if k < len(cdf) else int(self.cap))
+        demands, sums = self._inverse[self.rate(t)]
+        return float(demands[min(bisect_left(sums, uniform(self.seed, _C_DEMAND, t, 0)),
+                                 len(sums) - 1)])
 
     def pmf(self, lam: float) -> dict[int, float]:
-        """Law of clamp(Poisson(lam), 1, int(cap)) as {demand: probability}, for
-        benchmarks only: the mass below 1 moves to 1, the rest of the tail to int(cap)."""
-        top = int(self.cap)
-        terms, cdf = _poisson_law(lam, top)
-        law = {1: terms[0]}  # P(X = 0) clamps up to 1
-        for k in range(1, len(terms)):
-            law[k] = law.get(k, 0.0) + terms[k]
-        law[top] = law.get(top, 0.0) + max(1.0 - cdf[-1], 0.0)
-        return law
+        """The law that ``draw`` samples at rate lam, for benchmarks only."""
+        return clamped_poisson(lam, self.cap)
 
 
 class OrWorld:

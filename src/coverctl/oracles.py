@@ -10,9 +10,13 @@ solver dependency.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+
+_FLOAT_MAX = int(sys.float_info.max)  # the largest float, as an exact integer
 
 
 class InfeasibleBenchmarkError(ValueError):
@@ -49,14 +53,10 @@ def lp_benchmark(p, omega, phi: float) -> LpSolution:
         raise ValueError("p and omega must be equal-length, non-empty")
     n = len(p)
     tol = 1e-9
-    best_cost = math.inf
-    best_mix = None
+    best_cost, best = math.inf, None  # best: {arm: weight} of the cheapest mixture so far
     for i in range(n):
         if p[i] >= phi - tol and omega[i] < best_cost:
-            best_cost = omega[i]
-            mix = [0.0] * n
-            mix[i] = 1.0
-            best_mix = mix
+            best_cost, best = omega[i], {i: 1.0}
     for i in range(n):
         for j in range(n):
             if i == j or p[i] <= p[j]:
@@ -67,16 +67,12 @@ def lp_benchmark(p, omega, phi: float) -> LpSolution:
                 continue
             cost = x * omega[i] + (1.0 - x) * omega[j]
             if cost < best_cost - 1e-15:
-                best_cost = cost
-                mix = [0.0] * n
-                mix[i] = x
-                mix[j] = 1.0 - x
-                best_mix = mix
-    if best_mix is None:
+                best_cost, best = cost, {i: x, j: 1.0 - x}
+    if best is None:
         raise InfeasibleBenchmarkError(
             f"arm-mixture benchmark infeasible: no mixture reaches phi={phi}"
         )
-    return LpSolution(c_star=float(best_cost), mixture=tuple(best_mix))
+    return LpSolution(c_star=float(best_cost), mixture=tuple(best.get(i, 0.0) for i in range(n)))
 
 
 def beta_cdf(x: float, a: int, b: int) -> float:
@@ -86,6 +82,19 @@ def beta_cdf(x: float, a: int, b: int) -> float:
     x = min(max(x, 0.0), 1.0)
     n = a + b - 1
     return sum(math.comb(n, j) * x**j * (1.0 - x) ** (n - j) for j in range(a, n + 1))
+
+
+def beta_cdf_in_range(a: int, b: int) -> bool:
+    """Whether :func:`beta_cdf` can evaluate Beta(a, b): every C(n, j), n = a+b-1,
+    j >= a, that it turns into a float is at most the largest float. The largest is
+    C(n, min(b-1, ceil(n/2))), and C(n, i) rises with i up to there, so the loop in
+    exact integers stops at the first C(n, i) past the bound."""
+    n, c = a + b - 1, 1
+    for i in range(1, min(b - 1, (n + 1) // 2) + 1):
+        c = c * (n - i + 1) // i  # C(n, i), exactly
+        if c > _FLOAT_MAX:
+            return False
+    return True
 
 
 def _bisect(f, target: float, lo: float, hi: float, tol: float) -> float:
@@ -202,12 +211,12 @@ def newsvendor_benchmark(pmf, phi: float) -> tuple[float, float]:
         return sum(w * min(v, q) for v, w in items)
 
     target = phi * mu
-    hi = max(v for v, _ in items)
-    if target > r(hi) + 1e-12:
+    # r at the largest demand is mu, term for term: the most any level fulfills
+    if target > mu + 1e-12:
         raise InfeasibleBenchmarkError(
-            f"inventory benchmark infeasible: phi*mu={target} exceeds E[a]={r(hi)}"
+            f"inventory benchmark infeasible: phi*mu={target} exceeds E[a]={mu}"
         )
-    return _bisect(r, target, 0.0, hi, 1e-8), mu
+    return _bisect(r, target, 0.0, items[-1][0], 1e-8), mu
 
 
 @dataclass(frozen=True)
@@ -217,26 +226,26 @@ class GreedyReport:
     ``prefix_values[k]`` is the true expected value of the first k chain
     arms (prefix_values[0] == 0). ``gap_delta`` is the smallest positional
     gap between the chosen arm and any competitor; None for one arm, which
-    has no competitor.
+    has no competitor. ``budget_for`` refuses a target that no prefix reaches.
     """
 
     chain: tuple[int, ...]
     prefix_values: tuple[float, ...]
     gap_delta: float | None
 
-    def budget_for(self, rho: float) -> int | None:
-        """Minimum prefix length whose value reaches rho (None if never)."""
+    def budget_for(self, rho: float) -> int:
+        """Minimum prefix length whose value reaches rho (InfeasibleBenchmarkError if none)."""
         for k, v in enumerate(self.prefix_values):
             if v >= rho:
                 return k
-        return None
+        raise InfeasibleBenchmarkError(f"greedy-chain benchmark infeasible: full-set value "
+                                       f"{self.prefix_values[-1]:.4f} below phi={rho}")
 
     def is_degenerate(self, phi: float) -> bool:
-        """True unless the prefix one past the needed budget exceeds phi by
-        more than 1e-6 (also when phi is never reached or no such prefix exists)."""
+        """True unless the prefix one past :meth:`budget_for`'s budget (whose error it
+        raises) exceeds phi by more than 1e-6; also True when no such prefix exists."""
         k = self.budget_for(phi)
-        return (k is None or k + 1 >= len(self.prefix_values)
-                or self.prefix_values[k + 1] - phi <= 1e-6)
+        return k + 1 >= len(self.prefix_values) or self.prefix_values[k + 1] - phi <= 1e-6
 
 
 def greedy_chain(f_oracle, n: int) -> GreedyReport:

@@ -82,17 +82,21 @@ def _points(path, x):  # ["beta", a, b] with integer shapes a, b >= 1, or ["unif
     _check(path, x, "list")
     _check(f"{path}[0]", x[0] if x else None, ("beta", "uniform"))
     _check(path, x, [("beta",), _SHAPE, _SHAPE] if x[0] == "beta" else [("uniform",)])
+    if x[0] == "beta" and not oracles.beta_cdf_in_range(x[1], x[2]):
+        _fail(path, f"expected shapes whose beta_cdf coefficients C(a+b-1, j), j >= a, stay"
+              f" within the float range (always so for a + b <= 1030), got {x!r}")
 
 
 def _arm_cost(path, x):  # a fixed cost, or a [lo, hi] range it is drawn from uniformly
     _check(path, x, _COST_RANGE if isinstance(x, list) else _COST)
 
 
-def _grid_step(d):  # oracles.grid_cells's test that d divides 1, as a yes or no
+def _passes(fn, *args) -> bool:  # a library function's own ValueError test, as a yes or no
     try:
-        return oracles.grid_cells(d)
+        fn(*args)
     except ValueError:
         return False
+    return True
 
 
 _UNIT, _COST, _SHAPE = "number [0, 1]", "number [0, inf)", "integer [1, inf)"
@@ -101,17 +105,21 @@ _UNIT, _COST, _SHAPE = "number [0, 1]", "number [0, inf)", "integer [1, inf)"
 _LABEL = _also("string", lambda s: not {"/", "\\", "\0"} & set(s) and s not in (".", ".."),
                "expected one plain path component")
 _COST_RANGE = _also([_COST, _COST], lambda c: c[0] <= c[1], "expected lo <= hi")
+# a Poisson demand rate, by environments.clamped_poisson's own test
+_RATE = _also("number (0, inf)", lambda lam: _passes(envs.clamped_poisson, lam, 1),
+              "expected exp(-rate) to be a normal float (a rate of at most about 708.4)")
 
 # environment kind -> {key: spec}
 _ENVIRONMENTS = {
-    "interval": {"delta": _also("number (0, 1]", _grid_step, "1/delta must be a whole number"),
+    "interval": {"delta": _also("number (0, 1]", lambda d: _passes(oracles.grid_cells, d),
+                                "1/delta must be a whole number"),
                  "points": _points},
     "trap": {"window": _also(["integer [0, inf)"] * 2, lambda w: w[0] < w[1],
                              "the window must start before it ends")},
     "iid": {"specs": [[_UNIT, _arm_cost], ...]},
     "score_uniform": {},
-    "poisson_demand": {"before": "number (0, inf)", "after": "number (0, inf)",
-                       "shift_t": "integer", "cap": "number [1, inf)"},
+    "poisson_demand": {"before": _RATE, "after": _RATE, "shift_t": "integer",
+                       "cap": "number [1, inf)"},
     "or_random": {"n": "integer [1, inf)", "p_low": _UNIT, "p_high": _UNIT},
     "or_fixed": {"p": [_UNIT, ...]},
 }
@@ -184,17 +192,18 @@ class ExperimentConfig:
         if kind == "or_random" and self.environment["p_low"] > self.environment["p_high"]:
             _fail("environment.p_high", f"expected p_low <= p_high, got {self.environment}")
         _check("algorithm_params", self.algorithm_params, params)
-        # the bandit and chain statistics take log(n * T) over the world's n arms
-        if self.T < 3 and kind in WORLDS and WORLDS[kind](self.environment, 0).n * self.T < 3:
-            _fail("T", "the arm count times T must be at least 3")
-        # a run sums up to T arm costs, and the bandit's default price cap is
-        # c_max / (1 - phi): both must be finite floats (T compared as an int,
-        # which may exceed every float)
-        if kind == "iid":
-            c_max = WORLDS[kind](self.environment, 0).c_max
-            if self.T > sys.float_info.max / c_max or not math.isfinite(c_max / (1.0 - self.phi)):
-                _fail("environment.specs", f"the largest arm cost {c_max!r} must stay finite"
-                      f" times T = {self.T} and over 1 - phi = 1 - {self.phi!r}")
+        if kind in WORLDS and (self.T < 3 or kind == "iid"):  # one world for both checks
+            world = WORLDS[kind](self.environment, 0)
+            # the bandit and chain statistics take log(n * T) over the world's n arms
+            if world.n * self.T < 3:
+                _fail("T", "the arm count times T must be at least 3")
+            # a run sums up to T arm costs, and the bandit's default price cap is
+            # c_max / (1 - phi): both must be finite floats (T compared as an int,
+            # which may exceed every float)
+            if kind == "iid" and (self.T > sys.float_info.max / world.c_max
+                                  or not math.isfinite(world.c_max / (1.0 - self.phi))):
+                _fail("environment.specs", f"the largest arm cost {world.c_max!r} must stay"
+                      f" finite times T = {self.T} and over 1 - phi = 1 - {self.phi!r}")
         if (self.algorithm_params.get("dynamic_carryover")
                 and self.step_schedule.max_eta() >= 1.0):
             _fail("algorithm_params.dynamic_carryover", "carry-over needs every step below 1")

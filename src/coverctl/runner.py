@@ -342,11 +342,6 @@ def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
     world = WORLDS[config.environment["kind"]](config.environment, seed)
     report = oracles.greedy_chain(world.value_oracle(), world.n)
     k_star = report.budget_for(config.phi)
-    if k_star is None:
-        raise oracles.InfeasibleBenchmarkError(
-            f"greedy-chain benchmark infeasible: full-set value "
-            f"{report.prefix_values[-1]:.4f} below phi={config.phi}"
-        )
     bench = {
         "benchmark": "greedy_budget",
         "k_star": k_star,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,8 @@ from coverctl.bandit import (
     bandit_step,
     select_arm,
 )
-from coverctl.control import StepSchedule
+import coverctl
+from coverctl.control import InvariantViolation, StepSchedule
 from coverctl.environments import TrapWorld
 from coverctl.runner import _TOL, drive_bandit
 
@@ -280,3 +285,80 @@ def test_ledger_and_band_hold_for_any_reward_script(phi, schedule, script):
     assert bound[-1] == pytest.approx(sim.info["coverage_bound"], rel=1e-12)
     coverage = np.cumsum(sim.trace.reward[cfg.n:]) / t
     assert (abs(coverage - phi) <= bound + 1e-9).all()
+
+
+class _AdaptiveArms:
+    """An adversary over four arms that picks each reward from the arm just
+    played and the one before it: ``table[t % len][previous arm][arm]``. Under
+    the model's rule arm 0, the guaranteed arm (cost 1), always succeeds and
+    arm 3, the null arm (cost 0), never does; ``broken`` lets arm 0 fail too.
+    Arms 1 and 2 cost ``costs``."""
+
+    def __init__(self, table, costs, broken=False):
+        self.table, self.costs, self.broken, self.prev = table, costs, broken, 0
+
+    def pull(self, t, arm):
+        bit = self.table[t % len(self.table)][self.prev][arm]
+        self.prev = arm
+        if arm == 0 and not self.broken:
+            bit = True
+        elif arm == 3:
+            bit = False
+        return (1.0 if bit else 0.0), (1.0, *self.costs, 0.0)[arm]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(phi=st.floats(0.01, 0.99), schedule=SCHEDULES,
+       costs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       table=st.lists(st.lists(st.lists(st.booleans(), min_size=4, max_size=4),
+                               min_size=4, max_size=4), min_size=1, max_size=6))
+def test_coverage_bound_holds_at_every_step_against_an_adaptive_adversary(
+        phi, schedule, costs, table):
+    cfg = BanditConfig(n=4, c_max=1.0, phi=phi, horizon_T=300, i_min=3, i_max=0)
+    sim = drive_bandit(cfg, schedule, _AdaptiveArms(table, costs), 300)
+    # |coverage_t - phi| <= W / (eta_t * t) at every step t of the window, W the
+    # driver's band width
+    t = np.arange(1, 300 - cfg.n + 1)
+    eta = schedule.max_eta()
+    bound = (cfg.lambda_cap + 2 * (eta + _TOL)) / (np.array([schedule.eta(s) for s in t]) * t)
+    assert bound[-1] == pytest.approx(sim.info["coverage_bound"], rel=1e-12)
+    coverage = np.cumsum(sim.trace.reward[cfg.n:]) / t
+    assert (abs(coverage - phi) <= bound + 1e-9).all()
+
+
+_BROKEN_GUARANTEE = """
+from coverctl.bandit import BanditConfig
+from coverctl.control import InvariantViolation, StepSchedule
+from coverctl.runner import drive_bandit
+
+
+class EveryArmFails:
+    def pull(self, t, arm):
+        return 0.0, (1.0, 0.5, 0.5, 0.0)[arm]
+
+
+assert not __debug__, "asserts are on"
+cfg = BanditConfig(n=4, c_max=1.0, phi=0.5, horizon_T=300, i_min=3, i_max=0)
+try:
+    drive_bandit(cfg, StepSchedule.constant(0.1), EveryArmFails(), 300)
+except InvariantViolation as err:
+    print(err.step)
+"""
+
+
+def test_a_guaranteed_arm_that_fails_is_caught_in_every_mode():
+    # every arm fails, the guaranteed one too: from step 5, after the warm-up pass,
+    # the dual rises by eta * phi = 0.05 a step, and at the cap c_max / (1 - phi) = 2
+    # the forced guaranteed arm fails as well, so the dual leaves the band's
+    # 2 + eta at step 48
+    cfg = BanditConfig(n=4, c_max=1.0, phi=0.5, horizon_T=300, i_min=3, i_max=0)
+    world = _AdaptiveArms([[[False] * 4] * 4], (0.5, 0.5), broken=True)
+    with pytest.raises(InvariantViolation) as err:
+        drive_bandit(cfg, StepSchedule.constant(0.1), world, 300)
+    assert err.value.step == 48 and err.value.band[1] == pytest.approx(2.1)
+    # python -O strips assert statements; the band check must not be one
+    env = dict(os.environ, PYTHONPATH=str(Path(coverctl.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_GUARANTEE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["48"]

@@ -21,7 +21,8 @@ from coverctl.control import ControllerState, StepSchedule
 from coverctl.environments import OrWorld
 from coverctl.oracles import greedy_chain
 from coverctl.rng import replica_seed
-from coverctl.runner import drive_acog
+from coverctl.metrics import coverage_series
+from coverctl.runner import _TOL, drive_acog
 
 
 def _cell(stats, position, prefix, arm):
@@ -362,3 +363,60 @@ def test_ledger_and_band_hold_for_any_reward_script(phi, schedule, script):
     assert -eta * (1 - phi) <= sim.trace.state.min()
     # each step probes the budget its decision-time theta gives
     assert all(rec.k == budget_from_theta(rec.state, cfg.n) for rec in sim.records)
+
+
+class _AdaptiveChains:
+    """An adversary that picks the first succeeding slot of each probed chain
+    from its length K and the previous chain's: ``table[t % len][previous K][K]``,
+    a slot in 1..n, or n + 1 for none, so the prefix values are monotone bits.
+    Under the model's rule the full n-arm chain always succeeds; ``broken``
+    lets it fail."""
+
+    def __init__(self, n, table, broken=False):
+        self.n, self.table, self.broken, self.prev = n, table, broken, 0
+
+    def probe(self, t, chain):
+        k = len(chain)
+        first = self.table[t % len(self.table)][self.prev][k]
+        self.prev = k
+        if k == self.n and not self.broken:
+            first = min(first, k)
+        return [1.0 if slot >= first else 0.0 for slot in range(1, k + 1)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(phi=st.floats(0.01, 0.99), schedule=st.builds(
+           StepSchedule, st.floats(1e-3, 0.5), st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
+           st.integers(0, 100)),
+       variant=st.sampled_from([PREFIX_KEYED, POSITION_KEYED]),
+       table=st.lists(st.lists(st.lists(st.integers(1, 4), min_size=4, max_size=4),
+                               min_size=4, max_size=4), min_size=1, max_size=6))
+def test_coverage_bound_holds_at_every_step_against_an_adaptive_adversary(
+        phi, schedule, variant, table):
+    cfg = ChainConfig(n=3, phi=phi, horizon_T=300)
+    sim = drive_acog(cfg, schedule, _AdaptiveChains(3, table), 300, variant=variant)
+    # where the full chain never fails, theta stays in [-eta_max * (1 - phi),
+    # n - 1 + eta_max * phi]: above n - 1 it probes the full chain, which succeeds
+    eta = schedule.max_eta()
+    lo, hi = -eta * (1 - phi) - _TOL, cfg.n - 1 + eta * phi + _TOL
+    assert lo <= sim.trace.state.min() and max(sim.trace.state.max(), sim.final_state) <= hi
+    # so |coverage_t - phi| <= W / (eta_t * t) at every step t, with W = hi - lo
+    t = np.arange(1, 301)
+    bound = (hi - lo) / (np.array([schedule.eta(s) for s in t]) * t)
+    assert (abs(coverage_series(sim.trace) - phi) <= bound + 1e-9).all()
+
+
+def test_a_full_chain_that_fails_breaks_the_coverage_bound():
+    # the chain's band is open above, so the driver raises nothing; the test names
+    # the bounds that no longer hold. Every chain fails, the full one too: theta
+    # climbs by eta * phi = 0.05 a step, past n - 1 + eta * phi, and with the
+    # coverage at 0 the bound W / (eta * t), W = n - 1 + eta, falls below phi from
+    # t > W / (eta * phi) = 42 on
+    cfg = ChainConfig(n=3, phi=0.5, horizon_T=300)
+    world = _AdaptiveChains(3, [[[4] * 4] * 4], broken=True)
+    sim = drive_acog(cfg, StepSchedule.constant(0.1), world, 300)
+    assert sim.final_state == pytest.approx(15.0) and sim.final_state > 3 - 1 + 0.1 * 0.5
+    t = np.arange(1, 301)
+    bound = (3 - 1 + 0.1 + 2 * _TOL) / (0.1 * t)
+    broken = abs(coverage_series(sim.trace) - 0.5) > bound + 1e-9
+    assert np.flatnonzero(broken)[0] + 1 == 43 and broken[42:].all()

@@ -1,7 +1,11 @@
 import math
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverctl.environments import (
     ArmSpec,
@@ -305,8 +309,64 @@ def test_poisson_law_stops_at_underflow():
     huge = PoissonDemand(0.5, 0.5, 0, 1e12, seed=1)
     assert _nonzero(huge.pmf(0.5)) == _nonzero(moved)
     assert newsvendor_benchmark(huge.pmf(0.5), 0.9) == newsvendor_benchmark(moved, 0.9)
-    # the inversion table ends at the first zero term, whatever the cap
-    assert len(short._cdf[0.5]) == len(huge._cdf[0.5]) < 200
+    # the law, and with it the inversion table, ends at the first zero term, whatever the cap
+    assert len(short.pmf(0.5)) == len(huge.pmf(0.5)) < 200
+
+
+def _former_poisson_terms(lam, n):
+    # the terms and running sums PoissonDemand inverted before its draw read
+    # the law that pmf returns, kept as a bit-exact reference
+    terms = [math.exp(-lam)]
+    for k in range(1, n):
+        if terms[-1] == 0.0:
+            break
+        terms.append(terms[-1] * (lam / k))
+    return terms, list(accumulate(terms))
+
+
+def _former_draw(stream, cdfs, t):
+    cdf = cdfs[stream.rate(t)]
+    k = bisect_left(cdf, uniform(stream.seed, _C_DEMAND, t, 0))
+    return float(min(max(k, 1), stream.cap) if k < len(cdf) else int(stream.cap))
+
+
+def _former_pmf(lam, cap):
+    top = int(cap)
+    terms, cdf = _former_poisson_terms(lam, top)
+    law = {1: terms[0]}
+    for k in range(1, len(terms)):
+        law[k] = law.get(k, 0.0) + terms[k]
+    law[top] = law.get(top, 0.0) + max(1.0 - cdf[-1], 0.0)
+    return law
+
+
+_RATES = st.one_of(st.sampled_from([1e-300, 1e-9, 0.01, 0.5, 20.0, 50.0, 700.0, 708.39]),
+                   st.floats(1e-6, 708.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(before=_RATES, after=_RATES, shift=st.integers(0, 1500),
+       cap=st.one_of(st.floats(1.0, 2.0), st.integers(1, 3000).map(float), st.floats(1.0, 3000.0),
+                     st.just(1e12)),
+       seed=st.integers(0, 2**32))
+def test_poisson_demand_matches_the_former_inversion_bit_for_bit(before, after, shift, cap, seed):
+    stream = PoissonDemand(before, after, shift, cap, seed)
+    cdfs = {lam: _former_poisson_terms(lam, int(cap))[1] for lam in (before, after)}
+    assert [stream.draw(t) for t in range(1, 3001)] == [_former_draw(stream, cdfs, t)
+                                                        for t in range(1, 3001)]
+    for lam in (before, after):
+        law = stream.pmf(lam)
+        assert repr(law) == repr(_former_pmf(lam, cap))  # same keys, order and float bits
+        assert list(law) == sorted(law)  # in demand order
+
+
+def test_poisson_rate_whose_exp_is_subnormal_is_refused():
+    # exp(-rate) leaves the normal floats just past rate 708.396: from there the
+    # terms lose precision, and from about 745.1 every one of them is 0.0
+    assert PoissonDemand(708.39, 708.39, 0, 2000.0, seed=1).pmf(708.39)
+    for before, after in ((708.4, 20.0), (20.0, 740.0), (800.0, 800.0)):
+        with pytest.raises(ValueError, match="exp\\(-rate\\) a normal float"):
+            PoissonDemand(before, after, 0, 2000.0, seed=1)
 
 
 def test_poisson_demand_mean_and_shift():

@@ -759,6 +759,14 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
                                        "index_offset": 10**400}}, "schedule"),
     ({**_OR_FIXED, "environment": {"kind": "or_random", "n": 5, "p_low": 0.9, "p_high": 0.1}},
      "environment.p_high"),
+    # a rate whose exp(-rate) is not a normal float, and beta shapes whose
+    # beta_cdf coefficients exceed the largest float
+    ({**_POISSON, "environment": {**_POISSON["environment"], "before": 800.0, "after": 800.0,
+                                  "cap": 2000.0}}, "environment.before"),
+    ({**_POISSON, "environment": {**_POISSON["environment"], "after": 740.0}},
+     "environment.after"),
+    ({"environment": {"kind": "interval", "delta": 0.25, "points": ["beta", 600, 600]}},
+     "environment.points"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
         "list-params", "string-initial-level", "string-carryover", "short-window",
@@ -779,7 +787,8 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
         "negative-lambda-cap", "one-arm-one-step", "two-arm-interval-one-step",
         "two-arm-iid-one-step", "cost-sum-overflow", "cost-sum-and-cap-overflow",
         "cap-overflow", "underflowing-decay-step", "overflowing-index-offset",
-        "reversed-or-range"])
+        "reversed-or-range", "subnormal-rate-before", "subnormal-rate-after",
+        "overflowing-beta-shapes"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = {**_DOC, **override}
     path = tmp_path / "cfg.json"
@@ -788,7 +797,8 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, over
     assert main([command, "--config", str(path), *out]) == 2
     err = capsys.readouterr().err
     assert f"key '{key}'" in err and "Traceback" not in err
-    assert not (tmp_path / "o").exists()
+    # nothing is written: no OUT, and no staging directory beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
     # the config is refused when it is built, before any world or oracle exists
     with pytest.raises(ConfigError, match=re.escape(f"key '{key}'")):
         ExperimentConfig.from_dict(doc)

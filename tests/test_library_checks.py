@@ -39,6 +39,8 @@ _BAD = {
     "interval-delta-1e-320": lambda: IntervalWorld(1e-320, ("uniform",), 1),
     "interval-shape-inf": lambda: IntervalWorld(0.25, ("beta", math.inf, 2), 1),
     "interval-shape-minus-inf": lambda: IntervalWorld(0.25, ("beta", 2, -math.inf), 1),
+    # C(1199, 600) and more of beta_cdf's coefficients exceed the largest float
+    "interval-shape-overflow": lambda: IntervalWorld(0.25, ("beta", 600, 600), 1),
     "benchmark-delta-1e-320": lambda: interval_benchmark(1e-320, lambda x: x, 0.5),
     "benchmark-delta-zero": lambda: interval_benchmark(0.0, lambda x: x, 0.5),
     "benchmark-delta-minus-zero": lambda: interval_benchmark(-0.0, lambda x: x, 0.5),
@@ -46,6 +48,8 @@ _BAD = {
     "poisson-after-nan": lambda: PoissonDemand(5.0, math.nan, 10, 20.0, 1),
     "poisson-before-inf": lambda: PoissonDemand(math.inf, 5.0, 10, 20.0, 1),
     "poisson-cap-inf": lambda: PoissonDemand(5.0, 5.0, 10, math.inf, 1),
+    # exp(-800) is 0.0: every term of the law underflows, and its mass would sit on the cap
+    "poisson-rate-subnormal": lambda: PoissonDemand(800.0, 800.0, 0, 2000.0, 1),
     "trap-end-inf": lambda: TrapWorld((0, math.inf)),
     "arm-cost-negative": lambda: ArmSpec(0.5, -0.1),
     "arm-cost-nan": lambda: ArmSpec(0.5, math.nan),

@@ -1,15 +1,20 @@
 import dataclasses
 import math
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverctl.environments import OrWorld, PoissonDemand
 from coverctl.oracles import (
     GreedyReport,
     InfeasibleBenchmarkError,
+    LpSolution,
     beta_cdf,
+    beta_cdf_in_range,
     greedy_chain,
     interval_benchmark,
     lp_benchmark,
@@ -80,6 +85,71 @@ def test_lp_benchmark_matches_scipy():
         assert float(mix @ p) >= phi - 1e-9
 
 
+def _list_built_lp_benchmark(p, omega, phi):
+    # lp_benchmark as it was when it built a fresh mixture list for every
+    # improvement, kept as a bit-exact reference
+    p = [float(x) for x in p]
+    omega = [float(x) for x in omega]
+    n = len(p)
+    best_cost, best_mix = math.inf, None
+    for i in range(n):
+        if p[i] >= phi - 1e-9 and omega[i] < best_cost:
+            best_cost = omega[i]
+            best_mix = [0.0] * n
+            best_mix[i] = 1.0
+    for i in range(n):
+        for j in range(n):
+            if i == j or p[i] <= p[j]:
+                continue
+            x = (phi - p[j]) / (p[i] - p[j])
+            if x < 0.0 or x > 1.0:
+                continue
+            cost = x * omega[i] + (1.0 - x) * omega[j]
+            if cost < best_cost - 1e-15:
+                best_cost = cost
+                best_mix = [0.0] * n
+                best_mix[i] = x
+                best_mix[j] = 1.0 - x
+    if best_mix is None:
+        raise InfeasibleBenchmarkError(
+            f"arm-mixture benchmark infeasible: no mixture reaches phi={phi}")
+    return LpSolution(c_star=float(best_cost), mixture=tuple(best_mix))
+
+
+# rates and costs from a coarse grid, so that ties between arms and pairs are common
+_LP_VALUES = st.one_of(st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.8, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(arms=st.lists(st.tuples(_LP_VALUES, _LP_VALUES), min_size=1, max_size=7),
+       phi=st.one_of(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), st.floats(-0.1, 1.1)))
+def test_lp_benchmark_matches_the_list_built_reference_bit_for_bit(arms, phi):
+    p, omega = zip(*arms)
+    try:
+        expected = repr(_list_built_lp_benchmark(p, omega, phi))  # repr keeps -0.0 apart
+    except InfeasibleBenchmarkError as err:
+        with pytest.raises(InfeasibleBenchmarkError, match=re.escape(str(err))):
+            lp_benchmark(p, omega, phi)
+    else:
+        assert repr(lp_benchmark(p, omega, phi)) == expected
+
+
+def test_beta_cdf_in_range_says_whether_beta_cdf_overflows():
+    # C(1029, 514) is below the largest float and C(1030, 515) above it; past
+    # the middle only the coefficients from j = a on count
+    for n in (1, 2, 7, 1028, 1029, 1030, 1031, 1200, 2100):
+        for a in {1, 2, n // 2, n // 2 + 1, n // 2 + 2, n - 300, n - 1, n} & set(range(1, n + 1)):
+            try:
+                beta_cdf(0.5, a, n + 1 - a)
+                evaluable = True
+            except OverflowError:
+                evaluable = False
+            assert beta_cdf_in_range(a, n + 1 - a) == evaluable, (a, n + 1 - a)
+    assert beta_cdf_in_range(2, 5) and beta_cdf_in_range(1, 1) and beta_cdf_in_range(10**6, 1)
+    # shapes far past the float range are refused at once, not after computing C(n, j)
+    assert not beta_cdf_in_range(10**4000, 10**4000)
+
+
 def test_threshold_benchmark_identity_curve():
     assert threshold_benchmark(lambda t: t, 0.8, 0.0, 1.0) == pytest.approx(0.8, abs=1e-9)
     # the root is searched on the bracket the caller passes
@@ -148,6 +218,14 @@ def test_newsvendor_benchmark_three_point_demand():
     assert q_star == pytest.approx(2.4, abs=1e-6)
 
 
+def test_newsvendor_benchmark_refuses_a_target_above_the_mean_demand():
+    # the most any level fulfills is E[min(a, max a)] = E[a] = 2
+    with pytest.raises(InfeasibleBenchmarkError,
+                       match=re.escape("phi*mu=3.0 exceeds E[a]=2.0")):
+        newsvendor_benchmark({1: 0.5, 3: 0.5}, 1.5)
+    assert newsvendor_benchmark({1: 0.5, 3: 0.5}, 1.0) == (pytest.approx(3.0), 2.0)
+
+
 def test_newsvendor_benchmark_full_service_limit():
     q_star, _ = newsvendor_benchmark({1: 0.5, 3: 0.5}, 0.9999999)
     assert q_star == pytest.approx(3.0, abs=1e-4)
@@ -195,7 +273,8 @@ def test_greedy_chain_orders_by_marginal_gain():
     f = OrWorld([0.3, 0.2, 0.1], seed=0).value_oracle()
     report = greedy_chain(f, 3)
     assert report.chain == (0, 1, 2)
-    assert report.budget_for(0.9) is None  # full set tops out below 0.9
+    with pytest.raises(InfeasibleBenchmarkError, match="below phi=0.9"):
+        report.budget_for(0.9)  # full set tops out below 0.9
 
 
 def test_greedy_budget_monotone_in_target():
@@ -205,7 +284,6 @@ def test_greedy_budget_monotone_in_target():
         f = OrWorld(list(rng.uniform(0.05, 0.6, n)), seed=0).value_oracle()
         report = greedy_chain(f, n)
         budgets = [report.budget_for(rho) for rho in np.linspace(0, report.prefix_values[-1], 17)]
-        assert all(b is not None for b in budgets)
         assert budgets == sorted(budgets)
 
 
@@ -246,7 +324,8 @@ def test_greedy_margin_flags():
     assert report.prefix_values[2] - 0.5 == pytest.approx(0.25)
     assert not report.is_degenerate(0.5)
     assert report.is_degenerate(0.75)  # no prefix beyond the full set
-    assert report.is_degenerate(0.9)  # the target is never reached
+    with pytest.raises(InfeasibleBenchmarkError):
+        report.is_degenerate(0.9)  # the target is never reached
     # a margin at or below 1e-6 is degenerate, one above it is not
     for margin, degenerate in ((0.25, False), (2e-6, False), (5e-7, True), (0.0, True)):
         values = (0.0, 0.5, 0.5 + margin)

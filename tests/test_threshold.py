@@ -148,6 +148,59 @@ def test_inventory_ledger_and_band_hold_for_any_demand_script(phi, schedule, q_i
     assert (abs(coverage_series(sim.trace) - phi) <= bound + 1e-9).all()
 
 
+class _AdaptiveScores:
+    """An adversary that picks each success bit from the threshold just
+    submitted and the one before it: ``table[t % len][previous cell][cell]``,
+    over four equal cells of [0, 1]. Under the model's rule tau_max = 1 always
+    succeeds and tau_min = 0 never does; ``broken`` names the end that breaks it."""
+
+    def __init__(self, table, broken=None):
+        self.table, self.broken, self.prev = table, broken, 0
+
+    def evaluate(self, t, tau):
+        cell = min(int(tau * 4), 3)
+        bit = self.table[t % len(self.table)][self.prev][cell]
+        self.prev = cell
+        if tau >= 1.0:
+            bit = self.broken != "tau_max"
+        elif tau <= 0.0:
+            bit = self.broken == "tau_min"
+        return (1.0 if bit else 0.0), tau
+
+
+# adversary tables: one or more steps of 4 x 4 bits
+_TABLES = st.lists(st.lists(st.lists(st.booleans(), min_size=4, max_size=4),
+                            min_size=4, max_size=4), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(phi=st.floats(0.01, 0.99), schedule=_schedules(0.5), table=_TABLES)
+def test_coverage_bound_holds_at_every_step_against_an_adaptive_adversary(phi, schedule, table):
+    cfg = ThresholdConfig(0.0, 1.0, phi, schedule)
+    sim = drive_threshold(cfg, _AdaptiveScores(table), 400)
+    # |coverage_t - phi| <= W / (eta_t * t) at every step t, W the driver's band width
+    t = np.arange(1, 401)
+    width = cfg.tau_max - cfg.tau_min + 2 * (schedule.max_eta() + runner._TOL)
+    bound = width / (np.array([schedule.eta(s) for s in t]) * t)
+    assert bound[-1] == pytest.approx(sim.info["coverage_bound"], rel=1e-12)
+    assert (abs(coverage_series(sim.trace) - phi) <= bound + 1e-9).all()
+
+
+@pytest.mark.parametrize("broken,escape_step,side", [("tau_max", 24, 1), ("tau_min", 4, 0)])
+def test_an_adversary_breaking_the_threshold_rule_is_caught(broken, escape_step, side):
+    # from tau = 0: a tau_max that fails, with every other threshold failing too,
+    # drives tau up by eta * phi = 0.05 a step, past the band's 1 + eta at step 24;
+    # a tau_min that succeeds, as every other threshold does, drives it down by
+    # eta * (1 - phi) = 0.05 a step, past -eta at step 4
+    cfg = ThresholdConfig(0.0, 1.0, 0.5, StepSchedule.constant(0.1))
+    bit = broken == "tau_min"
+    table = [[[bit] * 4] * 4]
+    with pytest.raises(InvariantViolation) as err:
+        drive_threshold(cfg, _AdaptiveScores(table, broken), 400)
+    assert err.value.step == escape_step
+    assert err.value.band[side] == pytest.approx((-0.1, 1.1)[side])
+
+
 def test_newsvendor_step_served_and_update():
     cfg = NewsvendorConfig(100.0, 0.9, StepSchedule.constant(0.5))
     q = ControllerState(20.0, 0.9, cfg.schedule)
