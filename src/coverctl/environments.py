@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .oracles import beta_cdf, beta_cdf_in_range, grid_cells
+from .oracles import beta_cdf, beta_coefficients, grid_cells
 from .rng import uniform, uniforms
 
 # component ids for substream separation
@@ -153,9 +153,9 @@ class IntervalWorld:
     with 0 <= i < j <= m = 1/delta in (i, j) order; index m is [0, 1], the
     guaranteed arm. Playing an arm reveals only whether the hidden point
     landed in that closed interval, plus the interval's length as cost.
-    The point law is ``("beta", a, b)`` with integer shapes that
-    :func:`~coverctl.oracles.beta_cdf_in_range` accepts, or ``("uniform",)``,
-    which is Beta(1, 1).
+    The point law is ``("beta", a, b)``, or ``("uniform",)``, which is Beta(1, 1);
+    :func:`~coverctl.oracles.beta_coefficients` holds the coefficients of its
+    closed-form CDF and the rule of which shapes are in range.
     """
 
     i_min = 0
@@ -166,17 +166,11 @@ class IntervalWorld:
         self.arms = [None] + [(i * delta, j * delta)
                               for i in range(m) for j in range(i + 1, m + 1)]
         self.seed = seed
-        if tuple(point_dist) == ("uniform",):
-            point_dist = ("beta", 1, 1)
-        if len(point_dist) != 3 or point_dist[0] != "beta":
+        kind, *shape = ("beta", 1, 1) if tuple(point_dist) == ("uniform",) else point_dist
+        if kind != "beta" or len(shape) != 2:
             raise ValueError(f"unknown point distribution {point_dist!r}")
-        _, a, b = point_dist
-        if not all(1 <= s < math.inf and int(s) == s for s in (a, b)):
-            raise ValueError(f"beta point distribution needs integer shapes >= 1, got {a}, {b}")
-        self._shape = a, b = int(a), int(b)
-        if not beta_cdf_in_range(a, b):
-            raise ValueError(f"beta shapes {a}, {b} out of range: a coefficient"
-                             f" C(a+b-1, j), j >= a, of beta_cdf exceeds the largest float")
+        beta_coefficients(*shape)  # ValueError unless beta_cdf can evaluate Beta(a, b)
+        self._shape = a, b = tuple(map(int, shape))
         self._points = _StepBlocks(partial(_beta_points, seed, a, b), a + b - 1)
         self.n = len(self.arms)
         self.c_max = m * delta

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 
 _FLOAT_MAX = int(sys.float_info.max)  # the largest float, as an exact integer
+_BETA_SHAPES = 64  # (a, b) shapes whose beta_cdf coefficients are kept
 
 
 class InfeasibleBenchmarkError(ValueError):
@@ -79,22 +81,26 @@ def beta_cdf(x: float, a: int, b: int) -> float:
     """CDF of Beta(a, b) for integer shapes, in closed form: the a-th smallest
     of a+b-1 uniforms is Beta(a, b), so I_x(a, b) is the binomial tail
     P(at least a of them fall below x)."""
-    x = min(max(x, 0.0), 1.0)
-    n = a + b - 1
-    return sum(math.comb(n, j) * x**j * (1.0 - x) ** (n - j) for j in range(a, n + 1))
+    x, n = min(max(x, 0.0), 1.0), a + b - 1
+    return sum(c * x**j * (1.0 - x) ** (n - j) for j, c in enumerate(beta_coefficients(a, b), a))
 
 
-def beta_cdf_in_range(a: int, b: int) -> bool:
-    """Whether :func:`beta_cdf` can evaluate Beta(a, b): every C(n, j), n = a+b-1,
-    j >= a, that it turns into a float is at most the largest float. The largest is
-    C(n, min(b-1, ceil(n/2))), and C(n, i) rises with i up to there, so the loop in
-    exact integers stops at the first C(n, i) past the bound."""
-    n, c = a + b - 1, 1
-    for i in range(1, min(b - 1, (n + 1) // 2) + 1):
-        c = c * (n - i + 1) // i  # C(n, i), exactly
+@lru_cache(maxsize=_BETA_SHAPES)
+def beta_coefficients(a: int, b: int) -> tuple[float, ...]:
+    """The floats C(n, j), n = a+b-1, j = a .. n, that :func:`beta_cdf` sums. ValueError
+    unless a and b are integers >= 1 and no such C(n, j) exceeds the largest float. The
+    loop runs in exact integers down from C(n, n) = 1, and C(n, j) rises as j falls to
+    n/2, so it stops at the first coefficient past the bound."""
+    if not all(1 <= s < math.inf and int(s) == s for s in (a, b)):
+        raise ValueError(f"beta point distribution needs integer shapes >= 1, got {a}, {b}")
+    n, c, coefficients = int(a) + int(b) - 1, 1, [1.0]
+    for j in range(n, int(a), -1):
+        c = c * j // (n - j + 1)  # C(n, j - 1), exactly
         if c > _FLOAT_MAX:
-            return False
-    return True
+            raise ValueError(f"beta shapes {a}, {b} out of range: a coefficient"
+                             f" C(a+b-1, j), j >= a, of beta_cdf exceeds the largest float")
+        coefficients.append(float(c))
+    return tuple(reversed(coefficients))
 
 
 def _bisect(f, target: float, lo: float, hi: float, tol: float) -> float:
@@ -203,7 +209,7 @@ def newsvendor_benchmark(pmf, phi: float) -> tuple[float, float]:
     """
     items = sorted(pmf.items())
     total = sum(w for _, w in items)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
         raise ValueError(f"pmf weights sum to {total}, expected 1")
     mu = sum(v * w for v, w in items)
 

@@ -82,7 +82,7 @@ def _points(path, x):  # ["beta", a, b] with integer shapes a, b >= 1, or ["unif
     _check(path, x, "list")
     _check(f"{path}[0]", x[0] if x else None, ("beta", "uniform"))
     _check(path, x, [("beta",), _SHAPE, _SHAPE] if x[0] == "beta" else [("uniform",)])
-    if x[0] == "beta" and not oracles.beta_cdf_in_range(x[1], x[2]):
+    if x[0] == "beta" and not _passes(oracles.beta_coefficients, x[1], x[2]):
         _fail(path, f"expected shapes whose beta_cdf coefficients C(a+b-1, j), j >= a, stay"
               f" within the float range (always so for a + b <= 1030), got {x!r}")
 

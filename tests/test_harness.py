@@ -767,6 +767,8 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
      "environment.after"),
     ({"environment": {"kind": "interval", "delta": 0.25, "points": ["beta", 600, 600]}},
      "environment.points"),
+    ({"environment": {"kind": "interval", "delta": 0.25, "points": ["beta", 1, 10**6]}},
+     "environment.points"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
         "list-params", "string-initial-level", "string-carryover", "short-window",
@@ -788,7 +790,7 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
         "two-arm-iid-one-step", "cost-sum-overflow", "cost-sum-and-cap-overflow",
         "cap-overflow", "underflowing-decay-step", "overflowing-index-offset",
         "reversed-or-range", "subnormal-rate-before", "subnormal-rate-after",
-        "overflowing-beta-shapes"])
+        "overflowing-beta-shapes", "far-overflowing-beta-shapes"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = {**_DOC, **override}
     path = tmp_path / "cfg.json"

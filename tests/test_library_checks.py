@@ -14,7 +14,7 @@ from coverctl.bandit import BanditConfig
 from coverctl.control import ControllerState, InvariantViolation, StepSchedule
 from coverctl.environments import (ArmSpec, IntervalWorld, PoissonDemand, TrapWorld,
                                    draw_or_probabilities)
-from coverctl.oracles import interval_benchmark
+from coverctl.oracles import beta_cdf, interval_benchmark, newsvendor_benchmark
 from coverctl.threshold import NewsvendorConfig, ThresholdConfig
 
 _STEP = StepSchedule(0.1)
@@ -41,6 +41,8 @@ _BAD = {
     "interval-shape-minus-inf": lambda: IntervalWorld(0.25, ("beta", 2, -math.inf), 1),
     # C(1199, 600) and more of beta_cdf's coefficients exceed the largest float
     "interval-shape-overflow": lambda: IntervalWorld(0.25, ("beta", 600, 600), 1),
+    "beta-cdf-shape-zero": lambda: beta_cdf(0.5, 0, 1),
+    "beta-cdf-shape-fractional": lambda: beta_cdf(0.5, 2.5, 3),
     "benchmark-delta-1e-320": lambda: interval_benchmark(1e-320, lambda x: x, 0.5),
     "benchmark-delta-zero": lambda: interval_benchmark(0.0, lambda x: x, 0.5),
     "benchmark-delta-minus-zero": lambda: interval_benchmark(-0.0, lambda x: x, 0.5),
@@ -50,6 +52,8 @@ _BAD = {
     "poisson-cap-inf": lambda: PoissonDemand(5.0, 5.0, 10, math.inf, 1),
     # exp(-800) is 0.0: every term of the law underflows, and its mass would sit on the cap
     "poisson-rate-subnormal": lambda: PoissonDemand(800.0, 800.0, 0, 2000.0, 1),
+    # a NaN weight makes the total NaN, which no tolerance test of |total - 1| passes
+    "newsvendor-pmf-nan": lambda: newsvendor_benchmark({1: math.nan, 2: 1.0}, 0.5),
     "trap-end-inf": lambda: TrapWorld((0, math.inf)),
     "arm-cost-negative": lambda: ArmSpec(0.5, -0.1),
     "arm-cost-nan": lambda: ArmSpec(0.5, math.nan),

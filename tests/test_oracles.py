@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,7 @@ from coverctl.oracles import (
     InfeasibleBenchmarkError,
     LpSolution,
     beta_cdf,
-    beta_cdf_in_range,
+    beta_coefficients,
     greedy_chain,
     interval_benchmark,
     lp_benchmark,
@@ -24,9 +25,21 @@ from coverctl.oracles import (
 
 
 def closed_form_beta_cdf(x, a, b):
-    # binomial-sum identity for integer shapes, the formula beta_cdf uses
+    # beta_cdf as it was when it computed every math.comb(n, j) at each point,
+    # kept as a bit-exact reference
+    x = min(max(x, 0.0), 1.0)
     n = a + b - 1
-    return sum(math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(a, n + 1))
+    return sum(math.comb(n, j) * x**j * (1.0 - x) ** (n - j) for j in range(a, n + 1))
+
+
+def _former_range_loop(a, b):
+    # the range rule as it was, a loop of its own up the binomial row, kept as a reference
+    n, c = a + b - 1, 1
+    for i in range(1, min(b - 1, (n + 1) // 2) + 1):
+        c = c * (n - i + 1) // i  # C(n, i), exactly
+        if c > sys.float_info.max:
+            return False
+    return True
 
 
 def test_beta_cdf_matches_closed_form():
@@ -43,6 +56,17 @@ def test_beta_cdf_matches_closed_form():
             for x in np.linspace(0.0, 1.0, 41):
                 assert beta_cdf(float(x), a, b) == pytest.approx(
                     scipy_beta.cdf(x, a, b), abs=1e-12)
+
+
+def test_beta_cdf_equals_the_per_point_comb_formula_bit_for_bit():
+    # every shape with a + b <= 61 on a 201-point subgrid of the 2001 points the
+    # interval oracle reads, and the whole 2001-point grid for a + b <= 11
+    grid = [float(x) for x in np.linspace(0.0, 1.0, 2001)]
+    for a, b in ((a, s - a) for s in range(2, 62) for a in range(1, s)):
+        n = a + b - 1
+        assert beta_coefficients(a, b) == tuple(float(math.comb(n, j)) for j in range(a, n + 1))
+        for x in grid if a + b <= 11 else grid[::10]:
+            assert beta_cdf(x, a, b) == closed_form_beta_cdf(x, a, b), (x, a, b)
 
 
 def test_lp_benchmark_two_point_mixture():
@@ -134,20 +158,42 @@ def test_lp_benchmark_matches_the_list_built_reference_bit_for_bit(arms, phi):
         assert repr(lp_benchmark(p, omega, phi)) == expected
 
 
-def test_beta_cdf_in_range_says_whether_beta_cdf_overflows():
+def _refused(a, b):
+    try:
+        beta_coefficients(a, b)
+    except ValueError:
+        return True
+    return False
+
+
+def test_beta_coefficients_refuses_the_shapes_the_former_range_loop_refused():
     # C(1029, 514) is below the largest float and C(1030, 515) above it; past
     # the middle only the coefficients from j = a on count
     for n in (1, 2, 7, 1028, 1029, 1030, 1031, 1200, 2100):
         for a in {1, 2, n // 2, n // 2 + 1, n // 2 + 2, n - 300, n - 1, n} & set(range(1, n + 1)):
             try:
-                beta_cdf(0.5, a, n + 1 - a)
+                closed_form_beta_cdf(0.5, a, n + 1 - a)
                 evaluable = True
             except OverflowError:
                 evaluable = False
-            assert beta_cdf_in_range(a, n + 1 - a) == evaluable, (a, n + 1 - a)
-    assert beta_cdf_in_range(2, 5) and beta_cdf_in_range(1, 1) and beta_cdf_in_range(10**6, 1)
+            assert _former_range_loop(a, n + 1 - a) == evaluable, (a, n + 1 - a)
+            assert _refused(a, n + 1 - a) == (not evaluable), (a, n + 1 - a)
+            if evaluable:
+                assert beta_cdf(0.5, a, n + 1 - a) == closed_form_beta_cdf(0.5, a, n + 1 - a)
+            else:
+                with pytest.raises(ValueError, match="out of range"):
+                    beta_cdf(0.5, a, n + 1 - a)
     # shapes far past the float range are refused at once, not after computing C(n, j)
-    assert not beta_cdf_in_range(10**4000, 10**4000)
+    for a, b in ((2, 5), (1, 1), (10**6, 1), (1, 10**6), (10**4000, 10**4000)):
+        assert _refused(a, b) == (not _former_range_loop(a, b)), (a, b)
+    assert beta_coefficients(10**6, 1) == (1.0,) and _refused(1, 10**6)
+
+
+def test_beta_coefficients_refuses_shapes_that_are_not_integers_of_at_least_one():
+    for a, b in ((0, 1), (2.5, 3), (2, 0), (-1, 5), (math.nan, 2), (2, math.inf)):
+        with pytest.raises(ValueError, match="integer shapes >= 1"):
+            beta_coefficients(a, b)
+    assert beta_coefficients(2.0, 5) == beta_coefficients(2, 5) == (15.0, 20.0, 15.0, 6.0, 1.0)
 
 
 def test_threshold_benchmark_identity_curve():

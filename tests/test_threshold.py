@@ -186,6 +186,20 @@ def test_coverage_bound_holds_at_every_step_against_an_adaptive_adversary(phi, s
     assert (abs(coverage_series(sim.trace) - phi) <= bound + 1e-9).all()
 
 
+@pytest.mark.parametrize("phi", [0.2, 0.8])
+def test_a_band_riding_adversary_reaches_the_coverage_bound_from_below(phi):
+    # every threshold below tau_max fails and tau_max succeeds, as the model
+    # allows: the threshold rides its band, and |coverage_t - phi| comes within
+    # 5 % of W / (eta * t) at some step; a band constant widened by mistake
+    # raises W, and the realized ratio falls below 0.95
+    cfg = ThresholdConfig(0.0, 1.0, phi, StepSchedule.constant(0.01))
+    sim = drive_threshold(cfg, _AdaptiveScores([[[False] * 4] * 4]), 4000)
+    # W / (eta * t) with W from the driver's band: its coverage bound is W / (eta * T)
+    bound = sim.info["coverage_bound"] * 4000 / np.arange(1, 4001)
+    ratio = float(np.max(abs(coverage_series(sim.trace) - phi) / bound))
+    assert 0.95 <= ratio <= 1.0, ratio
+
+
 @pytest.mark.parametrize("broken,escape_step,side", [("tau_max", 24, 1), ("tau_min", 4, 0)])
 def test_an_adversary_breaking_the_threshold_rule_is_caught(broken, escape_step, side):
     # from tau = 0: a tau_max that fails, with every other threshold failing too,
