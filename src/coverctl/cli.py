@@ -38,6 +38,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    """The config a command runs: the preset or file, with the flag overrides and
+    the output directory resolved (--out, else the config's, else runs/<preset>)."""
     if args.preset and args.config:
         raise ConfigError("pass either --preset or --config, not both")
     if args.preset:
@@ -46,40 +48,32 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_dict(_load_config_file(args.config))
     else:
         raise ConfigError("one of --preset or --config is required")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "replicas", None) is not None:
-        overrides["replicas"] = args.replicas
-    if getattr(args, "out", None) is not None:
-        overrides["output_dir"] = args.out
-    return cfg.replace(**overrides) if overrides else cfg
-
-
-def _add_config_flags(p: argparse.ArgumentParser, with_run_flags: bool) -> None:
-    p.add_argument("--preset", help="built-in preset name (see list-presets)")
-    p.add_argument("--config", help="path to a JSON config file")
-    p.add_argument("--seed", type=int, help="master seed override")
-    if with_run_flags:
-        p.add_argument("--replicas", type=int, help="replica count override")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for replicas (default 1)")
-        p.add_argument("--plot", action="store_true",
-                       help="emit coverage.svg and regret.svg per variant")
-        p.add_argument("--out", help="output directory (default ./runs/<preset>)")
+    overrides = {key: value for key, value in (("seed", args.seed), ("replicas", args.replicas))
+                 if value is not None}
+    out = cfg.output_dir if args.out is None else args.out
+    return cfg.replace(output_dir=str(Path(out or Path("runs") / cfg.preset)), **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    config_p = argparse.ArgumentParser(add_help=False)
+    config_p.add_argument("--preset", help="built-in preset name (see list-presets)")
+    config_p.add_argument("--config", help="path to a JSON config file")
+    config_p.add_argument("--seed", type=int, help="master seed override")
     parser = argparse.ArgumentParser(
         prog="coverctl",
         description="Coverage-controller experiment harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="execute a preset or config")
-    _add_config_flags(run_p, with_run_flags=True)
+    run_p = sub.add_parser("run", parents=[config_p], help="execute a preset or config")
+    run_p.add_argument("--replicas", type=int, help="replica count override")
+    run_p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for replicas (default 1)")
+    run_p.add_argument("--plot", action="store_true",
+                       help="emit coverage.svg and regret.svg per variant")
+    run_p.add_argument("--out", help="output directory (default ./runs/<preset>)")
     sub.add_parser("list-presets", help="print the preset catalog")
-    oracle_p = sub.add_parser("oracle", help="print benchmark values as JSON")
-    _add_config_flags(oracle_p, with_run_flags=False)
+    sub.add_parser("oracle", parents=[config_p], help="print benchmark values as JSON"
+                   ).set_defaults(replicas=None, out=None)
     return parser
 
 
@@ -93,15 +87,12 @@ def main(argv=None) -> int:
             for entry in preset_catalog():
                 print(f"{entry['name']:20s} {entry['description']}")
             return 0
+        cfg = _resolve_config(args)
         if args.command == "oracle":
-            cfg = _resolve_config(args)
             print(json.dumps(benchmark_values(cfg), indent=2, sort_keys=True, allow_nan=False))
             return 0
-        cfg = _resolve_config(args)
-        out_dir = Path(cfg.output_dir or Path("runs") / cfg.preset)
-        cfg = cfg.replace(output_dir=str(out_dir))
-        execute(cfg, out_dir, jobs=args.jobs, plot=args.plot)
-        print(f"wrote artifacts to {out_dir}")
+        execute(cfg, Path(cfg.output_dir), jobs=args.jobs, plot=args.plot)
+        print(f"wrote artifacts to {cfg.output_dir}")
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -17,7 +17,6 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -42,14 +41,18 @@ _BLOCK_CELLS = 65536
 class _StepBlocks:
     """Per-step rows of a multi-lane world, computed a block of steps at a time.
 
-    ``fill(t0, steps)`` returns the rows of steps t0 .. t0+steps-1. Blocks
-    start at multiples of ``steps``; asking for a step outside the current
-    block refills it with the block that holds the step. A row depends only
-    on its step, so steps may be read in any order.
+    A block of steps t0 .. t0+steps-1 draws
+    ``uniforms(seed, component, t0, steps, lanes)``, maps it through ``rows``,
+    the world's row transform, to an array of one row per step, and keeps the
+    rows as Python lists. Blocks start at multiples of ``steps``; asking for a
+    step outside the current block refills it with the block that holds the
+    step. A row depends only on its step, so steps may be read in any order.
     """
 
-    def __init__(self, fill, lanes: int):
-        self._fill = fill
+    def __init__(self, seed: int, component: int, lanes: int, rows):
+        self._draw = (seed, component)
+        self._lanes = lanes
+        self._transform = rows
         self.steps = max(1, _BLOCK_CELLS // max(1, lanes))
         self._t0 = 0
         self._rows: list = []
@@ -59,19 +62,9 @@ class _StepBlocks:
         if not 0 <= i < len(self._rows):
             i = t % self.steps
             self._t0 = t - i
-            self._rows = self._fill(self._t0, self.steps)
+            block = uniforms(*self._draw, self._t0, self.steps, self._lanes)
+            self._rows = self._transform(block).tolist()
         return self._rows[i]
-
-
-def _beta_points(seed: int, a: int, b: int, t0: int, steps: int) -> list[float]:
-    # the a-th smallest of a+b-1 uniforms has the Beta(a, b) law
-    u = uniforms(seed, _C_POINT, t0, steps, a + b - 1)
-    return np.partition(u, a - 1, axis=1)[:, a - 1].tolist()
-
-
-def _success_bits(seed: int, p: np.ndarray, t0: int, steps: int) -> list[list[bool]]:
-    # row t, column i: whether arm i succeeds at step t
-    return (uniforms(seed, _C_BITS, t0, steps, len(p)) < p).tolist()
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,9 @@ class IntervalWorld:
             raise ValueError(f"unknown point distribution {point_dist!r}")
         beta_coefficients(*shape)  # ValueError unless beta_cdf can evaluate Beta(a, b)
         self._shape = a, b = tuple(map(int, shape))
-        self._points = _StepBlocks(partial(_beta_points, seed, a, b), a + b - 1)
+        # the a-th smallest of a+b-1 uniforms has the Beta(a, b) law
+        self._points = _StepBlocks(seed, _C_POINT, a + b - 1,
+                                   lambda u: np.partition(u, a - 1, axis=1)[:, a - 1])
         self.n = len(self.arms)
         self.c_max = m * delta
         self.i_max = m
@@ -325,7 +320,9 @@ class OrWorld:
         self.p = p
         self.n = len(p)
         self.seed = seed
-        self._bits = _StepBlocks(partial(_success_bits, seed, np.asarray(p)), self.n)
+        # row t, column i: whether arm i succeeds at step t
+        p = np.asarray(p)
+        self._bits = _StepBlocks(seed, _C_BITS, self.n, lambda u: u < p)
 
     def probe(self, t: int, chain) -> list[float]:
         values = []

@@ -207,6 +207,11 @@ class ExperimentConfig:
         if (self.algorithm_params.get("dynamic_carryover")
                 and self.step_schedule.max_eta() >= 1.0):
             _fail("algorithm_params.dynamic_carryover", "carry-over needs every step below 1")
+        # from the level q = a the step -eta * (1 - phi) * a leaves a * (1 - eta * (1 - phi))
+        if self.algorithm == "newsvendor" and self.step_schedule.max_eta() * (1 - self.phi) > 1:
+            _fail("schedule", f"the inventory level stays at or above 0 only for"
+                  f" eta_max * (1 - phi) <= 1, got {self.step_schedule.max_eta()!r}"
+                  f" * (1 - {self.phi!r})")
 
     @property
     def step_schedule(self) -> StepSchedule:

@@ -155,14 +155,18 @@ def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True) 
 
 def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
                      keep_trace: bool = True, q_init: float = 0.0) -> SimulationResult:
-    """Run the inventory controller for T periods; the level never goes negative.
+    """Run the inventory controller for T periods; when eta_max * (1 - phi) <= 1
+    the level stays in [0, max(q_init, phi * D * max(1, eta_max))].
 
-    Nor above max(q_init, D + eta_max * phi * D): above D the update is
-    -eta * (1 - phi) * a, and at or below D it rises by at most eta * phi * D.
+    From a level q >= a the update is -eta * (1 - phi) * a, so q = a falls to
+    a * (1 - eta * (1 - phi)) >= 0. The level rises only while q < phi * a <= phi * D,
+    and then to (1 - eta) * q + eta * phi * a <= max(1, eta_max) * phi * D.
     """
     state = ControllerState(value=q_init, phi=cfg.phi, schedule=cfg.schedule)
-    D = cfg.demand_cap
-    band = (-1e-9, max(q_init, D + cfg.schedule.max_eta() * cfg.phi * D) + _TOL)
+    top = max(q_init, cfg.phi * cfg.demand_cap * max(1.0, cfg.schedule.max_eta()))
+    # a slack relative to the top: both edges are reached exactly, up to the
+    # rounding of values of the top's size
+    band = (-_TOL * top, top + _TOL * top)
     return _drive(lambda: newsvendor_step(state, cfg, demand_stream.draw(state.step_index)),
                   state, T, band, keep_trace, ("a", "leftover", "y"))
 

@@ -22,7 +22,7 @@ from coverctl import environments as envs
 from coverctl import runner
 from coverctl.bandit import BanditConfig
 from coverctl.chains import ChainConfig, budget_from_theta
-from coverctl.cli import main
+from coverctl.cli import build_parser, main
 from coverctl.control import StepSchedule
 from coverctl.presets import (
     ALGORITHMS,
@@ -513,6 +513,43 @@ def test_cli_run_and_config_override(tmp_path, capsys):
     assert written["seed"] == 9
 
 
+# every flag of any subcommand, with a value it parses
+_FLAGS = {"--preset": ["p"], "--config": ["c.json"], "--seed": ["1"], "--replicas": ["1"],
+          "--jobs": ["1"], "--plot": [], "--out": ["o"]}
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("run", set(_FLAGS)),
+    ("oracle", {"--preset", "--config", "--seed"}),
+    ("list-presets", set()),
+], ids=["run", "oracle", "list-presets"])
+def test_each_subcommand_takes_exactly_its_flags(capsys, command, flags):
+    accepted = set()
+    for flag, value in _FLAGS.items():
+        try:
+            build_parser().parse_args([command, flag, *value])
+            accepted.add(flag)
+        except SystemExit as err:  # argparse refuses a flag the subcommand lacks
+            assert err.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert accepted == flags
+
+
+@pytest.mark.parametrize("flags,file_dir,out_dir", [
+    (["--out", "given/"], None, "given"),
+    (["--out", "given/"], "from-file/", "given"),
+    ([], "from-file/", "from-file"),
+    ([], None, "runs/custom"),
+], ids=["out", "out-over-file", "file", "default"])
+def test_cli_run_resolves_and_normalises_its_output_dir(tmp_path, capsys, monkeypatch, flags,
+                                                        file_dir, out_dir):
+    # --out, else the config's output_dir, else runs/<preset>, each through Path
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(small_config(replicas=1, output_dir=file_dir).to_json())
+    assert main(["run", "--config", "cfg.json", *flags]) == 0
+    assert capsys.readouterr().out == f"wrote artifacts to {out_dir}\n"
+    assert json.loads(Path(out_dir, "config.json").read_text())["output_dir"] == out_dir
+
+
 def test_cli_rejects_bad_config_with_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"algorithm": ')
@@ -769,6 +806,12 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
      "environment.points"),
     ({"environment": {"kind": "interval", "delta": 0.25, "points": ["beta", 1, 10**6]}},
      "environment.points"),
+    # inventory steps with eta_max * (1 - phi) > 1: from a level q = a the level
+    # falls below 0 (3 * 0.5), or overflows to inf (1e307 * 0.1)
+    ({**_POISSON, "environment": {**_POISSON["environment"], "shift_t": 500}, "T": 1000,
+      "phi": 0.5, "schedule": {"kind": "constant", "c": 3.0}}, "schedule"),
+    ({**_POISSON, "environment": {**_POISSON["environment"], "after": 20.0, "shift_t": 0},
+      "T": 20, "phi": 0.9, "schedule": {"kind": "constant", "c": 1e307}}, "schedule"),
 ], ids=["missing-delta", "fractional-T", "string-step", "string-window", "null-shape",
         "empty-points", "string-cost", "null-p", "or-null-p", "string-lambda-cap",
         "list-params", "string-initial-level", "string-carryover", "short-window",
@@ -790,7 +833,8 @@ _BAD_LABELS = ("../escaped", "a/b", "a\\b", ".", "..", "/abs", "a\0b")
         "two-arm-iid-one-step", "cost-sum-overflow", "cost-sum-and-cap-overflow",
         "cap-overflow", "underflowing-decay-step", "overflowing-index-offset",
         "reversed-or-range", "subnormal-rate-before", "subnormal-rate-after",
-        "overflowing-beta-shapes", "far-overflowing-beta-shapes"])
+        "overflowing-beta-shapes", "far-overflowing-beta-shapes", "inventory-negative-step",
+        "inventory-overflowing-step"])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, override, key):
     doc = {**_DOC, **override}
     path = tmp_path / "cfg.json"
@@ -993,10 +1037,6 @@ _OVERFLOWS = {
     # the chain's band is open above, so theta reaches inf
     "chain": ({"algorithm": "acog_position", "environment": {"kind": "or_fixed", "p": [0.9]},
                "T": 2000, "phi": 0.5, "schedule": {"kind": "constant", "c": 1e308}}, 645),
-    # the level's upper band D + eta_max * phi * D overflows to inf, and so does the level
-    "inventory": ({**_POISSON, "environment": {**_POISSON["environment"], "after": 20.0,
-                                               "shift_t": 0},
-                   "T": 20, "phi": 0.9, "schedule": {"kind": "constant", "c": 1e307}}, 2),
 }
 
 
@@ -1014,11 +1054,21 @@ def test_a_state_that_overflows_exits_4_and_writes_nothing(tmp_path, capsys, nam
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-def test_cli_invariant_violation_exits_4_and_writes_nothing(tmp_path, capsys):
-    # a constant step of 50 overshoots the stock far below zero; step 7 is the
-    # first whose decision-time level is negative
+def test_cli_invariant_violation_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the schema refuses the steps that overshoot the stock below zero, so a
+    # patched step does it: it pushes the level below zero after the update of
+    # step 6, and step 7 is the first whose decision-time level is negative
+    step = runner.newsvendor_step
+
+    def pushed(q, cfg, demand):
+        row = step(q, cfg, demand)
+        if q.step_index == 7:
+            q.value = -1.0
+        return row
+
+    monkeypatch.setattr(runner, "newsvendor_step", pushed)
     path = tmp_path / "cfg.json"
-    path.write_text(small_config(replicas=1, schedule={"kind": "constant", "c": 50.0}).to_json())
+    path.write_text(small_config(replicas=1).to_json())
     out_dir = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 4
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -131,17 +132,19 @@ def test_ledger_and_band_hold_for_any_reward_script(phi, schedule, script):
 @given(phi=st.floats(0.01, 0.99), schedule=_schedules(1.0), q_init=st.floats(0.0, 40.0),
        demands=st.lists(st.floats(1.0, 40.0), min_size=1, max_size=64))
 def test_inventory_ledger_and_band_hold_for_any_demand_script(phi, schedule, q_init, demands):
-    # steps up to 1 keep the level at or above 0 for any demand in [1, D]
+    # steps up to 1 keep the level in [0, max(q_init, phi * D)] for any demand in [1, D]
     cfg = NewsvendorConfig(40.0, phi, schedule)
     sim = drive_newsvendor(cfg, _ScriptedDemand(demands * 300), 300, q_init=q_init)
+    top = max(q_init, 40.0 * phi)
     assert abs(sim.info["ledger_residual"]) <= 1e-9
-    assert -1e-9 <= sim.final_state <= max(q_init, 40.0 * (1.0 + schedule.max_eta() * phi))
+    levels = [*sim.trace.state, sim.final_state]
+    assert 0.0 <= min(levels) and max(levels) <= top
     # the ledger's coverage is the fill rate, served over asked totals
     assert sim.info["coverage"] == coverage_series(sim.trace)[-1]
     assert abs(sim.info["coverage"] - phi) <= sim.info["coverage_bound"]
     # and at every period t, with the band width W and L_t the demand asked up
     # to t: |coverage_t - phi| <= W / (eta_t * L_t)
-    width = max(q_init, 40.0 * (1.0 + schedule.max_eta() * phi)) + runner._TOL + 1e-9
+    width = top * (1.0 + 2 * runner._TOL)
     etas = np.array([schedule.eta(s) for s in range(1, 301)])
     bound = width / (etas * np.cumsum(sim.trace.extras["a"]))
     assert bound[-1] == pytest.approx(sim.info["coverage_bound"], rel=1e-12)
@@ -326,24 +329,67 @@ def test_fill_rate_rejects_empty_trace():
 
 
 def test_inventory_level_escaping_its_upper_band_raises():
-    # a step that leaves the level past max(q_init, D + eta_max * phi * D) is
-    # caught at the next decision, which names its step
+    # a step that leaves the level past max(q_init, phi * D * max(1, eta_max))
+    # is caught at the next decision, which names its step
     cfg = NewsvendorConfig(50.0, 0.9, StepSchedule.constant(0.5))
     step = runner.newsvendor_step
 
     def pushed(q, cfg, demand):
         row = step(q, cfg, demand)
         if q.step_index == 8:  # the update of step 7
-            q.value = 50.0 * (1.0 + 0.5 * 0.9) + 1e-6
+            q.value = 45.0 * (1.0 + 1e-9)
         return row
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "newsvendor_step", pushed)
         with pytest.raises(InvariantViolation, match="at step 8$") as err:
             drive_newsvendor(cfg, _ScriptedDemand([10.0] * 20), 20, q_init=20.0)
-    assert err.value.step == 8 and err.value.band[1] == pytest.approx(72.5)
+    assert err.value.step == 8 and err.value.band[1] == pytest.approx(45.0, rel=1e-11)
     # the same run stays inside without the push
-    assert drive_newsvendor(cfg, _ScriptedDemand([10.0] * 20), 20, q_init=20.0).final_state < 72.5
+    assert drive_newsvendor(cfg, _ScriptedDemand([10.0] * 20), 20, q_init=20.0).final_state < 45.0
+
+
+@pytest.mark.parametrize("cap", [100.0, 1e12])
+@pytest.mark.parametrize("phi,schedule", [
+    (0.9, StepSchedule.power(5.0, 0.5, index_offset=1)),  # the newsvendor-shift steps
+    (0.8, StepSchedule.constant(0.5)),
+    (0.5, StepSchedule.constant(0.05)),
+    (0.5, StepSchedule.constant(2.0)),
+], ids=["preset", "eta-0.5", "eta-0.05", "eta-2"])
+def test_inventory_band_riding_demand_reaches_the_upper_edge(phi, schedule, cap):
+    # demand D at every period from an empty stock: a first step eta_1 > 1 jumps
+    # to eta_1 * phi * D at once, and steps up to 1 climb toward phi * D
+    cfg = NewsvendorConfig(cap, phi, schedule)
+    sim = drive_newsvendor(cfg, _ScriptedDemand([cap] * 300), 300)
+    top = phi * cap * max(1.0, schedule.max_eta())
+    assert 0.99 * top <= max(*sim.trace.state, sim.final_state) <= top
+
+
+def _edge_schedule(phi):
+    """The largest constant step eta with eta * (1 - phi) <= 1."""
+    eta = 1.0 / (1.0 - phi)
+    while eta * (1.0 - phi) > 1.0:
+        eta = math.nextafter(eta, 0.0)
+    return StepSchedule.constant(eta)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(phi=st.floats(0.01, 0.99), q_init=st.floats(0.0, 1e12),
+       demands=st.lists(st.floats(1.0, 1e12), min_size=1, max_size=16))
+def test_inventory_band_holds_at_the_step_rule_edge_with_a_cap_of_1e12(phi, q_init, demands):
+    # an adversary asking for the level itself whenever it is a legal demand
+    # lands on both edges of the band; their rounding, at values near 1e12,
+    # stays inside the band's relative slack
+    cfg = NewsvendorConfig(1e12, phi, _edge_schedule(phi))
+    step = runner.newsvendor_step
+
+    def riding(q, cfg, demand):
+        return step(q, cfg, q.value if 1.0 <= q.value <= cfg.demand_cap else demand)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "newsvendor_step", riding)
+        sim = drive_newsvendor(cfg, _ScriptedDemand(demands * 200), 200, q_init=q_init)
+    assert abs(sim.info["ledger_residual"]) <= 1e-9
 
 
 _OVERSHOOT = """
