@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,7 @@ class ChainStats:
         log_term = self._log_term
         by_position = self.variant == POSITION_KEYED
         prev = 0.0
+        prefix: list[int] = []  # the arms before the slot, sorted: its context key
         for position, (arm, val) in enumerate(zip(chain, values), start=1):
             gain = val - prev
             if gain < -1e-12:
@@ -92,7 +94,11 @@ class ChainStats:
                     NonMonotoneFeedbackWarning,
                     stacklevel=3,
                 )
-            key = position if by_position else tuple(sorted(chain[:position - 1]))
+            if by_position:
+                key = position
+            else:
+                key = tuple(prefix)
+                insort(prefix, arm)
             ctx = table.get(key)
             if ctx is None:
                 ctx = table[key] = self._fresh()

@@ -335,12 +335,26 @@ class OrWorld:
         return values
 
     def value_oracle(self):
-        """True expected set value, for benchmarks only."""
+        """True expected set value, for benchmarks only.
+
+        The oracle keeps the running product of prod (1 - p_i) over the
+        prefix (all but the last arm) it was last asked about, and extends
+        it where the next subset's prefix extends that one. A greedy chain
+        asks about its prefix plus each free arm in turn, so each call does
+        O(1) float work, the same left-to-right product as from scratch.
+        """
         p = self.p
+        last = [(), 1.0]  # a prefix and its running product
 
         def f(subset) -> float:
-            prod = 1.0
-            for i in subset:
+            subset = tuple(subset)
+            prefix, prod = last
+            if subset[:len(prefix)] != prefix or len(prefix) >= len(subset):
+                prefix, prod = (), 1.0
+            for i in subset[len(prefix):-1]:
+                prod *= 1.0 - p[i]
+            last[:] = subset[:-1], prod
+            for i in subset[-1:]:
                 prod *= 1.0 - p[i]
             return 1.0 - prod
 

@@ -1,10 +1,12 @@
 """Validity and efficiency accounting over per-step traces, each one set of
-columns (:class:`Trace`) that every reader here works on whole."""
+columns (:class:`Trace`). A run may be read whole or one chunk of steps at a
+time: the cumulative series continue across chunks from a :class:`Carry`, and
+:class:`MetricsReport` checks and sums chunk by chunk."""
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,32 +62,65 @@ class TraceRecord:
     extras: dict
 
 
-def coverage_series(trace: Trace) -> np.ndarray:
+@dataclass
+class Carry:
+    """Where the cumulative series of a run's next chunk continue from: the
+    steps before it and the running sums over them. A sum starts at -0.0,
+    which adds to any x as x, so a one-chunk run's sums are the plain ones."""
+
+    steps: int = 0
+    served: float = -0.0
+    asked: float = -0.0
+    regret: float = -0.0
+    regret_pos: float = -0.0
+
+
+def _running(values, start: float) -> tuple[np.ndarray, float]:
+    """The running sums of ``values`` continued from ``start``, and the last
+    of them (``start`` when ``values`` is empty): one left-to-right sum, so
+    chunk after chunk gives the bits of one sum over the whole run."""
+    sums = np.cumsum(np.concatenate(([start], values)))
+    return sums[1:], sums[-1]
+
+
+def coverage_series(trace: Trace, carry: Carry | None = None) -> np.ndarray:
     """Running coverage of a trace, served over asked, by the trace's columns.
 
     A trace with ``y`` and ``a`` columns (an inventory run) serves y_s of a_s
     asked: sum_{s<=t} y_s / sum_{s<=t} a_s. Any other trace asks one unit a
     step and serves Y_s of it: (1/t) * sum_{s<=t} Y_s. This is the rule of the
-    ledger that :func:`coverctl.runner._drive` keeps.
+    ledger that :func:`coverctl.runner._drive` keeps. With ``carry`` the trace
+    is a chunk of a run: the series continues from it and advances it.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
+    carry = Carry() if carry is None else carry
+    first = carry.steps + 1
+    carry.steps += len(trace)
     if "a" in trace.extras:
-        return np.cumsum(trace.extras["y"]) / np.cumsum(trace.extras["a"])
-    return np.cumsum(trace.reward) / np.arange(1, len(trace) + 1)
+        served, carry.served = _running(trace.extras["y"], carry.served)
+        asked, carry.asked = _running(trace.extras["a"], carry.asked)
+        return served / asked
+    served, carry.served = _running(trace.reward, carry.served)
+    return served / np.arange(first, carry.steps + 1)
 
 
-def regret_series(trace: Trace, c_star, positive_part: bool = False) -> np.ndarray:
+def regret_series(trace: Trace, c_star, positive_part: bool = False,
+                  carry: Carry | None = None) -> np.ndarray:
     """Cumulative sum of (cost_t - c_star), optionally clipped at 0 per step.
 
     ``c_star`` may be a scalar or a per-step array (phase-wise benchmarks).
+    With ``carry`` the trace is a chunk of a run, as in :func:`coverage_series`.
     """
     gap = trace.cost - np.asarray(c_star, dtype=float)
     if gap.shape != trace.cost.shape:
         raise ValueError("benchmark array length does not match the trace")
+    carry = Carry() if carry is None else carry
     if positive_part:
-        gap = np.maximum(gap, 0.0)
-    return np.cumsum(gap)
+        series, carry.regret_pos = _running(np.maximum(gap, 0.0), carry.regret_pos)
+    else:
+        series, carry.regret = _running(gap, carry.regret)
+    return series
 
 
 @dataclass(frozen=True)
@@ -140,35 +175,43 @@ def deviation_counter(trace: Trace, report, order_sensitive: bool = False) -> in
     return sum(map(operator.ne, chains, map(prefixes.__getitem__, lengths)))
 
 
-@dataclass
 class MetricsReport:
-    """Per-run summary assembled after a simulation.
+    """Per-run summary, fed the run's cumulative series a chunk at a time by
+    :meth:`add` (a whole run is one chunk); ``extras`` joins the summary.
 
-    Construction checks the structural invariants: coverage stays in
-    [0, 1] and positive-part regret never decreases (plain regret may).
+    Every chunk is checked for the structural invariants: coverage stays in
+    [0, 1] and positive-part regret never decreases (plain regret may), from
+    one chunk to the next too.
     """
 
-    coverage_cum: np.ndarray
-    regret_cum: np.ndarray
-    regret_pos_cum: np.ndarray
-    boundary_steps: int
-    extras: dict = field(default_factory=dict)
+    def __init__(self, extras: dict | None = None):
+        self.steps = self.boundary_steps = 0
+        self.extras = {} if extras is None else extras
 
-    def __post_init__(self):
-        if self.coverage_cum.size == 0:
+    def add(self, coverage_cum, regret_cum, regret_pos_cum, boundary_steps: int) -> None:
+        if coverage_cum.size == 0:
             raise ValueError("empty coverage series")
-        if float(self.coverage_cum.min()) < -1e-12 or float(self.coverage_cum.max()) > 1 + 1e-12:
+        if float(coverage_cum.min()) < -1e-12 or float(coverage_cum.max()) > 1 + 1e-12:
             raise ValueError("coverage series escaped [0, 1]")
-        if self.regret_pos_cum.size and float(np.diff(self.regret_pos_cum).min(initial=0.0)) < -1e-9:
+        if self.steps:  # the last chunk's final value leads this one
+            regret_pos_cum = np.concatenate(([self.regret_pos_final], regret_pos_cum))
+        if regret_pos_cum.size and float(np.diff(regret_pos_cum).min(initial=0.0)) < -1e-9:
             raise ValueError("positive-part regret series must be non-decreasing")
+        self.steps += coverage_cum.size
+        self.boundary_steps += int(boundary_steps)
+        self.coverage_final = float(coverage_cum[-1])
+        self.regret_final = float(regret_cum[-1])
+        self.regret_pos_final = float(regret_pos_cum[-1])
 
     def summary(self) -> dict:
+        if not self.steps:
+            raise ValueError("empty coverage series")
         out = {
-            "steps": int(self.coverage_cum.size),
-            "coverage_final": float(self.coverage_cum[-1]),
-            "regret_final": float(self.regret_cum[-1]),
-            "regret_pos_final": float(self.regret_pos_cum[-1]),
-            "boundary_steps": int(self.boundary_steps),
+            "steps": self.steps,
+            "coverage_final": self.coverage_final,
+            "regret_final": self.regret_final,
+            "regret_pos_final": self.regret_pos_final,
+            "boundary_steps": self.boundary_steps,
         }
         out.update(self.extras)
         return out

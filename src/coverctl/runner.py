@@ -2,11 +2,13 @@
 
 Drivers loop one controller against one environment through one shared
 per-step loop, which enforces the state invariants on every step, keeps an
-exact coverage ledger and collects the rows the step returns into one
-columnar :class:`~coverctl.metrics.Trace`. The experiment layer resolves an
+exact coverage ledger and yields the rows the step returns as columnar
+:class:`~coverctl.metrics.Trace` chunks; the library drivers join them into
+one trace. The experiment layer resolves an
 :class:`~coverctl.presets.ExperimentConfig` through one setup table (world,
 oracle, driver) and turns it plus a replica index into a trace CSV, a
-metrics summary, and benchmark values; replicas
+metrics summary, and benchmark values, streaming the run chunk by chunk
+into the CSV; replicas
 derive independent substreams from the master seed and may run in any order
 or in parallel without changing a byte of output. A run maps one task per
 replica of every variant, on one process pool or in the parent; each task
@@ -24,11 +26,12 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Generator, NamedTuple
 
 import numpy as np
 
@@ -43,9 +46,9 @@ from .rng import replica_seed
 from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
 
 _TOL = 1e-12
-# rows per chunk: _drive transposes, and render_csv renders, this many rows at
-# a time, so a replica never holds one object per row of its whole run
-_CHUNK_ROWS = 4096
+# rows per chunk: _drive yields, and render_csv renders, this many rows at a
+# time; a replica holds one chunk at a time, so its memory is flat in T
+_CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -64,22 +67,27 @@ class SimulationResult:
                 for t, row in enumerate(zip(*cols), start=1)]
 
 
-def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
-           keep_trace: bool, columns: tuple[str, ...], window_start: int = 1) -> SimulationResult:
-    """The per-step loop behind every driver: call ``step()`` T times.
+def _drive(step, state: ControllerState, T: int, band: tuple[float, float], keep_trace: bool,
+           columns: tuple[str, ...], window_start: int = 1) -> Generator[mt.Trace, None, tuple]:
+    """The per-step loop behind every driver: call ``step()`` T times, and
+    yield the rows as column chunks while it runs.
 
     Each call returns a row ``(action, reward, cost, state, *columns)``; with
-    ``keep_trace`` the rows become the result's trace: every ``_CHUNK_ROWS``
-    rows are transposed into columns, and the chunks joined at the end. From
-    step ``window_start`` on, the decision-time state, and the final one, must
-    be finite and lie in ``band`` (else InvariantViolation, under ``python -O``
-    too), and the steps feed the coverage ledger: Y served over L asked, by the
-    rule of :func:`~coverctl.metrics.coverage_series` (the sums of the ``y``
-    and ``a`` columns where there is an ``a`` column), and D, the sum of
+    ``keep_trace`` every ``_CHUNK_ROWS`` rows, and the rows left at the end,
+    are yielded as one :class:`~coverctl.metrics.Trace` as soon as they are
+    driven, so a caller can be done with a chunk before the next is driven.
+    At least one chunk comes (an empty one without ``keep_trace`` or steps),
+    so a caller always sees the columns. From step ``window_start`` on, the
+    decision-time state, and the final one, must be finite and lie in
+    ``band`` (else InvariantViolation, under ``python -O`` too), and the steps
+    feed the coverage ledger: Y served over L asked, by the rule of
+    :func:`~coverctl.metrics.coverage_series` (the sums of the ``y`` and ``a``
+    columns where there is an ``a`` column), and D, the sum of
     (state_end - state_start) / eta over each maximal segment of steps that
     applied one ``state.eta``. For any schedule and feedback, the unprojected
     update makes the ``ledger_residual`` Y/L - phi + D/L vanish up to rounding.
-    ``info`` holds it, the ``coverage`` Y/L and the a-priori ``coverage_bound``
+    The generator returns ``(final_state, info)``: ``info`` holds that
+    residual, the ``coverage`` Y/L and the a-priori ``coverage_bound``
     (hi - lo) / (eta_T * L) on |Y/L - phi| that Abel summation gives a
     non-increasing schedule (inf for an open band).
     """
@@ -88,7 +96,7 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
     seg_start, eta = state.value, state.eta
     closed = 0.0  # the closed segments' sum of (state_end - state_start) / eta
     served = asked = 0.0
-    chunks, rows = [], []
+    rows = []
     for t in range(1, T + 1):
         row = step()
         if t >= window_start:
@@ -103,10 +111,11 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
         if keep_trace:
             rows.append(row)
             if len(rows) == _CHUNK_ROWS:
-                chunks.append(mt.Trace.from_rows(rows, columns))
-                rows = []
-    chunks.append(mt.Trace.from_rows(rows, columns))
-    del rows  # freed before the join below copies every column once
+                chunk = mt.Trace.from_rows(rows, columns)
+                rows.clear()  # freed before the caller takes the chunk
+                yield chunk
+    if rows or not (keep_trace and T):
+        yield mt.Trace.from_rows(rows, columns)
     info = {}
     steps = T - window_start + 1
     if steps > 0:
@@ -117,11 +126,22 @@ def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
         info["ledger_residual"] = (coverage - state.phi) + (
             closed / total + (state.value - seg_start) / (eta * total))
         info["coverage_bound"] = (band[1] - band[0]) / (eta * total)
+    return state.value, info
+
+
+def _simulate(run: Generator[mt.Trace, None, tuple]) -> SimulationResult:
+    """A driver run (see :func:`_drive`) with its chunks joined into one trace."""
+    chunks = []
+    try:
+        while True:
+            chunks.append(next(run))
+    except StopIteration as end:
+        final_state, info = end.value
     reward, cost, value, *extras = (np.concatenate(col) for col in zip(
         *((c.reward, c.cost, c.state, *c.extras.values()) for c in chunks)))
     trace = mt.Trace([a for c in chunks for a in c.action], reward, cost, value,
-                     dict(zip(columns, extras, strict=True)))
-    return SimulationResult(trace, state.value, info)
+                     dict(zip(chunks[0].extras, extras, strict=True)))
+    return SimulationResult(trace, final_state, info)
 
 
 def drive_bandit(cfg: BanditConfig, schedule: StepSchedule, env, T: int,
@@ -133,19 +153,27 @@ def drive_bandit(cfg: BanditConfig, schedule: StepSchedule, env, T: int,
     coverage ledger covers the controlled window (warm-up plays excluded,
     since the dual does not move during them).
     """
+    return _simulate(_bandit_run(cfg, schedule, env, T, keep_trace))
+
+
+def _bandit_run(cfg: BanditConfig, schedule: StepSchedule, env, T: int, keep_trace: bool = True):
     state = BanditState(cfg, schedule)
     eta_max = schedule.max_eta()
     boundary = cfg.mode == BOUNDARY_RULE
     band = (-eta_max - _TOL, cfg.lambda_cap + eta_max + _TOL) if boundary else (-math.inf, math.inf)
-    sim = _drive(lambda: bandit_step(state, cfg, env), state.dual, T, band, keep_trace,
-                 ("boundary",), window_start=cfg.n + 1)
-    if sim.info:
-        sim.info["window_coverage"] = sim.info.pop("coverage")
-        sim.info["window_len"] = T - cfg.n
-    return sim
+    final_state, info = yield from _drive(lambda: bandit_step(state, cfg, env), state.dual, T,
+                                          band, keep_trace, ("boundary",), window_start=cfg.n + 1)
+    if info:
+        info["window_coverage"] = info.pop("coverage")
+        info["window_len"] = T - cfg.n
+    return final_state, info
 
 
 def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True) -> SimulationResult:
+    return _simulate(_threshold_run(cfg, env, T, keep_trace))
+
+
+def _threshold_run(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True):
     state = ControllerState(value=cfg.tau_min, phi=cfg.phi, schedule=cfg.schedule)
     eta_max = cfg.schedule.max_eta()
     band = (cfg.tau_min - eta_max - _TOL, cfg.tau_max + eta_max + _TOL)
@@ -162,6 +190,11 @@ def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
     a * (1 - eta * (1 - phi)) >= 0. The level rises only while q < phi * a <= phi * D,
     and then to (1 - eta) * q + eta * phi * a <= max(1, eta_max) * phi * D.
     """
+    return _simulate(_newsvendor_run(cfg, demand_stream, T, keep_trace, q_init))
+
+
+def _newsvendor_run(cfg: NewsvendorConfig, demand_stream, T: int, keep_trace: bool = True,
+                    q_init: float = 0.0):
     state = ControllerState(value=q_init, phi=cfg.phi, schedule=cfg.schedule)
     top = max(q_init, cfg.phi * cfg.demand_cap * max(1.0, cfg.schedule.max_eta()))
     # a slack relative to the top: both edges are reached exactly, up to the
@@ -173,6 +206,11 @@ def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
 
 def drive_acog(cfg: ChainConfig, schedule: StepSchedule, env, T: int,
                variant: str = PREFIX_KEYED, keep_trace: bool = True) -> SimulationResult:
+    return _simulate(_acog_run(cfg, schedule, env, T, variant, keep_trace))
+
+
+def _acog_run(cfg: ChainConfig, schedule: StepSchedule, env, T: int,
+              variant: str = PREFIX_KEYED, keep_trace: bool = True):
     theta = ControllerState(value=0.0, phi=cfg.phi, schedule=schedule)
     stats = ChainStats(cfg.n, cfg.horizon_T, variant)
     # theta falls by at most eta_max * (1 - phi) a step, and only from theta > 0:
@@ -211,8 +249,10 @@ def _f17_reusing(col: np.ndarray, strings: list, values: np.ndarray) -> list:
     return out.tolist()
 
 
-def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum) -> str:
-    """Serialize a trace with its cumulative metric columns.
+def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum, t0: int = 1) -> str:
+    """Serialize a trace with its cumulative metric columns, its rows numbered
+    from ``t0``; the header line leads when ``t0`` is 1, so the texts of a
+    run's chunks, each rendered with its first step, join into its CSV.
 
     The three series hold one value per step, as built by
     :func:`~coverctl.metrics.coverage_series` and
@@ -225,12 +265,12 @@ def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum) -> str
     series = (coverage_cum, regret_cum, regret_pos_cum)
     if any(len(col) != len(trace) for col in series):
         raise ValueError("every series needs one value per step")
-    texts = [",".join(BASE_COLUMNS + tuple(trace.extras)) + "\n"]
+    texts = [",".join(BASE_COLUMNS + tuple(trace.extras)) + "\n"] if t0 == 1 else []
     for start in range(0, len(trace), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         part = mt.Trace(trace.action[rows], trace.reward[rows], trace.cost[rows],
                         trace.state[rows], {name: col[rows] for name, col in trace.extras.items()})
-        texts.append(_render_rows(start + 1, part, [col[rows] for col in series]))
+        texts.append(_render_rows(t0 + start, part, [col[rows] for col in series]))
     return "".join(texts)
 
 
@@ -270,9 +310,10 @@ class _Setup(NamedTuple):
     """One config resolved for one replica, before anything runs."""
 
     bench: dict  # the benchmark block of metrics.json
-    c_star: object  # cost benchmark: a scalar, or one value per step
-    drive: Callable[[], SimulationResult]
-    summary: Callable[[mt.Trace], dict] = lambda trace: {}  # extra summary fields
+    c_star: object  # cost benchmark: a scalar, or a function of an array of steps t
+    run: Callable[[], Generator[mt.Trace, None, tuple]]  # the replica's driver run, see _drive
+    # extra summary fields: counts of a chunk that starts at step t0, summed over the run
+    counts: Callable[[mt.Trace, int], dict] = lambda chunk, t0: {}
 
 
 def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -305,7 +346,7 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
     )
     bench_dict["lambda_cap"] = cfg.lambda_cap
     return _Setup(bench_dict, bench_dict["c_star"],
-                  lambda: drive_bandit(cfg, config.step_schedule, world, config.T))
+                  lambda: _bandit_run(cfg, config.step_schedule, world, config.T))
 
 
 def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -315,7 +356,7 @@ def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
     # a threshold is its own cost, so c* is tau*
     bench = {"benchmark": "threshold_root", "tau_star": tau_star, "c_star": tau_star}
     cfg = ThresholdConfig(world.tau_min, world.tau_max, config.phi, config.step_schedule)
-    return _Setup(bench, tau_star, lambda: drive_threshold(cfg, world, config.T))
+    return _Setup(bench, tau_star, lambda: _threshold_run(cfg, world, config.T))
 
 
 def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -337,9 +378,8 @@ def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
         dynamic_carryover=config.algorithm_params.get("dynamic_carryover", False),
     )
     q_init = float(config.algorithm_params.get("initial_level", 0.0))
-    c_star = np.where(np.arange(1, config.T + 1) <= stream.shift_t, q1, q2)
-    return _Setup(bench, c_star,
-                  lambda: drive_newsvendor(cfg, stream, config.T, q_init=q_init))
+    return _Setup(bench, lambda t: np.where(t <= stream.shift_t, q1, q2),
+                  lambda: _newsvendor_run(cfg, stream, config.T, q_init=q_init))
 
 
 def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -358,20 +398,20 @@ def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
     cfg = ChainConfig(n=world.n, phi=config.phi, horizon_T=config.T)
     variant = PREFIX_KEYED if config.algorithm == "acog_prefix" else POSITION_KEYED
 
-    def summary(trace: mt.Trace) -> dict:
-        above = trace.k > k_star + 1
+    def counts(chunk: mt.Trace, t0: int) -> dict:
+        above = chunk.k > k_star + 1
         return {
-            "greedy_deviation_steps": mt.deviation_counter(trace, report),
+            "greedy_deviation_steps": mt.deviation_counter(chunk, report),
             "greedy_deviation_steps_ordered": mt.deviation_counter(
-                trace, report, order_sensitive=True),
+                chunk, report, order_sensitive=True),
             "steps_above_k_star_plus_1": int(above.sum()),
-            "late_steps_above_k_star_plus_1": int(above[config.T // 2:].sum()),
+            # the late half: steps t > T // 2
+            "late_steps_above_k_star_plus_1": int(above[max(0, config.T // 2 + 1 - t0):].sum()),
         }
 
     return _Setup(bench, float(k_star),
-                  lambda: drive_acog(cfg, config.step_schedule, world, config.T,
-                                     variant=variant),
-                  summary=summary)
+                  lambda: _acog_run(cfg, config.step_schedule, world, config.T, variant),
+                  counts=counts)
 
 
 # the one place that maps a checked config to its world (through presets.WORLDS
@@ -386,59 +426,81 @@ _SETUPS = {
 }
 
 
-def run_replica(config: ExperimentConfig, replica: int) -> dict:
+def run_replica(config: ExperimentConfig, replica: int, *, write=None,
+                keep_series: bool = False) -> dict:
     """Execute one replica and return its serialized artifacts.
 
     The replica's substream seed is mix(master_seed, replica); outputs are
-    independent of execution order. ``series`` holds its coverage and regret arrays.
+    independent of execution order. The run goes one driver chunk at a time:
+    the chunk's series are continued, checked and counted, and its CSV text is
+    rendered and handed to ``write`` before the next chunk is driven, so the
+    replica holds no object that grows with T. Without ``write`` the texts are
+    joined into ``csv``. With ``keep_series``, ``series`` holds the run's
+    coverage and regret arrays.
     """
     seed = replica_seed(config.seed, replica)
     setup = _SETUPS[config.algorithm](config, seed)
-    sim = setup.drive()
-    trace = sim.trace
-    coverage = mt.coverage_series(trace)
-    regret = mt.regret_series(trace, setup.c_star)
-    regret_pos = mt.regret_series(trace, setup.c_star, positive_part=True)
-    report = mt.MetricsReport(
-        coverage_cum=coverage,
-        regret_cum=regret,
-        regret_pos_cum=regret_pos,
-        boundary_steps=int(np.sum(trace.extras.get("boundary", 0.0))),
-        extras=setup.summary(trace),
-    )
+    texts = []
+    emit = texts.append if write is None else write
+    # extras is a Counter, so each chunk's counts add up
+    carry, report, kept = mt.Carry(), mt.MetricsReport(extras=Counter()), []
+    run = setup.run()
+    while True:
+        try:
+            chunk = next(run)
+        except StopIteration as end:
+            final_state, info = end.value
+            break
+        t0 = carry.steps + 1
+        c_star = setup.c_star
+        if callable(c_star):
+            c_star = c_star(np.arange(t0, t0 + len(chunk)))
+        coverage = mt.coverage_series(chunk, carry)
+        regret = mt.regret_series(chunk, c_star, carry=carry)
+        regret_pos = mt.regret_series(chunk, c_star, positive_part=True, carry=carry)
+        report.add(coverage, regret, regret_pos, int(np.sum(chunk.extras.get("boundary", 0.0))))
+        report.extras.update(setup.counts(chunk, t0))
+        emit(render_csv(chunk, coverage, regret, regret_pos, t0))
+        if keep_series:
+            kept.append((coverage, regret))
     summary = {
         "replica": replica,
         "substream_seed": seed,
-        "final_state": sim.final_state,
+        "final_state": final_state,
         **report.summary(),
     }
     for key in ("ledger_residual", "window_coverage", "window_len"):
-        if key in sim.info:
-            summary[key] = sim.info[key]
+        if key in info:
+            summary[key] = info[key]
     # metrics.json keeps the residual of a constant step only, and neither for the
     # projected baseline, whose clamp breaks the identity, nor for the inventory controller
     if config.step_schedule.p or config.algorithm in ("pd_bandit_projected", "newsvendor"):
         summary.pop("ledger_residual", None)
-    if "a" in trace.extras:
-        summary["fill_rate"] = float(coverage[-1])
-    return {"csv": render_csv(trace, coverage, regret, regret_pos), "summary": summary,
-            "benchmark": setup.bench, "series": (coverage, regret)}
+    if "a" in chunk.extras:
+        summary["fill_rate"] = summary["coverage_final"]
+    out = {"summary": summary, "benchmark": setup.bench}
+    if write is None:
+        out["csv"] = "".join(texts)
+    if keep_series:
+        out["series"] = tuple(np.concatenate(col) for col in zip(*kept))
+    return out
 
 
 def _worker(args) -> dict:
-    """Run one replica and write its ``trace_<replica>.csv``, and with ``plot``
-    replica 0's plots, into the staging directory; return the replica's outputs
-    without the CSV text and the series, which never leave this process."""
+    """Run one replica, writing its ``trace_<replica>.csv`` into the staging
+    directory a chunk at a time, and with ``plot`` replica 0's plots; return
+    the replica's summary and benchmark, the only outputs that leave this
+    process."""
     config, replica, staging_dir, plot = args
     if not os.path.isdir(staging_dir):  # the run has failed: a queued task starts nothing
         return {}
-    out = run_replica(config, replica)
-    if plot and replica == 0:
+    plotting = plot and replica == 0
+    with open(os.path.join(staging_dir, f"trace_{replica}.csv"), "w") as trace:
+        out = run_replica(config, replica, write=trace.write, keep_series=plotting)
+    if plotting:
         from .svgplot import plot_series
 
-        plot_series(staging_dir, *out["series"], config.phi)
-    del out["series"]  # freed before the write
-    (Path(staging_dir) / f"trace_{replica}.csv").write_text(out.pop("csv"))
+        plot_series(staging_dir, *out.pop("series"), config.phi)
     return out
 
 

@@ -12,7 +12,7 @@ from coverctl.control import (
     StepSchedule,
     aci_update,
 )
-from coverctl.runner import _drive
+from coverctl.runner import _drive, _simulate
 
 
 def make_state(value, phi, eta):
@@ -30,7 +30,7 @@ def ledger(s, rewards):
         aci_update(s, y)
         return raw, y, 0.0, raw
 
-    return _drive(step, s, len(rewards), (-math.inf, math.inf), False, ()).info
+    return _simulate(_drive(step, s, len(rewards), (-math.inf, math.inf), False, ())).info
 
 
 def test_update_moves_against_success():

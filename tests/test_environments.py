@@ -20,7 +20,7 @@ from coverctl.environments import (
     _C_POINT,
     draw_or_probabilities,
 )
-from coverctl.oracles import newsvendor_benchmark
+from coverctl.oracles import greedy_chain, newsvendor_benchmark
 from coverctl.rng import uniform
 
 # Beta(2, 5) CDF in closed form (order statistics of six uniforms); this is
@@ -411,6 +411,37 @@ def test_or_world_value_oracle():
     assert f([0]) == pytest.approx(0.3)
     assert f([0, 1]) == pytest.approx(1 - 0.7 * 0.8)
     assert f([0, 1, 2]) == pytest.approx(1 - 0.7 * 0.8 * 0.9)
+
+
+def _plain_product_oracle(p):
+    """The product from scratch at every call, as the oracle took it before
+    it kept the running product of its last prefix."""
+    def f(subset):
+        prod = 1.0
+        for i in subset:
+            prod *= 1.0 - p[i]
+        return 1.0 - prod
+
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 60])
+def test_running_product_oracle_gives_the_plain_greedy_report(n):
+    # ties too: a range of one value makes every arm equal
+    for seed, (lo, hi) in enumerate([(0.05, 0.9), (0.05, 0.3), (0.4, 0.4)]):
+        p = draw_or_probabilities(n, lo, hi, seed)
+        assert (greedy_chain(OrWorld(p, seed).value_oracle(), n)
+                == greedy_chain(_plain_product_oracle(p), n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_running_product_oracle_equals_the_plain_product_in_any_call_order(data, n):
+    p = draw_or_probabilities(n, 0.05, 0.95, n)
+    running, plain = OrWorld(p, 0).value_oracle(), _plain_product_oracle(p)
+    subsets = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), max_size=12))
+    for subset in subsets:
+        assert running(subset) == plain(subset), subset
 
 
 def test_replay_determinism():

@@ -23,7 +23,7 @@ from coverctl import runner
 from coverctl.bandit import BanditConfig
 from coverctl.chains import ChainConfig, budget_from_theta
 from coverctl.cli import build_parser, main
-from coverctl.control import StepSchedule
+from coverctl.control import InvariantViolation, StepSchedule
 from coverctl.presets import (
     ALGORITHMS,
     ConfigError,
@@ -315,7 +315,7 @@ def test_render_csv_holds_at_most_its_chunks_beside_its_result(name):
     # times the text above it; chunk by chunk, the peak is the last join, the
     # chunk strings beside the text they make
     setup = _preset_setup(name, 20000)
-    trace = setup.drive().trace
+    trace = runner._simulate(setup.run()).trace
     series = (coverage_series(trace), regret_series(trace, setup.c_star),
               regret_series(trace, setup.c_star, positive_part=True))
     text, peak = _peak_bytes(lambda: render_csv(trace, *series))
@@ -328,7 +328,8 @@ def test_drive_holds_no_row_object_of_the_whole_run():
     # slot and a float object per action), and joining the chunks copies the
     # arrays and the list once; one row tuple per step of the whole run, as a
     # trace transposed only at the end holds, peaked at about 217 B a step
-    sim, peak = _peak_bytes(_preset_setup("threshold-primal", 20000).drive)
+    setup = _preset_setup("threshold-primal", 20000)
+    sim, peak = _peak_bytes(lambda: runner._simulate(setup.run()))
     assert peak / len(sim.trace) < 160
 
 
@@ -632,7 +633,8 @@ def test_keep_trace_does_not_change_the_result(drive):
 
 def _ledgers(name, replicas=1):
     """Each variant of a preset and the ``info`` of its drives, replicas 0.."""
-    return [(var, [runner._SETUPS[var.algorithm](var, replica_seed(var.seed, k)).drive().info
+    setups = runner._SETUPS
+    return [(var, [runner._simulate(setups[var.algorithm](var, replica_seed(var.seed, k)).run()).info
                    for k in range(replicas)])
             for var in expand_variants(preset_config(name))]
 
@@ -936,9 +938,9 @@ def test_every_preset_label_passes_the_label_rule():
 def _count_replicas(monkeypatch) -> list:
     calls = []
 
-    def counted(config, replica):
+    def counted(config, replica, **kwargs):
         calls.append(replica)
-        return run_replica(config, replica)
+        return run_replica(config, replica, **kwargs)
 
     monkeypatch.setattr(runner, "run_replica", counted)
     return calls
@@ -1090,7 +1092,7 @@ def test_failed_or_interrupted_run_leaves_no_artifacts(tmp_path, monkeypatch, fa
     parent = os.getpid()
     run = runner.run_replica
 
-    def failing_replica(config, replica):
+    def failing_replica(config, replica, **kwargs):
         # pool workers fork, so they run this too; replica 2 starts only
         # after an earlier replica has written its trace to staging
         (started / f"{config.T}-{replica}").touch()
@@ -1099,7 +1101,7 @@ def test_failed_or_interrupted_run_leaves_no_artifacts(tmp_path, monkeypatch, fa
             if failure == "raise":
                 raise RuntimeError("replica failed")
             os.kill(parent, signal.SIGINT)  # Ctrl-C in the parent, mid-run
-        return run(config, replica)
+        return run(config, replica, **kwargs)
 
     monkeypatch.setattr(runner, "run_replica", failing_replica)
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
@@ -1251,11 +1253,11 @@ PRESET_SHA256 = {
 }
 
 
-def _preset_digest(name, out_dir):
+def _preset_digest(name, out_dir, jobs=1):
     cfg = preset_config(name, seed=3, replicas=2)
     if name != "regret-scaling":
         cfg = cfg.replace(T=min(cfg.T, 3000))
-    execute(cfg, out_dir, jobs=1, plot=True)
+    execute(cfg, out_dir, jobs=jobs, plot=True)
     digest = hashlib.sha256()
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         if path.name != "config.json":
@@ -1293,28 +1295,97 @@ def test_prefix_keyed_chain_run_matches_pinned_hashes(tmp_path):
     assert _prefix_keyed_digests(tmp_path) == PREFIX_KEYED_SHA256
 
 
-@pytest.mark.parametrize("rows", [1, 7])
-def test_artifacts_drawn_and_rendered_in_small_chunks_match_pinned_hashes(tmp_path, monkeypatch,
-                                                                          rows):
-    # float, int and tuple actions, the a,leftover,y extras and all four controllers
-    monkeypatch.setattr(runner, "_CHUNK_ROWS", rows)
-    for name in ("threshold-primal", "interval-beta", "combinatorial-or", "newsvendor-shift"):
-        assert _preset_digest(name, tmp_path / name) == PRESET_SHA256[name], name
-    assert _prefix_keyed_digests(tmp_path / "prefix-keyed") == PREFIX_KEYED_SHA256
+# no preset runs the i.i.d. arm world; its uniform-cost arm gives the cost
+# column many distinct values, so every one of them is formatted on its own
+IID_SHA256 = {
+    "trace_0.csv": "9dc7c118bd7afeb53d362e995f592b6a70aa51eae37a8c848d838fb900fc5cf9",
+    "metrics.json": "54564dd7874ae40c1dd84bd6fbaae5c0eef6068630965cfa50357bd149e5e77d",
+}
 
 
-def test_iid_run_matches_pinned_hashes(tmp_path):
-    # no preset runs the i.i.d. arm world; its uniform-cost arm gives the cost
-    # column many distinct values, so every one of them is formatted on its own
+def _iid_digests(out_dir):
     cfg = ExperimentConfig.from_dict(dict(
         algorithm="pd_bandit",
         environment={"kind": "iid", "specs": [[0.7, [0.1, 0.5]]]},
         T=3000, phi=0.8, schedule={"kind": "constant", "c": 0.05}, seed=3,
     ))
-    execute(cfg, tmp_path, jobs=1)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("trace_0.csv", "metrics.json")}
-    assert digests == {
-        "trace_0.csv": "9dc7c118bd7afeb53d362e995f592b6a70aa51eae37a8c848d838fb900fc5cf9",
-        "metrics.json": "54564dd7874ae40c1dd84bd6fbaae5c0eef6068630965cfa50357bd149e5e77d",
-    }
+    execute(cfg, out_dir, jobs=1)
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in IID_SHA256}
+
+
+def test_iid_run_matches_pinned_hashes(tmp_path):
+    assert _iid_digests(tmp_path) == IID_SHA256
+
+
+# chunks of one row for float, int and tuple actions, the a,leftover,y extras
+# and all four controllers; chunks of 7 rows for every preset
+_SMALL_CHUNK_PRESETS = {
+    1: ("threshold-primal", "interval-beta", "combinatorial-or", "newsvendor-shift"),
+    7: tuple(sorted(PRESET_SHA256)),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_artifacts_drawn_and_rendered_in_small_chunks_match_pinned_hashes(tmp_path, monkeypatch,
+                                                                          rows):
+    # a replica drives, checks, renders and writes each chunk before the next:
+    # every trace, metrics file and plot keeps its bytes, also where forked
+    # pool workers stream (regret-scaling, 2 jobs)
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", rows)
+    for name in _SMALL_CHUNK_PRESETS[rows]:
+        jobs = 2 if name == "regret-scaling" else 1
+        assert _preset_digest(name, tmp_path / name, jobs) == PRESET_SHA256[name], name
+    assert _prefix_keyed_digests(tmp_path / "prefix-keyed") == PREFIX_KEYED_SHA256
+    assert _iid_digests(tmp_path / "iid") == IID_SHA256
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failure_after_a_written_chunk_publishes_nothing(tmp_path, capsys, monkeypatch, jobs):
+    # chunks of 7 rows: the chunks of steps 1-7 and 8-14 are rendered and
+    # handed to the staged trace file before step 20 raises
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", 7)
+    render, step = runner.render_csv, runner.threshold_step
+    first_steps = []
+
+    def recorded_render(chunk, *series_and_t0):
+        first_steps.append(series_and_t0[-1])
+        return render(chunk, *series_and_t0)
+
+    def failing_step(tau, cfg, env):
+        if tau.step_index == 20:
+            assert first_steps == [1, 8]
+            assert list(tmp_path.glob(".o.staging-*/trace_*.csv"))
+            raise InvariantViolation(20, tau.value, (cfg.tau_min, cfg.tau_max))
+        return step(tau, cfg, env)
+
+    monkeypatch.setattr(runner, "render_csv", recorded_render)
+    monkeypatch.setattr(runner, "threshold_step", failing_step)
+    argv = ["run", "--preset", "threshold-primal", "--replicas", "2", "--jobs", str(jobs),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: state ") and err.endswith(" at step 20\n"), err
+    assert "Traceback" not in err
+    # no file in OUT and no staging directory next to it
+    assert list(tmp_path.iterdir()) == []
+
+
+def _worker_peak(tmp_path, T):
+    """The tracemalloc peak of one threshold-primal replica task without a
+    plot, and the length of the trace it wrote."""
+    stage = tmp_path / f"T-{T}"
+    stage.mkdir()
+    task = (preset_config("threshold-primal").replace(T=T), 0, str(stage), False)
+    _, peak = _peak_bytes(lambda: runner._worker(task))
+    return peak, (stage / "trace_0.csv").stat().st_size
+
+
+def test_a_replica_task_holds_memory_flat_in_T(tmp_path):
+    # a replica that held its trace, its series and its whole CSV text peaked
+    # at about 2.7 times its CSV's length (7.1 MB at T = 20000, 28.1 MB at
+    # T = 80000); one that streams holds one chunk at a time (1.4 MB at both)
+    small, csv_small = _worker_peak(tmp_path, 20000)
+    large, csv_large = _worker_peak(tmp_path, 80000)
+    assert csv_large > 3.9 * csv_small
+    assert large < 1.25 * small
+    assert max(small, large) < csv_small

@@ -190,27 +190,30 @@ def test_deviation_counter_matches_the_per_row_loop(data, n, order_sensitive):
 def test_metrics_report_checks_invariants():
     from coverctl.metrics import MetricsReport
 
-    good = MetricsReport(
-        coverage_cum=np.array([1.0, 0.5, 0.5]),
-        regret_cum=np.array([0.1, -0.2, 0.3]),
-        regret_pos_cum=np.array([0.1, 0.1, 0.6]),
-        boundary_steps=0,
-    )
+    good = MetricsReport()
+    good.add(np.array([1.0, 0.5, 0.5]), np.array([0.1, -0.2, 0.3]), np.array([0.1, 0.1, 0.6]), 0)
     assert good.summary()["regret_pos_final"] == pytest.approx(0.6)
     assert good.summary()["coverage_final"] == 0.5
     with pytest.raises(ValueError):
-        MetricsReport(
-            coverage_cum=np.array([1.2]),
-            regret_cum=np.array([0.0]), regret_pos_cum=np.array([0.0]),
-            boundary_steps=0,
-        )
+        MetricsReport().add(np.array([1.2]), np.array([0.0]), np.array([0.0]), 0)
     with pytest.raises(ValueError):
-        MetricsReport(
-            coverage_cum=np.array([0.5, 0.5]),
-            regret_cum=np.array([0.0, 0.0]),
-            regret_pos_cum=np.array([1.0, 0.5]),  # decreasing
-            boundary_steps=0,
-        )
+        MetricsReport().add(np.array([0.5, 0.5]), np.array([0.0, 0.0]),
+                            np.array([1.0, 0.5]), 0)  # decreasing
+    with pytest.raises(ValueError, match="empty"):
+        MetricsReport().summary()
+
+
+def test_metrics_report_sums_its_chunks_and_checks_across_them():
+    from coverctl.metrics import MetricsReport
+
+    report = MetricsReport(extras={"k": 1})
+    report.add(np.array([1.0, 0.5]), np.array([0.1, -0.2]), np.array([0.1, 0.1]), 1)
+    report.add(np.array([0.5]), np.array([0.3]), np.array([0.6]), 2)
+    assert report.summary() == {"steps": 3, "coverage_final": 0.5, "regret_final": 0.3,
+                                "regret_pos_final": 0.6, "boundary_steps": 3, "k": 1}
+    # each chunk alone rises, but the second starts below where the first ended
+    with pytest.raises(ValueError, match="non-decreasing"):
+        report.add(np.array([0.5, 0.5]), np.array([0.0, 0.0]), np.array([0.5, 0.7]), 0)
 
 
 def test_deviation_rate_falls_across_quarters():
