@@ -7,8 +7,10 @@
 
 Config files are flat JSON with the documented key set; command-line flags
 override file keys and the merged effective config is always written back
-next to the traces. Exit codes: 2 bad config, 3 infeasible benchmark, 4 broken
-invariant.
+next to the traces. Exit codes: 2 bad config, or an output directory that is
+not empty or is the working directory; 3 infeasible benchmark; 4 broken
+invariant; 5 a pool worker process died (killed by a signal, such as SIGKILL
+from the out-of-memory killer), which leaves the output directory as it was.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .control import InvariantViolation
@@ -103,7 +106,12 @@ def main(argv=None) -> int:
     except InvariantViolation as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return 4
-    except (OSError, ValueError) as err:  # a missing config file, an OUT that is a file, ...
+    except BrokenExecutor:  # the process pool's BrokenProcessPool
+        print("error: a --jobs pool worker process died before its replica returned (killed, "
+              f"e.g. by SIGKILL or the out-of-memory killer); {cfg.output_dir} is as it was",
+              file=sys.stderr)
+        return 5
+    except (OSError, ValueError) as err:  # a missing config file, an OUT in use, ...
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,11 @@ into the CSV; replicas
 derive independent substreams from the master seed and may run in any order
 or in parallel without changing a byte of output. A run maps one task per
 replica of every variant, on one process pool or in the parent; each task
-writes its own trace into a staging directory next to the output directory,
-and the files are published by rename only once every task has returned:
-traces first, metrics next, the sweep manifest last. A failed or
-interrupted run publishes nothing.
+writes its own trace into a staging directory next to the output directory.
+The output directory must be absent or empty, or the run is refused before
+anything runs; once every task has returned, one rename makes the staging
+directory the output directory. A failed, interrupted or killed run leaves
+the output directory as it was.
 """
 
 from __future__ import annotations
@@ -314,6 +315,9 @@ class _Setup(NamedTuple):
     run: Callable[[], Generator[mt.Trace, None, tuple]]  # the replica's driver run, see _drive
     # extra summary fields: counts of a chunk that starts at step t0, summed over the run
     counts: Callable[[mt.Trace, int], dict] = lambda chunk, t0: {}
+    # whether metrics.json keeps the ledger residual (of a constant step only): not
+    # where a clamp breaks the identity, nor for the inventory controller
+    keeps_residual: bool = True
 
 
 def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -346,7 +350,8 @@ def _bandit_setup(config: ExperimentConfig, seed: int) -> _Setup:
     )
     bench_dict["lambda_cap"] = cfg.lambda_cap
     return _Setup(bench_dict, bench_dict["c_star"],
-                  lambda: _bandit_run(cfg, config.step_schedule, world, config.T))
+                  lambda: _bandit_run(cfg, config.step_schedule, world, config.T),
+                  keeps_residual=mode != PROJECTED_BASELINE)
 
 
 def _threshold_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -379,7 +384,8 @@ def _newsvendor_setup(config: ExperimentConfig, seed: int) -> _Setup:
     )
     q_init = float(config.algorithm_params.get("initial_level", 0.0))
     return _Setup(bench, lambda t: np.where(t <= stream.shift_t, q1, q2),
-                  lambda: _newsvendor_run(cfg, stream, config.T, q_init=q_init))
+                  lambda: _newsvendor_run(cfg, stream, config.T, q_init=q_init),
+                  keeps_residual=False)
 
 
 def _chain_setup(config: ExperimentConfig, seed: int) -> _Setup:
@@ -443,7 +449,8 @@ def run_replica(config: ExperimentConfig, replica: int, *, write=None,
     texts = []
     emit = texts.append if write is None else write
     # extras is a Counter, so each chunk's counts add up
-    carry, report, kept = mt.Carry(), mt.MetricsReport(extras=Counter()), []
+    carry, report = mt.Carry(), mt.MetricsReport(extras=Counter())
+    series = np.empty((2, config.T)) if keep_series else None  # coverage and regret
     run = setup.run()
     while True:
         try:
@@ -462,7 +469,7 @@ def run_replica(config: ExperimentConfig, replica: int, *, write=None,
         report.extras.update(setup.counts(chunk, t0))
         emit(render_csv(chunk, coverage, regret, regret_pos, t0))
         if keep_series:
-            kept.append((coverage, regret))
+            series[:, t0 - 1:carry.steps] = coverage, regret
     summary = {
         "replica": replica,
         "substream_seed": seed,
@@ -472,9 +479,7 @@ def run_replica(config: ExperimentConfig, replica: int, *, write=None,
     for key in ("ledger_residual", "window_coverage", "window_len"):
         if key in info:
             summary[key] = info[key]
-    # metrics.json keeps the residual of a constant step only, and neither for the
-    # projected baseline, whose clamp breaks the identity, nor for the inventory controller
-    if config.step_schedule.p or config.algorithm in ("pd_bandit_projected", "newsvendor"):
+    if config.step_schedule.p or not setup.keeps_residual:
         summary.pop("ledger_residual", None)
     if "a" in chunk.extras:
         summary["fill_rate"] = summary["coverage_final"]
@@ -482,7 +487,7 @@ def run_replica(config: ExperimentConfig, replica: int, *, write=None,
     if write is None:
         out["csv"] = "".join(texts)
     if keep_series:
-        out["series"] = tuple(np.concatenate(col) for col in zip(*kept))
+        out["series"] = tuple(series)
     return out
 
 
@@ -538,38 +543,35 @@ def _aggregate(summaries: list[dict]) -> dict:
     return agg
 
 
-# publish order: traces and plots (0), then every config.json, every
-# metrics.json, and the manifest last
-_PUBLISH_LAST = {"config.json": 1, "metrics.json": 2, "manifest.json": 3}
-
-
 def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool = False) -> None:
     """Run a config (expanding sweep presets) and write all artifacts.
 
-    One task per replica of every variant, in variant order, runs through
-    ``_worker``: on one pool of ``min(jobs, tasks)`` processes, or in the
-    parent when that is 1. Each task writes its trace, and with ``plot``
-    replica 0's task its variant's plots, to a staging directory next to
-    ``out_dir``, on the same filesystem; each variant's ``config.json`` and
-    ``metrics.json`` follow once every task has returned, and the parent reads
-    back no file. The files then move into ``out_dir`` by rename, traces and
-    plots first, then every ``config.json`` and ``metrics.json``, and
-    ``manifest.json`` last. A failed or interrupted run deletes the staging
-    directory before it waits for the pool, so a queued task starts nothing,
-    and every file it had moved: ``out_dir`` never holds a partial run of it.
-    An ``out_dir`` or variant directory that exists and is not a directory
-    raises NotADirectoryError, and ``jobs < 1`` ValueError, before anything runs.
+    ``out_dir`` must be absent or an empty directory, and not the working
+    directory; any other ``out_dir`` raises FileExistsError, and ``jobs < 1``
+    ValueError, before anything runs. One task per replica of every variant,
+    in variant order, runs through ``_worker``: on one pool of
+    ``min(jobs, tasks)`` processes, or in the parent when that is 1. Each task
+    writes its trace, and with ``plot`` replica 0's task its variant's plots,
+    to a staging directory next to ``out_dir``, on the same filesystem; each
+    variant's ``config.json`` and ``metrics.json`` follow once every task has
+    returned, and the parent reads back no file. The staging directory then
+    takes the mode a plain ``mkdir`` gives and becomes ``out_dir`` by one
+    rename, which replaces an empty directory and fails on any other. A
+    failed or interrupted run deletes the staging directory, before it waits
+    for the pool, so a queued task starts nothing: ``out_dir`` stays as it was.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir).resolve()
+    # the rename replaces only an empty directory, and one that is the working
+    # directory would leave the caller in a directory that no path names
+    if out_dir == Path.cwd().resolve():
+        raise FileExistsError(f"output directory {out_dir} is the working directory")
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise FileExistsError(f"output directory {out_dir} exists and is not an empty directory")
     variants = expand_variants(config)
-    for path in [out_dir, *(out_dir / var.variant for var in variants)]:
-        if path.exists() and not path.is_dir():  # refused before any replica runs
-            raise NotADirectoryError(f"{path} exists and is not a directory")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))
-    published = []
     try:
         for var in variants:
             (stage / var.variant).mkdir(parents=True, exist_ok=True)
@@ -601,16 +603,10 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool =
                                          "points": [{"T": t, "regret_mean": r} for t, r in pts]}
             (stage / "manifest.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
-        staged = [p.relative_to(stage) for p in sorted(stage.rglob("*")) if p.is_file()]
-        for var in variants:
-            (out_dir / var.variant).mkdir(parents=True, exist_ok=True)
-        for rel in sorted(staged, key=lambda rel: _PUBLISH_LAST.get(rel.name, 0)):
-            os.replace(stage / rel, out_dir / rel)
-            published.append(out_dir / rel)
-    except BaseException:
-        for path in published:
-            path.unlink(missing_ok=True)
-        raise
+        umask = os.umask(0)  # mkdtemp made the directory 0700
+        os.umask(umask)
+        stage.chmod(0o777 & ~umask)
+        os.rename(stage, out_dir)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 

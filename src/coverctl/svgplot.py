@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 16, 28, 44
 _PW, _PH = _W - _ML - _MR, _H - _MT - _MB  # the plot area
@@ -23,12 +25,14 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 def line_chart(out_dir, label: str, ys, title: str, y_marker: float | None = None) -> None:
     """Write ``<label>.svg`` into ``out_dir``: the series ``ys`` over the steps
-    1..len(ys), its y axis named ``label``.
+    1..len(ys), its y axis named ``label``. Only the at most 2000 steps the
+    line samples become Python floats, so a long series is not copied.
 
     ``y_marker`` draws a dashed horizontal reference line (e.g. a target).
     """
+    ys = np.asarray(ys, dtype=float)
     x_lo, x_hi = 1, max(len(ys), 2)  # a one-step series spans [1, 2]
-    y_lo, y_hi = min(ys), max(ys)
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     if y_marker is not None:
         y_lo, y_hi = min(y_lo, y_marker), max(y_hi, y_marker)
     if y_hi == y_lo:
@@ -69,7 +73,7 @@ def line_chart(out_dir, label: str, ys, title: str, y_marker: float | None = Non
         )
     step = max(1, len(ys) // 2000)  # cap file size on long traces
     pts = " ".join(f"{px(x):.2f},{py(y):.2f}"
-                   for x, y in zip(range(1, len(ys) + 1)[::step], ys[::step]))
+                   for x, y in zip(range(1, len(ys) + 1)[::step], ys[::step].tolist()))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="{_COLOR}" stroke-width="1.5"/>')
     parts.append(f'<text x="{_W - _MR - 6}" y="{_MT + 16}" text-anchor="end" '
                  f'fill="{_COLOR}">{label}</text>')
@@ -80,5 +84,5 @@ def line_chart(out_dir, label: str, ys, title: str, y_marker: float | None = Non
 def plot_series(out_dir, coverage, regret, phi: float) -> None:
     """``coverage.svg``, against the target ``phi``, and ``regret.svg`` in
     ``out_dir``, from one replica's cumulative series (one value per step)."""
-    line_chart(out_dir, "coverage", coverage.tolist(), "Cumulative coverage", y_marker=phi)
-    line_chart(out_dir, "regret", regret.tolist(), "Cumulative cost regret")
+    line_chart(out_dir, "coverage", coverage, "Cumulative coverage", y_marker=phi)
+    line_chart(out_dir, "regret", regret, "Cumulative cost regret")

@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import re
+import shlex
 import signal
 import struct
 import sys
@@ -37,6 +38,7 @@ from coverctl.runner import (benchmark_values, drive_acog, drive_bandit, drive_n
 from coverctl.threshold import NewsvendorConfig, ThresholdConfig
 from coverctl.metrics import Trace, coverage_series, regret_series
 from coverctl.rng import replica_seed
+from coverctl.svgplot import plot_series
 
 EXPECTED_PRESETS = {
     "interval-beta",
@@ -970,7 +972,8 @@ def test_cli_sweep_into_a_variant_that_is_a_regular_file_exits_2(tmp_path, capsy
     argv = ["run", "--preset", "regret-scaling", "--replicas", "1", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "T-2000" in err and err.count("\n") == 1
+    # OUT is not empty, so the whole run is refused, naming OUT
+    assert err == f"error: output directory {out} exists and is not an empty directory\n"
     assert calls == []
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert [p.name for p in out.iterdir()] == ["T-2000"]
@@ -1117,23 +1120,109 @@ def test_failed_or_interrupted_run_leaves_no_artifacts(tmp_path, monkeypatch, fa
     assert not [p.name for p in started.iterdir() if p.name.startswith(("16000-", "32000-"))]
 
 
-def test_a_failed_publish_takes_back_every_file_it_moved(tmp_path, monkeypatch):
-    replace, moved = os.replace, []
+def _tree_digests(root: Path) -> dict:
+    """Every path under ``root``: a file's SHA-256, or None for a directory."""
+    return {p.relative_to(root).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
+            for p in root.rglob("*")}
 
-    def failing_replace(src, dst):  # the third rename fails
-        if len(moved) == 2:
-            raise OSError("rename failed")
-        replace(src, dst)
-        moved.append(dst)
 
-    monkeypatch.setattr(os, "replace", failing_replace)
+@pytest.mark.parametrize("first, second", [
+    (["--preset", "threshold-primal", "--replicas", "3"],
+     ["--preset", "threshold-primal", "--replicas", "2", "--seed", "5"]),
+    (["--preset", "interval-eta-sweep", "--plot"], ["--preset", "interval-beta"]),
+], ids=["fewer-replicas", "sweep-then-single"])
+def test_a_run_into_a_used_out_exits_2_and_changes_no_byte(tmp_path, capsys, monkeypatch,
+                                                           first, second):
+    # a second run once published over the first, and left the first's third
+    # trace, or its sweep manifest, variants and plots, beside its own files
+    out = tmp_path / "o"
+    assert main(["run", *first, "--out", str(out)]) == 0
+    capsys.readouterr()
+    before = _tree_digests(out)
+    calls = _count_replicas(monkeypatch)
+    assert main(["run", *second, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {out} exists and is not an empty directory\n"
+    assert calls == []
+    assert _tree_digests(out) == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])
+def test_a_failed_rename_leaves_out_as_it_was(tmp_path, monkeypatch, existing):
+    def failing_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "rename", failing_rename)
     out = tmp_path / "out"
+    if existing:
+        out.mkdir()
     with pytest.raises(OSError, match="rename failed"):
         execute(small_config(replicas=3), out, jobs=1, plot=True)
-    assert len(moved) == 2 and all(path.parent == out for path in moved)
-    # OUT holds no file of the run, and no staging directory is left next to it
-    assert list(out.iterdir()) == []
-    assert list(tmp_path.iterdir()) == [out]
+    # OUT is absent or empty as before, and no staging directory is left next to it
+    assert list(tmp_path.iterdir()) == ([out] if existing else [])
+    assert not existing or list(out.iterdir()) == []
+
+
+def test_an_empty_out_is_replaced_by_the_full_run(tmp_path):
+    (tmp_path / "empty").mkdir()
+    for name in ("empty", "absent"):
+        execute(preset_config("regret-scaling", seed=4, replicas=1), tmp_path / name, jobs=1)
+    assert _tree_digests(tmp_path / "empty") == _tree_digests(tmp_path / "absent")
+    # the manifest, and per horizon its directory, config, trace and metrics.json
+    assert len(_tree_digests(tmp_path / "empty")) == 1 + 5 * 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["absent", "empty"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_out_takes_the_mode_of_a_plain_mkdir(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        execute(small_config(replicas=1), tmp_path / "out", jobs=1)
+        (tmp_path / "made").mkdir()
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "out").stat().st_mode & 0o777
+    assert mode == 0o777 & ~umask == (tmp_path / "made").stat().st_mode & 0o777
+
+
+def test_cli_run_into_the_working_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # the rename would replace the directory the caller is in, which would then
+    # list nothing
+    calls = _count_replicas(monkeypatch)
+    (tmp_path / "cfg.json").write_text(small_config(replicas=1).to_json())
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    assert main(["run", "--config", "../cfg.json", "--out", "."]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {here} is the working directory\n"
+    assert calls == []
+    assert Path.cwd().samefile(here) and list(here.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "here"]
+
+
+def test_a_killed_pool_worker_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    parent, run = os.getpid(), runner.run_replica
+
+    def killed_replica(config, replica, **kwargs):
+        # pool workers fork, so they run this too: replica 1's worker dies as
+        # if the out-of-memory killer had taken it
+        if replica == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(config, replica, **kwargs)
+
+    monkeypatch.setattr(runner, "run_replica", killed_replica)
+    config = tmp_path / "cfg.json"
+    config.write_text(small_config(replicas=3).to_json())
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--jobs", "2", "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: a --jobs pool worker process died ") and str(out) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # no OUT and no staging directory next to it
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_jobs_1_and_jobs_2_write_the_same_bytes(tmp_path, capsys):
@@ -1389,3 +1478,29 @@ def test_a_replica_task_holds_memory_flat_in_T(tmp_path):
     assert csv_large > 3.9 * csv_small
     assert large < 1.25 * small
     assert max(small, large) < csv_small
+
+
+def test_plot_series_holds_a_small_part_of_its_series(tmp_path):
+    # a chart that turned each whole series into a list peaked at about twice
+    # the series' bytes; one that samples the arrays converts 2000 points
+    steps = 250_000
+    coverage = np.linspace(0.0, 1.0, steps)
+    regret = np.sqrt(np.arange(1.0, steps + 1.0))
+    _, peak = _peak_bytes(lambda: plot_series(tmp_path, coverage, regret, 0.8))
+    assert peak < (coverage.nbytes + regret.nbytes) / 8
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coverage.svg", "regret.svg"]
+
+
+def test_readme_command_lines_parse_and_each_run_writes_a_new_out():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("coverctl ")]
+    outs = []
+    for argv in lines:
+        args = build_parser().parse_args(argv[1:])  # a line that does not parse exits
+        if args.command == "run":
+            # a config that a run wrote names that run's OUT, which now holds it
+            assert args.out or not args.config, argv
+            outs.append(args.out or f"runs/{args.preset}")
+    assert len(lines) == 7 and len(outs) == len(set(outs)) == 5
