@@ -36,6 +36,10 @@ _C_BITS = 7
 # uniforms per block of a multi-lane world: its rows are this over the lane
 # count, but at least one, so a block stays near 0.5 MB up to 65536 lanes
 _BLOCK_CELLS = 65536
+# and at most this many rows: a replica consumes its steps runner._CHUNK_ROWS
+# at a time, so a longer block is held for no chunk's sake; a one-lane block
+# (a world with one draw a step) is capped here, not at _BLOCK_CELLS rows
+_BLOCK_ROWS = 2048
 
 
 class _StepBlocks:
@@ -53,7 +57,7 @@ class _StepBlocks:
         self._draw = (seed, component)
         self._lanes = lanes
         self._transform = rows
-        self.steps = max(1, _BLOCK_CELLS // max(1, lanes))
+        self.steps = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(1, lanes)))
         self._t0 = 0
         self._rows: list = []
 

@@ -28,9 +28,9 @@ import shutil
 import sys
 import tempfile
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import count, repeat, takewhile
 from pathlib import Path
 from typing import Callable, Generator, NamedTuple
 
@@ -52,6 +52,19 @@ _TOL = 1e-12
 _CHUNK_ROWS = 2048
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported the first time it is asked for: a
+    ``--jobs 1`` run never loads ``concurrent.futures.process`` or
+    ``multiprocessing``. The class is then kept as a module attribute, which
+    a caller may replace, since ``execute`` looks it up there."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 @dataclass
 class SimulationResult:
     trace: mt.Trace
@@ -62,10 +75,10 @@ class SimulationResult:
     def records(self) -> list[mt.TraceRecord]:
         """The trace read row by row."""
         tr = self.trace
-        cols = [tr.action, *(col.tolist() for col in (tr.reward, tr.cost, tr.state, tr.k,
-                                                      *tr.extras.values()))]
-        return [mt.TraceRecord(t, *row[:5], dict(zip(tr.extras, row[5:])))
-                for t, row in enumerate(zip(*cols), start=1)]
+        rows = zip(*(col.tolist() for col in tr.extras.values())) if tr.extras else repeat(())
+        extras = map(dict, map(zip, repeat(tuple(tr.extras)), rows))
+        return list(map(mt.TraceRecord, count(1), tr.action, tr.reward.tolist(), tr.cost.tolist(),
+                        tr.state.tolist(), tr.k.tolist(), extras))
 
 
 def _drive(step, state: ControllerState, T: int, band: tuple[float, float], keep_trace: bool,
@@ -558,7 +571,9 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool =
     takes the mode a plain ``mkdir`` gives and becomes ``out_dir`` by one
     rename, which replaces an empty directory and fails on any other. A
     failed or interrupted run deletes the staging directory, before it waits
-    for the pool, so a queued task starts nothing: ``out_dir`` stays as it was.
+    for the pool, so a queued task starts nothing: ``out_dir`` stays as it was,
+    and so do its ancestors: those the run made are removed, deepest first,
+    while they are empty.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -570,6 +585,8 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool =
     if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
         raise FileExistsError(f"output directory {out_dir} exists and is not an empty directory")
     variants = expand_variants(config)
+    # the ancestors of out_dir that this run makes, deepest first
+    made = list(takewhile(lambda parent: not parent.exists(), out_dir.parents))
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))
     try:
@@ -579,7 +596,7 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool =
                  for k in range(var.replicas)]
         workers = min(jobs, len(tasks))  # a pool starts all its workers up front
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
                 try:
                     outputs = list(pool.map(_worker, tasks))
                 except BaseException:  # before the pool waits for its queued tasks
@@ -607,8 +624,14 @@ def execute(config: ExperimentConfig, out_dir: Path, jobs: int = 1, plot: bool =
         os.umask(umask)
         stage.chmod(0o777 & ~umask)
         os.rename(stage, out_dir)
-    finally:
+    except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
+        for parent in made:  # while empty: another process may have written there
+            try:
+                parent.rmdir()
+            except OSError:
+                break
+        raise
 
 
 def benchmark_values(config: ExperimentConfig) -> dict:

@@ -326,6 +326,38 @@ def test_coverage_bound_holds_at_every_step_against_an_adaptive_adversary(
     assert (abs(coverage - phi) <= bound + 1e-9).all()
 
 
+class _Bait:
+    """Three arms: arm 0 guaranteed (cost 1), arm 1 a cheap bait (cost 0.01)
+    that succeeds for its first ``m`` plays and then always fails, arm 2 null.
+    The bait's high mean keeps it in the argmin while its failures push the
+    dual up to the cap."""
+
+    def __init__(self, m):
+        self.m, self.plays = m, 0
+
+    def pull(self, t, arm):
+        if arm == 1:
+            self.plays += 1
+            return (1.0 if self.plays <= self.m else 0.0), 0.01
+        return (1.0, 1.0) if arm == 0 else (0.0, 0.0)
+
+
+# m per phi from a scan over 10 .. 12000 plays at T = 20000, eta = 0.01
+@pytest.mark.parametrize("phi,m", [(0.5, 3000), (0.8, 8000)])
+def test_a_bait_adversary_reaches_the_coverage_bound_from_below(phi, m):
+    # |coverage_t - phi| over the window comes within 5 % of W / (eta * t) at
+    # some step, W the driver's band width; a band widened by mistake raises
+    # W, and the realized ratio falls below 0.95
+    T = 20000
+    cfg = BanditConfig(n=3, c_max=1.0, phi=phi, horizon_T=T, i_min=2, i_max=0)
+    sim = drive_bandit(cfg, StepSchedule.constant(0.01), _Bait(m), T)
+    t = np.arange(1, T - cfg.n + 1)
+    bound = sim.info["coverage_bound"] * (T - cfg.n) / t
+    coverage = np.cumsum(sim.trace.reward[cfg.n:]) / t
+    ratio = float(np.max(abs(coverage - phi) / bound))
+    assert 0.95 <= ratio <= 1.0, ratio
+
+
 _BROKEN_GUARANTEE = """
 from coverctl.bandit import BanditConfig
 from coverctl.control import InvariantViolation, StepSchedule

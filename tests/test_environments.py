@@ -1,4 +1,5 @@
 import math
+import random
 from bisect import bisect_left
 from itertools import accumulate
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverctl import environments
 from coverctl.environments import (
     ArmSpec,
     IidArmWorld,
@@ -17,7 +19,10 @@ from coverctl.environments import (
     TrapWorld,
     _C_BITS,
     _C_DEMAND,
+    _BLOCK_CELLS,
+    _BLOCK_ROWS,
     _C_POINT,
+    _StepBlocks,
     draw_or_probabilities,
 )
 from coverctl.oracles import greedy_chain, newsvendor_benchmark
@@ -207,6 +212,39 @@ def test_or_world_blocks_match_the_scalar_draws_in_any_step_order():
         for t in order:
             assert world.probe(t, chain) == _reference_probe(world, t, chain), t
             assert world.probe(t, []) == []
+
+
+@pytest.mark.parametrize("lanes,steps", [(1, 2048), (6, 2048), (20, 2048), (10**5, 1)])
+def test_a_block_holds_at_most_a_chunk_of_rows(lanes, steps):
+    # a replica consumes its steps one runner chunk at a time: a block longer
+    # than that holds rows no chunk needs yet
+    block = _StepBlocks(3, _C_POINT, lanes, lambda u: u)
+    assert block.steps == min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // lanes)) == steps
+
+
+@pytest.mark.parametrize("make,blocks", [
+    (lambda: IntervalWorld(0.1, ("beta", 2, 5), seed=2**63 + 11), "_points"),
+    (lambda: OrWorld([0.55, 0.4, 0.28, 0.18, 0.1, 0.05, 0.9, 0.0, 1.0, 0.3], seed=77), "_bits"),
+], ids=["interval", "or"])
+def test_block_rows_do_not_depend_on_the_block_length(monkeypatch, make, blocks):
+    # a row depends only on its step: 5000 steps read in order, and 500 of them
+    # in a shuffled order (each read may refill a block), give the same bits
+    # with blocks of 2048 rows and of 7
+    steps = range(1, 5001)
+    orders = (steps, random.Random(5).sample(steps, 500))
+
+    def reads(rows):
+        monkeypatch.setattr(environments, "_BLOCK_ROWS", rows)
+        out = []
+        for order in orders:
+            block = getattr(make(), blocks)
+            assert block.steps == rows
+            out.append({t: repr(block[t]) for t in order})
+        return out
+
+    (in_order, shuffled), (in_order_7, shuffled_7) = reads(2048), reads(7)
+    assert in_order == in_order_7 and shuffled == shuffled_7
+    assert shuffled.items() <= in_order.items()
 
 
 def test_trap_world_schedule():

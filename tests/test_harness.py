@@ -10,6 +10,7 @@ import re
 import shlex
 import signal
 import struct
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -36,7 +37,7 @@ from coverctl.presets import (
 from coverctl.runner import (benchmark_values, drive_acog, drive_bandit, drive_newsvendor,
                              drive_threshold, execute, render_csv, run_replica)
 from coverctl.threshold import NewsvendorConfig, ThresholdConfig
-from coverctl.metrics import Trace, coverage_series, regret_series
+from coverctl.metrics import Trace, TraceRecord, coverage_series, regret_series
 from coverctl.rng import replica_seed
 from coverctl.svgplot import plot_series
 
@@ -613,6 +614,21 @@ def _drive_chain(keep_trace, schedule):
                       keep_trace=keep_trace)
 
 
+def _former_records(tr):
+    """``SimulationResult.records`` as the former build made them, one
+    comprehension over the rows: the reference for the column-wise build."""
+    cols = [tr.action, *(col.tolist() for col in (tr.reward, tr.cost, tr.state, tr.k,
+                                                  *tr.extras.values()))]
+    return [TraceRecord(t, *row[:5], dict(zip(tr.extras, row[5:])))
+            for t, row in enumerate(zip(*cols), start=1)]
+
+
+def _typed_fields(record):
+    """A record's fields, the extras' names and values included, as (type, repr)."""
+    return [(type(v), repr(v)) for v in (record.t, record.action, record.reward, record.cost,
+                                         record.state, record.k, *record.extras.items())]
+
+
 @pytest.mark.parametrize("drive", [_drive_bandit, _drive_threshold, _drive_newsvendor,
                                    _drive_chain], ids=["bandit", "threshold", "newsvendor",
                                                        "chain"])
@@ -628,6 +644,8 @@ def test_keep_trace_does_not_change_the_result(drive):
         assert len(bare.trace) == 0 and bare.records == []
         rows = kept.records
         assert [r.t for r in rows] == list(range(1, 401))
+        assert ([_typed_fields(r) for r in rows]
+                == [_typed_fields(r) for r in _former_records(kept.trace)])
         if drive is _drive_chain:
             assert all(r.k == budget_from_theta(r.state, 3) == len(r.action) for r in rows)
             assert 0 < max(r.k for r in rows)
@@ -1059,6 +1077,20 @@ def test_a_state_that_overflows_exits_4_and_writes_nothing(tmp_path, capsys, nam
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("existing", [[], ["a"]], ids=["none", "a"])
+def test_a_failed_run_removes_the_ancestors_of_out_it_made(tmp_path, monkeypatch, existing):
+    # for OUT a/b/c the run makes a and a/b (only a/b under an existing a), then
+    # fails at a step; it takes back what it made and no directory that was there
+    config, _ = _OVERFLOWS["chain"]
+    (tmp_path / "cfg.json").write_text(json.dumps({**config, "seed": 1}))
+    for name in existing:
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "cfg.json", "--out", "a/b/c"]) == 4
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == sorted(
+        ["cfg.json", *existing])
+
+
 def test_cli_invariant_violation_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch):
     # the schema refuses the steps that overshoot the stock below zero, so a
     # patched step does it: it pushes the level below zero after the update of
@@ -1113,8 +1145,9 @@ def test_failed_or_interrupted_run_leaves_no_artifacts(tmp_path, monkeypatch, fa
             execute(cfg, runs / "out", jobs=jobs)
     finally:
         signal.signal(signal.SIGINT, handler)
-    # no trace, metrics or manifest file in OUT and no staging directory next to it
-    assert list(runs.iterdir()) == []
+    # no trace, metrics or manifest file in OUT and no staging directory next to
+    # it: the run made OUT's parent, so it took that back too
+    assert not runs.exists()
     # the failure stops the sweep: a replica already running or queued may
     # still start, but none of the last two horizons does
     assert not [p.name for p in started.iterdir() if p.name.startswith(("16000-", "32000-"))]
@@ -1278,6 +1311,31 @@ def test_pool_size_is_capped_at_the_replica_count(tmp_path, monkeypatch, jobs, s
     for name in names if preset is None else [f"T-{T}/{n}" for T in (2000, 32000) for n in names]:
         assert ((tmp_path / "pooled" / name).read_bytes()
                 == (tmp_path / "serial" / name).read_bytes())
+
+
+_NO_POOL = """
+import concurrent.futures, sys
+from coverctl import cli, runner
+
+assert cli.main(["run", "--config", sys.argv[1], "--jobs", "1", "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules
+             if m.lstrip("_").split(".")[0] == "multiprocessing"
+             or m == "concurrent.futures.process"))
+print(runner.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)
+"""
+
+
+def test_a_jobs_1_run_loads_no_pool_machinery(tmp_path):
+    # in a fresh interpreter, since this process has loaded the pool already;
+    # runner imports the pool class the first time it is asked for it
+    path = tmp_path / "cfg.json"
+    path.write_text(small_config(replicas=2).to_json())
+    env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _NO_POOL, str(path), str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["[]", "True"]
+    assert (tmp_path / "o" / "trace_1.csv").exists()
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
