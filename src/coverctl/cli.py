@@ -53,8 +53,9 @@ def _resolve_config(args) -> ExperimentConfig:
         raise ConfigError("one of --preset or --config is required")
     overrides = {key: value for key, value in (("seed", args.seed), ("replicas", args.replicas))
                  if value is not None}
-    out = cfg.output_dir if args.out is None else args.out
-    return cfg.replace(output_dir=str(Path(out or Path("runs") / cfg.preset)), **overrides)
+    out = cfg.output_dir if args.out is None else args.out  # "" names the working directory
+    return cfg.replace(output_dir=str(Path("runs", cfg.preset) if out is None else Path(out)),
+                       **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

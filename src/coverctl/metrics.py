@@ -1,7 +1,7 @@
 """Validity and efficiency accounting over per-step traces, each one set of
 columns (:class:`Trace`). A run may be read whole or one chunk of steps at a
-time: the cumulative series continue across chunks from a :class:`Carry`, and
-:class:`MetricsReport` checks and sums chunk by chunk."""
+time: :class:`MetricsReport` holds a run's running sums, from which the
+cumulative series of its next chunk continue, and checks chunk by chunk."""
 
 from __future__ import annotations
 
@@ -39,6 +39,11 @@ class Trace:
     def __len__(self) -> int:
         return len(self.action)
 
+    def __getitem__(self, rows: slice) -> "Trace":
+        """The rows ``rows`` of every column, as a trace."""
+        return Trace(self.action[rows], self.reward[rows], self.cost[rows], self.state[rows],
+                     {name: col[rows] for name, col in self.extras.items()})
+
     @property
     def k(self) -> np.ndarray:
         """The probing budget K per step: in chain settings the cost, which
@@ -62,39 +67,27 @@ class TraceRecord:
     extras: dict
 
 
-@dataclass
-class Carry:
-    """Where the cumulative series of a run's next chunk continue from: the
-    steps before it and the running sums over them. A sum starts at -0.0,
-    which adds to any x as x, so a one-chunk run's sums are the plain ones."""
-
-    steps: int = 0
-    served: float = -0.0
-    asked: float = -0.0
-    regret: float = -0.0
-    regret_pos: float = -0.0
-
-
 def _running(values, start: float) -> tuple[np.ndarray, float]:
     """The running sums of ``values`` continued from ``start``, and the last
     of them (``start`` when ``values`` is empty): one left-to-right sum, so
     chunk after chunk gives the bits of one sum over the whole run."""
     sums = np.cumsum(np.concatenate(([start], values)))
-    return sums[1:], sums[-1]
+    return sums[1:], float(sums[-1])
 
 
-def coverage_series(trace: Trace, carry: Carry | None = None) -> np.ndarray:
+def coverage_series(trace: Trace, carry: MetricsReport | None = None) -> np.ndarray:
     """Running coverage of a trace, served over asked, by the trace's columns.
 
     A trace with ``y`` and ``a`` columns (an inventory run) serves y_s of a_s
     asked: sum_{s<=t} y_s / sum_{s<=t} a_s. Any other trace asks one unit a
-    step and serves Y_s of it: (1/t) * sum_{s<=t} Y_s. This is the rule of the
-    ledger that :func:`coverctl.runner._drive` keeps. With ``carry`` the trace
-    is a chunk of a run: the series continues from it and advances it.
+    step and serves Y_s of it: (1/t) * sum_{s<=t} Y_s. This is the one
+    statement of the rule; the ledger of :func:`coverctl.runner._drive` reads
+    its sums. With ``carry`` the trace is a chunk of a run: the series
+    continues from the run's sums and advances them.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    carry = Carry() if carry is None else carry
+    carry = MetricsReport() if carry is None else carry
     first = carry.steps + 1
     carry.steps += len(trace)
     if "a" in trace.extras:
@@ -102,12 +95,14 @@ def coverage_series(trace: Trace, carry: Carry | None = None) -> np.ndarray:
         asked, carry.asked = _running(trace.extras["a"], carry.asked)
         return served / asked
     served, carry.served = _running(trace.reward, carry.served)
+    carry.asked += len(trace)
     return served / np.arange(first, carry.steps + 1)
 
 
-def regret_series(trace: Trace, c_star, positive_part: bool = False,
-                  carry: Carry | None = None) -> np.ndarray:
-    """Cumulative sum of (cost_t - c_star), optionally clipped at 0 per step.
+def regret_series(trace: Trace, c_star,
+                  carry: MetricsReport | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative sums of the gap cost_t - c_star: ``(plain, positive_part)``,
+    the second clipped at 0 per step.
 
     ``c_star`` may be a scalar or a per-step array (phase-wise benchmarks).
     With ``carry`` the trace is a chunk of a run, as in :func:`coverage_series`.
@@ -115,12 +110,10 @@ def regret_series(trace: Trace, c_star, positive_part: bool = False,
     gap = trace.cost - np.asarray(c_star, dtype=float)
     if gap.shape != trace.cost.shape:
         raise ValueError("benchmark array length does not match the trace")
-    carry = Carry() if carry is None else carry
-    if positive_part:
-        series, carry.regret_pos = _running(np.maximum(gap, 0.0), carry.regret_pos)
-    else:
-        series, carry.regret = _running(gap, carry.regret)
-    return series
+    carry = MetricsReport() if carry is None else carry
+    plain, carry.regret = _running(gap, carry.regret)
+    positive_part, carry.regret_pos = _running(np.maximum(gap, 0.0), carry.regret_pos)
+    return plain, positive_part
 
 
 @dataclass(frozen=True)
@@ -176,42 +169,43 @@ def deviation_counter(trace: Trace, report, order_sensitive: bool = False) -> in
 
 
 class MetricsReport:
-    """Per-run summary, fed the run's cumulative series a chunk at a time by
-    :meth:`add` (a whole run is one chunk); ``extras`` joins the summary.
-
-    Every chunk is checked for the structural invariants: coverage stays in
-    [0, 1] and positive-part regret never decreases (plain regret may), from
-    one chunk to the next too.
+    """A run's running state, fed its trace a chunk at a time by :meth:`add`
+    (a whole run is one chunk): the steps, the boundary count, and the
+    served, asked, regret and positive-part regret sums that the series
+    continue from. A sum starts at -0.0, which adds to any x as x, so a
+    one-chunk run's sums are the plain ones. Every chunk's series are checked
+    for the structural invariants: coverage stays in [0, 1] and positive-part
+    regret never decreases (plain regret may), from one chunk to the next
+    too. ``extras`` joins the summary.
     """
 
     def __init__(self, extras: dict | None = None):
         self.steps = self.boundary_steps = 0
+        self.served = self.asked = self.regret = self.regret_pos = -0.0
         self.extras = {} if extras is None else extras
 
-    def add(self, coverage_cum, regret_cum, regret_pos_cum, boundary_steps: int) -> None:
-        if coverage_cum.size == 0:
-            raise ValueError("empty coverage series")
-        if float(coverage_cum.min()) < -1e-12 or float(coverage_cum.max()) > 1 + 1e-12:
+    def add(self, chunk: Trace, c_star) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Continue the run's coverage, regret and positive-part regret series
+        over ``chunk`` against ``c_star`` (see :func:`regret_series`), check
+        them and return them."""
+        regret_pos_before = self.regret_pos
+        coverage = coverage_series(chunk, self)
+        regret, regret_pos = regret_series(chunk, c_star, self)
+        if float(coverage.min()) < -1e-12 or float(coverage.max()) > 1 + 1e-12:
             raise ValueError("coverage series escaped [0, 1]")
-        if self.steps:  # the last chunk's final value leads this one
-            regret_pos_cum = np.concatenate(([self.regret_pos_final], regret_pos_cum))
-        if regret_pos_cum.size and float(np.diff(regret_pos_cum).min(initial=0.0)) < -1e-9:
+        if float(np.diff(regret_pos, prepend=regret_pos_before).min()) < -1e-9:
             raise ValueError("positive-part regret series must be non-decreasing")
-        self.steps += coverage_cum.size
-        self.boundary_steps += int(boundary_steps)
-        self.coverage_final = float(coverage_cum[-1])
-        self.regret_final = float(regret_cum[-1])
-        self.regret_pos_final = float(regret_pos_cum[-1])
+        self.boundary_steps += int(np.sum(chunk.extras.get("boundary", 0.0)))
+        return coverage, regret, regret_pos
 
     def summary(self) -> dict:
         if not self.steps:
             raise ValueError("empty coverage series")
-        out = {
+        return {
             "steps": self.steps,
-            "coverage_final": self.coverage_final,
-            "regret_final": self.regret_final,
-            "regret_pos_final": self.regret_pos_final,
+            "coverage_final": self.served / self.asked,
+            "regret_final": self.regret,
+            "regret_pos_final": self.regret_pos,
             "boundary_steps": self.boundary_steps,
+            **self.extras,
         }
-        out.update(self.extras)
-        return out

@@ -47,8 +47,8 @@ from .rng import replica_seed
 from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, threshold_step
 
 _TOL = 1e-12
-# rows per chunk: _drive yields, and render_csv renders, this many rows at a
-# time; a replica holds one chunk at a time, so its memory is flat in T
+# rows per chunk: _drive, the one place that cuts a run, yields this many rows
+# at a time; a replica holds one chunk at a time, so its memory is flat in T
 _CHUNK_ROWS = 2048
 
 
@@ -81,74 +81,77 @@ class SimulationResult:
                         tr.state.tolist(), tr.k.tolist(), extras))
 
 
-def _drive(step, state: ControllerState, T: int, band: tuple[float, float], keep_trace: bool,
+def _drive(step, state: ControllerState, T: int, band: tuple[float, float],
            columns: tuple[str, ...], window_start: int = 1) -> Generator[mt.Trace, None, tuple]:
     """The per-step loop behind every driver: call ``step()`` T times, and
     yield the rows as column chunks while it runs.
 
-    Each call returns a row ``(action, reward, cost, state, *columns)``; with
-    ``keep_trace`` every ``_CHUNK_ROWS`` rows, and the rows left at the end,
-    are yielded as one :class:`~coverctl.metrics.Trace` as soon as they are
-    driven, so a caller can be done with a chunk before the next is driven.
-    At least one chunk comes (an empty one without ``keep_trace`` or steps),
-    so a caller always sees the columns. From step ``window_start`` on, the
-    decision-time state, and the final one, must be finite and lie in
-    ``band`` (else InvariantViolation, under ``python -O`` too), and the steps
-    feed the coverage ledger: Y served over L asked, by the rule of
-    :func:`~coverctl.metrics.coverage_series` (the sums of the ``y`` and ``a``
-    columns where there is an ``a`` column), and D, the sum of
-    (state_end - state_start) / eta over each maximal segment of steps that
-    applied one ``state.eta``. For any schedule and feedback, the unprojected
-    update makes the ``ledger_residual`` Y/L - phi + D/L vanish up to rounding.
-    The generator returns ``(final_state, info)``: ``info`` holds that
-    residual, the ``coverage`` Y/L and the a-priori ``coverage_bound``
+    Each call returns a row ``(action, reward, cost, state, *columns)``;
+    every ``_CHUNK_ROWS`` rows, and the rows left at the end, are yielded as
+    one :class:`~coverctl.metrics.Trace` as soon as they are driven, so a
+    caller can be done with a chunk before the next is driven. At least one
+    chunk comes (an empty one when T is 0), so a caller always sees the
+    columns. From step ``window_start`` on, the decision-time state, and the
+    final one, must be finite and lie in ``band`` (else InvariantViolation,
+    under ``python -O`` too), and the steps feed the coverage ledger: Y served
+    over L asked, the sums that :func:`~coverctl.metrics.coverage_series`
+    keeps in a window :class:`~coverctl.metrics.MetricsReport`, and D, the
+    sum of (state_end - state_start) / eta over each maximal segment of steps
+    that applied one ``state.eta``. For any schedule and feedback, the
+    unprojected update makes the ``ledger_residual`` Y/L - phi + D/L vanish up
+    to rounding. The generator returns ``(final_state, info)``: ``info`` holds
+    that residual, the ``coverage`` Y/L and the a-priori ``coverage_bound``
     (hi - lo) / (eta_T * L) on |Y/L - phi| that Abel summation gives a
     non-increasing schedule (inf for an open band).
     """
     lo, hi = max(band[0], -sys.float_info.max), min(band[1], sys.float_info.max)
-    y_at, a_at = (4 + columns.index("y"), 4 + columns.index("a")) if "a" in columns else (1, None)
     seg_start, eta = state.value, state.eta
     closed = 0.0  # the closed segments' sum of (state_end - state_start) / eta
-    served = asked = 0.0
+    window = mt.MetricsReport()
     rows = []
+
+    def chunk_of(t0):
+        chunk = mt.Trace.from_rows(rows, columns)
+        rows.clear()  # freed before the caller takes the chunk
+        if t0 + len(chunk) > window_start:
+            mt.coverage_series(chunk[max(0, window_start - t0):], window)
+        return chunk
+
     for t in range(1, T + 1):
         row = step()
         if t >= window_start:
-            served += row[y_at]
-            if a_at:
-                asked += row[a_at]
             if not lo <= row[3] <= hi:
                 raise InvariantViolation(t, row[3], (lo, hi))
             if state.eta != eta:  # this step opened a segment at its decision-time state
                 closed += (row[3] - seg_start) / eta
                 seg_start, eta = row[3], state.eta
-        if keep_trace:
-            rows.append(row)
-            if len(rows) == _CHUNK_ROWS:
-                chunk = mt.Trace.from_rows(rows, columns)
-                rows.clear()  # freed before the caller takes the chunk
-                yield chunk
-    if rows or not (keep_trace and T):
-        yield mt.Trace.from_rows(rows, columns)
+        rows.append(row)
+        if len(rows) == _CHUNK_ROWS:
+            yield chunk_of(t + 1 - _CHUNK_ROWS)
+    if rows or not T:
+        yield chunk_of(T + 1 - len(rows))
     info = {}
-    steps = T - window_start + 1
-    if steps > 0:
+    if window.steps:
         if not lo <= state.value <= hi:
             raise InvariantViolation(T + 1, state.value, (lo, hi))
-        total = asked if a_at else steps
-        coverage = info["coverage"] = served / total
+        total = window.asked
+        coverage = info["coverage"] = window.served / total
         info["ledger_residual"] = (coverage - state.phi) + (
             closed / total + (state.value - seg_start) / (eta * total))
         info["coverage_bound"] = (band[1] - band[0]) / (eta * total)
     return state.value, info
 
 
-def _simulate(run: Generator[mt.Trace, None, tuple]) -> SimulationResult:
-    """A driver run (see :func:`_drive`) with its chunks joined into one trace."""
+def _simulate(run: Generator[mt.Trace, None, tuple], keep_trace: bool = True) -> SimulationResult:
+    """A driver run (see :func:`_drive`) with its chunks joined into one
+    trace; without ``keep_trace``, a new empty trace of the run's columns."""
     chunks = []
     try:
         while True:
-            chunks.append(next(run))
+            chunk = next(run)
+            # an empty slice of a chunk would keep the chunk's arrays alive as its base
+            if keep_trace or not chunks:
+                chunks.append(chunk if keep_trace else mt.Trace.from_rows((), tuple(chunk.extras)))
     except StopIteration as end:
         final_state, info = end.value
     reward, cost, value, *extras = (np.concatenate(col) for col in zip(
@@ -167,16 +170,16 @@ def drive_bandit(cfg: BanditConfig, schedule: StepSchedule, env, T: int,
     coverage ledger covers the controlled window (warm-up plays excluded,
     since the dual does not move during them).
     """
-    return _simulate(_bandit_run(cfg, schedule, env, T, keep_trace))
+    return _simulate(_bandit_run(cfg, schedule, env, T), keep_trace)
 
 
-def _bandit_run(cfg: BanditConfig, schedule: StepSchedule, env, T: int, keep_trace: bool = True):
+def _bandit_run(cfg: BanditConfig, schedule: StepSchedule, env, T: int):
     state = BanditState(cfg, schedule)
     eta_max = schedule.max_eta()
     boundary = cfg.mode == BOUNDARY_RULE
     band = (-eta_max - _TOL, cfg.lambda_cap + eta_max + _TOL) if boundary else (-math.inf, math.inf)
     final_state, info = yield from _drive(lambda: bandit_step(state, cfg, env), state.dual, T,
-                                          band, keep_trace, ("boundary",), window_start=cfg.n + 1)
+                                          band, ("boundary",), window_start=cfg.n + 1)
     if info:
         info["window_coverage"] = info.pop("coverage")
         info["window_len"] = T - cfg.n
@@ -184,15 +187,14 @@ def _bandit_run(cfg: BanditConfig, schedule: StepSchedule, env, T: int, keep_tra
 
 
 def drive_threshold(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True) -> SimulationResult:
-    return _simulate(_threshold_run(cfg, env, T, keep_trace))
+    return _simulate(_threshold_run(cfg, env, T), keep_trace)
 
 
-def _threshold_run(cfg: ThresholdConfig, env, T: int, keep_trace: bool = True):
+def _threshold_run(cfg: ThresholdConfig, env, T: int):
     state = ControllerState(value=cfg.tau_min, phi=cfg.phi, schedule=cfg.schedule)
     eta_max = cfg.schedule.max_eta()
     band = (cfg.tau_min - eta_max - _TOL, cfg.tau_max + eta_max + _TOL)
-    return _drive(lambda: threshold_step(state, cfg, env), state, T, band, keep_trace,
-                  ("boundary",))
+    return _drive(lambda: threshold_step(state, cfg, env), state, T, band, ("boundary",))
 
 
 def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
@@ -204,35 +206,33 @@ def drive_newsvendor(cfg: NewsvendorConfig, demand_stream, T: int,
     a * (1 - eta * (1 - phi)) >= 0. The level rises only while q < phi * a <= phi * D,
     and then to (1 - eta) * q + eta * phi * a <= max(1, eta_max) * phi * D.
     """
-    return _simulate(_newsvendor_run(cfg, demand_stream, T, keep_trace, q_init))
+    return _simulate(_newsvendor_run(cfg, demand_stream, T, q_init), keep_trace)
 
 
-def _newsvendor_run(cfg: NewsvendorConfig, demand_stream, T: int, keep_trace: bool = True,
-                    q_init: float = 0.0):
+def _newsvendor_run(cfg: NewsvendorConfig, demand_stream, T: int, q_init: float = 0.0):
     state = ControllerState(value=q_init, phi=cfg.phi, schedule=cfg.schedule)
     top = max(q_init, cfg.phi * cfg.demand_cap * max(1.0, cfg.schedule.max_eta()))
     # a slack relative to the top: both edges are reached exactly, up to the
     # rounding of values of the top's size
     band = (-_TOL * top, top + _TOL * top)
     return _drive(lambda: newsvendor_step(state, cfg, demand_stream.draw(state.step_index)),
-                  state, T, band, keep_trace, ("a", "leftover", "y"))
+                  state, T, band, ("a", "leftover", "y"))
 
 
 def drive_acog(cfg: ChainConfig, schedule: StepSchedule, env, T: int,
                variant: str = PREFIX_KEYED, keep_trace: bool = True) -> SimulationResult:
-    return _simulate(_acog_run(cfg, schedule, env, T, variant, keep_trace))
+    return _simulate(_acog_run(cfg, schedule, env, T, variant), keep_trace)
 
 
 def _acog_run(cfg: ChainConfig, schedule: StepSchedule, env, T: int,
-              variant: str = PREFIX_KEYED, keep_trace: bool = True):
+              variant: str = PREFIX_KEYED):
     theta = ControllerState(value=0.0, phi=cfg.phi, schedule=schedule)
     stats = ChainStats(cfg.n, cfg.horizon_T, variant)
     # theta falls by at most eta_max * (1 - phi) a step, and only from theta > 0:
     # K = 0 probes the empty chain, whose Y is 0. No upper band holds in every
     # world: where even the full chain can fail, theta climbs past n.
     band = (-schedule.max_eta() * (1.0 - cfg.phi) - _TOL, math.inf)
-    return _drive(lambda: acog_step(theta, stats, cfg, env), theta, T, band, keep_trace,
-                  ("boundary",))
+    return _drive(lambda: acog_step(theta, stats, cfg, env), theta, T, band, ("boundary",))
 
 
 # --- experiment layer -------------------------------------------------------
@@ -264,43 +264,27 @@ def _f17_reusing(col: np.ndarray, strings: list, values: np.ndarray) -> list:
 
 
 def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum, t0: int = 1) -> str:
-    """Serialize a trace with its cumulative metric columns, its rows numbered
-    from ``t0``; the header line leads when ``t0`` is 1, so the texts of a
+    """Serialize a trace (a run's chunk, as :func:`_drive` cuts it) with its
+    cumulative metric columns, its rows numbered from ``t0``, each row ending
+    in a newline; the header line leads when ``t0`` is 1, so the texts of a
     run's chunks, each rendered with its first step, join into its CSV.
 
-    The three series hold one value per step, as built by
-    :func:`~coverctl.metrics.coverage_series` and
-    :func:`~coverctl.metrics.regret_series`. The rows are rendered
-    ``_CHUNK_ROWS`` at a time by :func:`_render_rows`, and the chunk strings
-    joined once, so the returned text is the only full-size object made here.
+    The three series hold one value per step, as
+    :meth:`~coverctl.metrics.MetricsReport.add` returns them. Every row comes
+    from one ``%`` template: ``t`` is the row number, ``K`` the probing
+    budget, and every float carries 17 significant digits (``"%.17g"``, the
+    same bytes as ``format(x, ".17g")``). A value repeated across a column is
+    formatted once: ``reward``, the extra columns and a chain or arm run's
+    ``cost`` hold few distinct values, formatted once per bit pattern, and
+    where the action is a float, ``cost`` and ``state`` reuse the action's
+    string at every step where they are bitwise equal to it, as in the
+    threshold setting.
     """
     if not len(trace):
         raise ValueError("cannot serialize an empty trace")
     series = (coverage_cum, regret_cum, regret_pos_cum)
     if any(len(col) != len(trace) for col in series):
         raise ValueError("every series needs one value per step")
-    texts = [",".join(BASE_COLUMNS + tuple(trace.extras)) + "\n"] if t0 == 1 else []
-    for start in range(0, len(trace), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        part = mt.Trace(trace.action[rows], trace.reward[rows], trace.cost[rows],
-                        trace.state[rows], {name: col[rows] for name, col in trace.extras.items()})
-        texts.append(_render_rows(t0 + start, part, [col[rows] for col in series]))
-    return "".join(texts)
-
-
-def _render_rows(t0: int, trace: mt.Trace, series) -> str:
-    """The CSV rows of ``trace`` and its three ``series``, numbered from
-    ``t0``, each row ending in a newline.
-
-    Every row comes from one ``%`` template: ``t`` is the row number, ``K``
-    the probing budget, and every float carries 17 significant digits
-    (``"%.17g"``, the same bytes as ``format(x, ".17g")``). A value repeated
-    across a column is formatted once: ``reward``, the extra columns and a
-    chain or arm run's ``cost`` hold few distinct values, formatted once per
-    bit pattern, and where the action is a float, ``cost`` and ``state``
-    reuse the action's string at every step where they are bitwise equal to
-    it, as in the threshold setting.
-    """
     first = trace.action[0]
     # each column as (template field, values)
     if isinstance(first, (tuple, int)):  # probed chains are "a|b|c", or "-" when empty
@@ -317,7 +301,8 @@ def _render_rows(t0: int, trace: mt.Trace, series) -> str:
              cost, state, ("%d", trace.k.tolist()), *(("%.17g", col.tolist()) for col in series),
              *(("%s", _f17_repeated(col)) for col in trace.extras.values())]
     row = ",".join(field for field, _ in cells) + "\n"
-    return "".join(map(row.__mod__, zip(*(col for _, col in cells), strict=True)))
+    header = ",".join(BASE_COLUMNS + tuple(trace.extras)) + "\n" if t0 == 1 else ""
+    return header + "".join(map(row.__mod__, zip(*(col for _, col in cells), strict=True)))
 
 
 class _Setup(NamedTuple):
@@ -462,7 +447,7 @@ def run_replica(config: ExperimentConfig, replica: int, *, write=None,
     texts = []
     emit = texts.append if write is None else write
     # extras is a Counter, so each chunk's counts add up
-    carry, report = mt.Carry(), mt.MetricsReport(extras=Counter())
+    report = mt.MetricsReport(extras=Counter())
     series = np.empty((2, config.T)) if keep_series else None  # coverage and regret
     run = setup.run()
     while True:
@@ -471,18 +456,15 @@ def run_replica(config: ExperimentConfig, replica: int, *, write=None,
         except StopIteration as end:
             final_state, info = end.value
             break
-        t0 = carry.steps + 1
+        t0 = report.steps + 1
         c_star = setup.c_star
         if callable(c_star):
             c_star = c_star(np.arange(t0, t0 + len(chunk)))
-        coverage = mt.coverage_series(chunk, carry)
-        regret = mt.regret_series(chunk, c_star, carry=carry)
-        regret_pos = mt.regret_series(chunk, c_star, positive_part=True, carry=carry)
-        report.add(coverage, regret, regret_pos, int(np.sum(chunk.extras.get("boundary", 0.0))))
+        coverage, regret, regret_pos = report.add(chunk, c_star)
         report.extras.update(setup.counts(chunk, t0))
         emit(render_csv(chunk, coverage, regret, regret_pos, t0))
         if keep_series:
-            series[:, t0 - 1:carry.steps] = coverage, regret
+            series[:, t0 - 1:report.steps] = coverage, regret
     summary = {
         "replica": replica,
         "substream_seed": seed,

@@ -406,6 +406,29 @@ def test_coverage_bound_holds_at_every_step_against_an_adaptive_adversary(
     assert (abs(coverage_series(sim.trace) - phi) <= bound + 1e-9).all()
 
 
+# measured over n in {3, 6}, phi in {0.2, 0.5, 0.8} and eta in {0.01, 0.05},
+# both variants alike: 0.9756 (n 3, phi 0.2, eta 0.05) to 0.9992
+@pytest.mark.parametrize("variant,n,phi,eta", [
+    (PREFIX_KEYED, 3, 0.2, 0.05), (POSITION_KEYED, 6, 0.2, 0.01), (PREFIX_KEYED, 6, 0.5, 0.01),
+    (POSITION_KEYED, 3, 0.8, 0.01), (PREFIX_KEYED, 6, 0.8, 0.05)])
+def test_a_full_chain_only_adversary_reaches_the_coverage_bound_from_below(variant, n, phi, eta):
+    # every proper prefix fails and the full chain succeeds: theta rides the
+    # band [-eta * (1 - phi), n - 1 + eta * phi] of the model's rule, and
+    # |coverage_t - phi| comes within 5 % of W / (eta * t), W = n - 1 + eta, at
+    # some step; the driver's own band stays open above. At T = 2000 the case
+    # n 6, phi 0.2, eta 0.01 reads 0.80: theta needs (n - 1) / (eta * phi)
+    # steps to climb
+    T = 20000
+    cfg = ChainConfig(n=n, phi=phi, horizon_T=T)
+    world = _AdaptiveChains(n, [[[n] * (n + 1)] * (n + 1)])
+    sim = drive_acog(cfg, StepSchedule.constant(eta), world, T, variant=variant)
+    states = np.append(sim.trace.state, sim.final_state)
+    assert -eta * (1 - phi) - _TOL <= states.min() and states.max() <= n - 1 + eta * phi + _TOL
+    t = np.arange(1, T + 1)
+    ratio = float(np.max(abs(coverage_series(sim.trace) - phi) * eta * t / (n - 1 + eta)))
+    assert 0.95 <= ratio <= 1.0, ratio
+
+
 def test_a_full_chain_that_fails_breaks_the_coverage_bound():
     # the chain's band is open above, so the driver raises nothing; the test names
     # the bounds that no longer hold. Every chain fails, the full one too: theta

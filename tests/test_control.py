@@ -30,7 +30,7 @@ def ledger(s, rewards):
         aci_update(s, y)
         return raw, y, 0.0, raw
 
-    return _simulate(_drive(step, s, len(rewards), (-math.inf, math.inf), False, ())).info
+    return _simulate(_drive(step, s, len(rewards), (-math.inf, math.inf), ())).info
 
 
 def test_update_moves_against_success():

@@ -128,8 +128,7 @@ def _bits(x: float) -> bytes:
 
 
 def _render(trace, c_star):
-    return render_csv(trace, coverage_series(trace), regret_series(trace, c_star),
-                      regret_series(trace, c_star, positive_part=True))
+    return render_csv(trace, coverage_series(trace), *regret_series(trace, c_star))
 
 
 def test_csv_schema_and_round_trip_precision():
@@ -255,18 +254,18 @@ def test_render_csv_rejects_an_empty_trace():
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=_traces())
 def test_render_csv_in_small_chunks_equals_the_reference_renderer(case):
-    # t continues across chunks, and each chunk's format-once memos give the
-    # same strings as the whole trace's
+    # slices of a trace, each rendered with its first step, join into the
+    # whole trace's CSV: t continues across chunks, and each chunk's
+    # format-once memos give the same strings as the whole trace's
     trace, series = case
     for rows in (1, 7):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(runner, "_CHUNK_ROWS", rows)
-            assert render_csv(trace, *series) == _reference_render_csv(trace, *series)
+        texts = [render_csv(trace[start:start + rows],
+                            *(col[start:start + rows] for col in series), start + 1)
+                 for start in range(0, len(trace), rows)]
+        assert "".join(texts) == _reference_render_csv(trace, *series)
 
 
-def test_render_csv_rejects_a_series_of_another_length(monkeypatch):
-    # one chunk of 4 rows: a longer series would otherwise lose its last value
-    monkeypatch.setattr(runner, "_CHUNK_ROWS", 4)
+def test_render_csv_rejects_a_series_of_another_length():
     trace = Trace.from_rows([(0.5, 1.0, 0.5, 0.5, 0.0)] * 4, ("boundary",))
     with pytest.raises(ValueError, match="one value per step"):
         render_csv(trace, np.ones(4), np.ones(5), np.ones(4))
@@ -312,20 +311,6 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["threshold-primal", "combinatorial-or"])
-def test_render_csv_holds_at_most_its_chunks_beside_its_result(name):
-    # rendering whole traces at once peaked at 2.9 (threshold) and 4.3 (chain)
-    # times the text above it; chunk by chunk, the peak is the last join, the
-    # chunk strings beside the text they make
-    setup = _preset_setup(name, 20000)
-    trace = runner._simulate(setup.run()).trace
-    series = (coverage_series(trace), regret_series(trace, setup.c_star),
-              regret_series(trace, setup.c_star, positive_part=True))
-    text, peak = _peak_bytes(lambda: render_csv(trace, *series))
-    assert peak - len(text) <= 1.1 * len(text)
-    assert len(trace) >= 4 * runner._CHUNK_ROWS  # enough chunks for the last join to dominate
-
-
 def test_drive_holds_no_row_object_of_the_whole_run():
     # the kept columns cost about 64 B a step (four float64 columns, and a list
     # slot and a float object per action), and joining the chunks copies the
@@ -334,6 +319,22 @@ def test_drive_holds_no_row_object_of_the_whole_run():
     setup = _preset_setup("threshold-primal", 20000)
     sim, peak = _peak_bytes(lambda: runner._simulate(setup.run()))
     assert peak / len(sim.trace) < 160
+
+
+def test_a_run_without_its_trace_holds_memory_flat_in_T():
+    # a run that kept an empty slice of every chunk kept every chunk's columns
+    # alive through the slices' base arrays: about 32 B a step (1.0 MB at
+    # T = 20000, 3.0 MB at T = 80000); one that keeps no chunk peaked at
+    # 0.45-0.59 MB at both, by what earlier work left to collect
+    def peak(T):
+        world = envs.ScoreWorld(3)
+        cfg = ThresholdConfig(world.tau_min, world.tau_max, 0.8, StepSchedule.constant(0.05))
+        sim, peak = _peak_bytes(lambda: drive_threshold(cfg, world, T, keep_trace=False))
+        assert len(sim.trace) == 0 and sim.info["coverage"] > 0
+        return peak
+
+    small, large = peak(20000), peak(80000)
+    assert (large - small) / 60000 < 8
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS) + ["prefix-keyed"])
@@ -1236,6 +1237,25 @@ def test_cli_run_into_the_working_directory_exits_2(tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "here"]
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_an_explicit_empty_out_is_the_working_directory_and_exits_2(tmp_path, capsys,
+                                                                     monkeypatch, form):
+    # an empty OUT, by --out "" or "output_dir": "", names the working directory;
+    # it is refused, not replaced by the default runs/<preset>
+    calls = _count_replicas(monkeypatch)
+    (tmp_path / "cfg.json").write_text(small_config(replicas=1, output_dir="").to_json())
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    argv = (["run", "--preset", "newsvendor-shift", "--out", ""] if form == "flag"
+            else ["run", "--config", "../cfg.json"])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: output directory {here} is the working directory\n"
+    assert calls == []
+    assert Path.cwd().samefile(here) and list(here.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "here"]
+
+
 def test_a_killed_pool_worker_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
     parent, run = os.getpid(), runner.run_replica
 
@@ -1562,3 +1582,12 @@ def test_readme_command_lines_parse_and_each_run_writes_a_new_out():
             assert args.out or not args.config, argv
             outs.append(args.out or f"runs/{args.preset}")
     assert len(lines) == 7 and len(outs) == len(set(outs)) == 5
+
+
+def test_readme_library_example_runs():
+    # the public example keeps up with the library's signatures
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["coverage"]) == len(namespace["rows"]) == 25000

@@ -70,33 +70,31 @@ def test_series_equal_running_sums_exactly():
         pos.append(cum_pos)
     assert coverage_series(trace_of(reward=reward)).tolist() == mean
     assert coverage_series(trace).tolist() == fill
-    assert regret_series(trace, c_star).tolist() == plain
-    assert regret_series(trace, c_star, positive_part=True).tolist() == pos
+    assert [series.tolist() for series in regret_series(trace, c_star)] == [plain, pos]
 
 
 def test_regret_series_zero_at_benchmark():
     trace = trace_of(cost=[0.4] * 20)
-    assert np.all(regret_series(trace, 0.4) == pytest.approx(0.0))
+    assert np.all(regret_series(trace, 0.4)[0] == pytest.approx(0.0))
 
 
 def test_regret_series_single_overshoot():
     trace = trace_of(cost=[1.4])
-    assert regret_series(trace, 0.4)[-1] == pytest.approx(1.0)
+    assert regret_series(trace, 0.4)[0][-1] == pytest.approx(1.0)
 
 
 def test_regret_series_positive_part_monotone():
     rng = random.Random(0)
     trace = trace_of(cost=[rng.uniform(0, 1) for _ in range(2000)])
-    plain = regret_series(trace, 0.5)
-    pos = regret_series(trace, 0.5, positive_part=True)
+    plain, pos = regret_series(trace, 0.5)
     assert np.all(np.diff(pos) >= 0.0)
     assert np.all(pos >= plain - 1e-12)
 
 
 def test_regret_series_phase_benchmark():
     trace = trace_of(cost=[1.0] * 4)
-    out = regret_series(trace, [1.0, 0.5, 1.0, 0.0])
-    assert out[-1] == pytest.approx(1.5)
+    plain, pos = regret_series(trace, [1.0, 0.5, 1.0, 0.0])
+    assert plain[-1] == pytest.approx(1.5) and pos[-1] == pytest.approx(1.5)
     with pytest.raises(ValueError):
         regret_series(trace, [1.0, 0.5])
 
@@ -187,33 +185,50 @@ def test_deviation_counter_matches_the_per_row_loop(data, n, order_sensitive):
         assert deviation_counter(trace, report, order_sensitive) == expected
 
 
-def test_metrics_report_checks_invariants():
+def test_metrics_report_checks_invariants(monkeypatch):
+    from coverctl import metrics
     from coverctl.metrics import MetricsReport
 
     good = MetricsReport()
-    good.add(np.array([1.0, 0.5, 0.5]), np.array([0.1, -0.2, 0.3]), np.array([0.1, 0.1, 0.6]), 0)
-    assert good.summary()["regret_pos_final"] == pytest.approx(0.6)
+    series = good.add(trace_of(reward=[1.0, 0.0, 0.5], cost=[0.75, 0.25, 1.0]), 0.5)
+    assert [col.tolist() for col in series] == [[1.0, 0.5, 0.5], [0.25, 0.0, 0.5],
+                                                [0.25, 0.25, 0.75]]
+    assert good.summary()["regret_pos_final"] == 0.75
     assert good.summary()["coverage_final"] == 0.5
-    with pytest.raises(ValueError):
-        MetricsReport().add(np.array([1.2]), np.array([0.0]), np.array([0.0]), 0)
-    with pytest.raises(ValueError):
-        MetricsReport().add(np.array([0.5, 0.5]), np.array([0.0, 0.0]),
-                            np.array([1.0, 0.5]), 0)  # decreasing
+    with pytest.raises(ValueError, match="escaped"):
+        MetricsReport().add(trace_of(reward=[1.2]), 0.0)
+    with pytest.raises(ValueError, match="empty"):
+        MetricsReport().add(trace_of(reward=[]), 0.0)
     with pytest.raises(ValueError, match="empty"):
         MetricsReport().summary()
+    # the positive part comes from regret_series, which cannot make it fall;
+    # one made to is caught
+    monkeypatch.setattr(metrics, "regret_series", lambda trace, c_star, carry: (
+        np.zeros(2), np.array([1.0, 0.5])))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        MetricsReport().add(trace_of(reward=[0.5, 0.5]), 0.0)
 
 
-def test_metrics_report_sums_its_chunks_and_checks_across_them():
+def test_metrics_report_sums_its_chunks_and_checks_across_them(monkeypatch):
+    from coverctl import metrics
     from coverctl.metrics import MetricsReport
 
     report = MetricsReport(extras={"k": 1})
-    report.add(np.array([1.0, 0.5]), np.array([0.1, -0.2]), np.array([0.1, 0.1]), 1)
-    report.add(np.array([0.5]), np.array([0.3]), np.array([0.6]), 2)
-    assert report.summary() == {"steps": 3, "coverage_final": 0.5, "regret_final": 0.3,
-                                "regret_pos_final": 0.6, "boundary_steps": 3, "k": 1}
+    whole = MetricsReport(extras={"k": 1})
+    trace = trace_of(reward=[1.0, 0.0, 0.5], cost=[0.75, 0.25, 1.0],
+                     boundary=[1.0, 0.0, 1.0], action=[0, 1, 2])
+    chunks = [report.add(trace[:2], 0.5), report.add(trace[2:], 0.5)]
+    series = whole.add(trace, 0.5)
+    for col, parts in zip(series, zip(*chunks)):  # the series continue bit for bit
+        assert np.concatenate(parts).tobytes() == col.tobytes()
+    assert report.summary() == whole.summary() == {
+        "steps": 3, "coverage_final": 0.5, "regret_final": 0.5, "regret_pos_final": 0.75,
+        "boundary_steps": 2, "k": 1}
     # each chunk alone rises, but the second starts below where the first ended
+    monkeypatch.setattr(metrics, "regret_series", lambda trace, c_star, carry: (
+        np.zeros(2), np.array([0.5, 0.7])))
     with pytest.raises(ValueError, match="non-decreasing"):
-        report.add(np.array([0.5, 0.5]), np.array([0.0, 0.0]), np.array([0.5, 0.7]), 0)
+        report.add(trace_of(reward=[0.5, 0.5]), 0.0)
 
 
 def test_deviation_rate_falls_across_quarters():

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 import coverctl
 from coverctl import runner
 from coverctl.control import ControllerState, InvariantViolation, StepSchedule
-from coverctl.environments import PoissonDemand, ScoreWorld
+from coverctl.bandit import BanditConfig
+from coverctl.chains import ChainConfig
+from coverctl.environments import IntervalWorld, OrWorld, PoissonDemand, ScoreWorld
 from coverctl.metrics import coverage_series
-from coverctl.runner import drive_newsvendor, drive_threshold
+from coverctl.runner import drive_acog, drive_bandit, drive_newsvendor, drive_threshold
 from coverctl.threshold import (
     NewsvendorConfig,
     ThresholdConfig,
@@ -140,7 +143,7 @@ def test_inventory_ledger_and_band_hold_for_any_demand_script(phi, schedule, q_i
     levels = [*sim.trace.state, sim.final_state]
     assert 0.0 <= min(levels) and max(levels) <= top
     # the ledger's coverage is the fill rate, served over asked totals
-    assert sim.info["coverage"] == coverage_series(sim.trace)[-1]
+    assert _bits(sim.info["coverage"]) == _bits(coverage_series(sim.trace)[-1])
     assert abs(sim.info["coverage"] - phi) <= sim.info["coverage_bound"]
     # and at every period t, with the band width W and L_t the demand asked up
     # to t: |coverage_t - phi| <= W / (eta_t * L_t)
@@ -149,6 +152,44 @@ def test_inventory_ledger_and_band_hold_for_any_demand_script(phi, schedule, q_i
     bound = width / (etas * np.cumsum(sim.trace.extras["a"]))
     assert bound[-1] == pytest.approx(sim.info["coverage_bound"], rel=1e-12)
     assert (abs(coverage_series(sim.trace) - phi) <= bound + 1e-9).all()
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _ledger_and_series(setting, schedule, T):
+    """The ledger's coverage of one run and the final value of
+    ``coverage_series`` over the rows the ledger covers."""
+    if setting == "threshold":
+        world = ScoreWorld(3)
+        sim = drive_threshold(ThresholdConfig(world.tau_min, world.tau_max, 0.8, schedule),
+                              world, T)
+    elif setting == "newsvendor":  # the fill rate, served over asked totals
+        sim = drive_newsvendor(NewsvendorConfig(100.0, 0.9, schedule),
+                               PoissonDemand(20.0, 50.0, 200, 100.0, seed=3), T, q_init=20.0)
+    elif setting == "chain":
+        sim = drive_acog(ChainConfig(n=3, phi=0.7, horizon_T=T), schedule,
+                         OrWorld([0.6, 0.5, 0.4], 3), T)
+    else:  # the window after the warm-up pass, one play of each of the 211 arms
+        world = IntervalWorld(0.05, ("beta", 2, 5), 7)
+        cfg = BanditConfig(n=world.n, c_max=world.c_max, phi=0.8, horizon_T=T,
+                           i_min=world.i_min, i_max=world.i_max)
+        sim = drive_bandit(cfg, schedule, world, T)
+        return sim.info["window_coverage"], coverage_series(sim.trace[cfg.n:])[-1]
+    return sim.info["coverage"], coverage_series(sim.trace)[-1]
+
+
+@pytest.mark.parametrize("rows", [7, runner._CHUNK_ROWS])
+@pytest.mark.parametrize("setting", ["threshold", "newsvendor", "chain", "bandit"])
+def test_the_ledger_reads_the_coverage_series_bit_for_bit(monkeypatch, setting, rows):
+    # the driver's ledger takes its served and asked sums from coverage_series,
+    # chunk by chunk, so its coverage is the series' final value to the bit
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", rows)
+    for schedule in (StepSchedule.constant(0.05), StepSchedule.power(0.9, 0.5, 1)):
+        for T in (250, 5000):
+            ledger, series = _ledger_and_series(setting, schedule, T)
+            assert _bits(ledger) == _bits(series), (schedule, T)
 
 
 class _AdaptiveScores:
