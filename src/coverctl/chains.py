@@ -74,13 +74,14 @@ class ChainStats:
         moves. A strictly negative marginal is warned about, at the caller of
         ``acog_step``, and recorded as-is.
         """
-        values = [float(v) for v in prefix_values]
+        values = list(map(float, prefix_values))
         if len(values) != len(chain):
             raise ValueError(f"{len(values)} prefix values for {len(chain)} chain arms at step {t}")
-        for position, val in enumerate(values, start=1):
+        for val in values:
             if not 0.0 <= val <= 1.0:
-                raise ValueError(f"prefix value {val} at step {t}, position {position} "
-                                 f"outside [0, 1]")
+                # the first value that is val or equals it fails alike: it is this one
+                raise ValueError(f"prefix value {val} at step {t}, position "
+                                 f"{values.index(val) + 1} outside [0, 1]")
         table = self._table
         log_term = self._log_term
         by_position = self.variant == POSITION_KEYED
@@ -124,21 +125,25 @@ def select_chain(stats: ChainStats, budget: int) -> list[int]:
     """Greedy fill of ``budget`` slots by optimistic marginal-gain score,
     read from the score lists of ``stats``.
 
-    Ties (including between unplayed pairs, which all score +inf) break to
-    the lowest arm index: ``max`` keeps the first maximum of the free arms,
-    which it visits in index order.
+    Each slot copies its context's scores, sets the arms already chosen to
+    -inf and takes the first maximum, so ties (including between unplayed
+    pairs, which all score +inf) break to the lowest arm index. A played
+    pair's score is finite, so a chosen arm never ties a free one.
     """
     if not 0 <= budget <= stats.n:
         raise ValueError(f"budget {budget} outside [0, {stats.n}]")
     table, unplayed = stats._table, stats._unplayed
     by_position = stats.variant == POSITION_KEYED
-    free = list(range(stats.n))
     chain: list[int] = []
+    prefix: list[int] = []  # the chosen arms, sorted: the prefix-keyed context key
     for position in range(1, budget + 1):
-        key = position if by_position else tuple(sorted(chain))
-        arm = max(free, key=table.get(key, unplayed)[2].__getitem__)
+        score = table.get(position if by_position else tuple(prefix), unplayed)[2][:]
+        for arm in chain:
+            score[arm] = -math.inf
+        arm = score.index(max(score))
         chain.append(arm)
-        free.remove(arm)
+        if not by_position:
+            insort(prefix, arm)
     return chain
 
 

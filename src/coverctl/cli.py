@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .control import InvariantViolation
@@ -56,6 +55,14 @@ def _resolve_config(args) -> ExperimentConfig:
     out = cfg.output_dir if args.out is None else args.out  # "" names the working directory
     return cfg.replace(output_dir=str(Path("runs", cfg.preset) if out is None else Path(out)),
                        **overrides)
+
+
+def _broken_pool() -> tuple:
+    """The exception a dead pool worker raises, if a pool may have run: a
+    ``--jobs 1`` run never imports ``concurrent.futures`` (nor the ``logging``
+    and ``traceback`` it pulls in), and then no exception is one."""
+    futures = sys.modules.get("concurrent.futures")
+    return (futures.BrokenExecutor,) if futures else ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +114,7 @@ def main(argv=None) -> int:
     except InvariantViolation as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return 4
-    except BrokenExecutor:  # the process pool's BrokenProcessPool
+    except _broken_pool():  # the process pool's BrokenProcessPool; evaluated only on an error
         print("error: a --jobs pool worker process died before its replica returned (killed, "
               f"e.g. by SIGKILL or the out-of-memory killer); {cfg.output_dir} is as it was",
               file=sys.stderr)

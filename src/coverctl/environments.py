@@ -36,10 +36,11 @@ _C_BITS = 7
 # uniforms per block of a multi-lane world: its rows are this over the lane
 # count, but at least one, so a block stays near 0.5 MB up to 65536 lanes
 _BLOCK_CELLS = 65536
-# and at most this many rows: a replica consumes its steps runner._CHUNK_ROWS
-# at a time, so a longer block is held for no chunk's sake; a one-lane block
-# (a world with one draw a step) is capped here, not at _BLOCK_CELLS rows
-_BLOCK_ROWS = 2048
+# and at most this many rows, runner._CHUNK_ROWS (which says why 512): a
+# replica consumes its steps a chunk at a time, so a longer block's row lists
+# are held for no chunk's sake; a one-lane block (a world with one draw a
+# step) is capped here, not at _BLOCK_CELLS rows
+_BLOCK_ROWS = 512
 
 
 class _StepBlocks:

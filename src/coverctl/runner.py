@@ -48,8 +48,12 @@ from .threshold import NewsvendorConfig, ThresholdConfig, newsvendor_step, thres
 
 _TOL = 1e-12
 # rows per chunk: _drive, the one place that cuts a run, yields this many rows
-# at a time; a replica holds one chunk at a time, so its memory is flat in T
-_CHUNK_ROWS = 2048
+# at a time; a replica holds one chunk at a time, so its memory is flat in T.
+# 512, not 2048: a 20-arm chain replica then peaks 2.0 MB lower (its chunk and
+# draw block hold about 1.3 KB of objects a row between them) at the same CPU
+# time, while at 256 rows the per-chunk work costs interval and threshold
+# replicas about 5 % more CPU time
+_CHUNK_ROWS = 512
 
 
 def __getattr__(name: str):
@@ -287,9 +291,12 @@ def render_csv(trace: mt.Trace, coverage_cum, regret_cum, regret_pos_cum, t0: in
         raise ValueError("every series needs one value per step")
     first = trace.action[0]
     # each column as (template field, values)
-    if isinstance(first, (tuple, int)):  # probed chains are "a|b|c", or "-" when empty
-        action = ("%s", ["|".join(map(str, a)) or "-" for a in trace.action]
-                  if isinstance(first, tuple) else trace.action)
+    if isinstance(first, (tuple, int)):
+        action = ("%s", trace.action)
+        if isinstance(first, tuple):
+            # a probed chain is "a|b|c", or "-" when empty: one template per length
+            forms = ["|".join(["%s"] * k) or "-" for k in range(max(map(len, trace.action)) + 1)]
+            action = ("%s", [forms[len(a)] % a for a in trace.action])
         cost, state = ("%s", _f17_repeated(trace.cost)), ("%.17g", trace.state.tolist())
     else:
         strings = list(map(_F17, trace.action))

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import warnings
 
@@ -281,6 +282,46 @@ def test_record_chain_refuses_a_count_mismatch_before_any_update(variant, chain,
     with pytest.raises(ValueError, match="step 1"):
         stats.record_chain(chain, values, 1)
     assert stats._table == {}
+
+
+def _per_position_refusal(values, t):
+    """The message of the per-position check that record_chain's one pass
+    over the values replaced, or None where every value passes it."""
+    for position, val in enumerate((float(v) for v in values), start=1):
+        if not 0.0 <= val <= 1.0:
+            return f"prefix value {val} at step {t}, position {position} outside [0, 1]"
+    return None
+
+
+# the edges of [0, 1], NaN and non-float inputs, some in and some out
+_FEEDBACK_EDGES = [math.nan, -0.0, 0.0, 1.0, math.nextafter(1.0, 2), -5e-324, True, False,
+                   np.float64(0.25), np.float64(math.nan), np.float64(-0.0), 0.5, 1.5, -math.inf]
+
+
+@pytest.mark.parametrize("variant", [POSITION_KEYED, PREFIX_KEYED])
+def test_record_chain_accepts_and_refuses_as_the_per_position_check(variant):
+    # every sequence of up to three edge values, repeats included: a refusal
+    # names the first bad position, as the per-position loop did, and moves
+    # no statistic; an accepted chain records one play per arm
+    cases = [list(values) for size in (1, 2, 3)
+             for values in itertools.product(_FEEDBACK_EDGES, repeat=size)]
+    refused = 0
+    for t, values in enumerate(cases, start=1):
+        stats = ChainStats(5, 100, variant)
+        stats.record_chain([4, 0], [0.25, 0.5], 1)
+        before = copy.deepcopy(stats._table)
+        chain = [1, 2, 3][:len(values)]
+        expected = _per_position_refusal(values, t)
+        if expected is None:
+            _record_quietly(stats, chain, values, t)
+            assert sum(sum(plays) for plays, _, _ in stats._table.values()) == 2 + len(chain)
+        else:
+            refused += 1
+            with pytest.raises(ValueError) as err:
+                stats.record_chain(chain, values, t)
+            assert str(err.value) == expected
+            assert stats._table == before
+    assert 0 < refused < len(cases)
 
 
 def _ranked_by_learned_means(stats, budget):

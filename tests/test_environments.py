@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverctl import environments
+from coverctl import environments, runner
 from coverctl.environments import (
     ArmSpec,
     IidArmWorld,
@@ -214,10 +214,12 @@ def test_or_world_blocks_match_the_scalar_draws_in_any_step_order():
             assert world.probe(t, []) == []
 
 
-@pytest.mark.parametrize("lanes,steps", [(1, 2048), (6, 2048), (20, 2048), (10**5, 1)])
+@pytest.mark.parametrize("lanes,steps", [(1, _BLOCK_ROWS), (6, _BLOCK_ROWS), (20, _BLOCK_ROWS),
+                                         (10**4, 6), (10**5, 1)])
 def test_a_block_holds_at_most_a_chunk_of_rows(lanes, steps):
     # a replica consumes its steps one runner chunk at a time: a block longer
     # than that holds rows no chunk needs yet
+    assert _BLOCK_ROWS == runner._CHUNK_ROWS
     block = _StepBlocks(3, _C_POINT, lanes, lambda u: u)
     assert block.steps == min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // lanes)) == steps
 

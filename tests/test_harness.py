@@ -213,12 +213,15 @@ _ANY_FLOAT = st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
 @st.composite
 def _traces(draw):
     """A trace of tuple, int or float actions; with float actions, cost and
-    state equal the action at some steps and not at others."""
+    state equal the action at some steps and not at others. A chain holds up
+    to 20 arms, as a 20-arm world plays, of one or more digits, and may
+    repeat an arm, so every per-length chain template is rendered."""
     n = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["chain", "arm", "float"]))
     if kind == "chain":
-        action = draw(st.lists(st.lists(st.integers(0, 12), max_size=4).map(tuple),
-                               min_size=n, max_size=n))
+        arms = st.one_of(st.integers(0, 19), st.integers(0, 10**6))
+        chains = st.integers(0, 20).flatmap(lambda k: st.lists(arms, min_size=k, max_size=k))
+        action = draw(st.lists(chains.map(tuple), min_size=n, max_size=n))
         cost = [float(len(a)) for a in action]  # a chain's cost is its length
         state = draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n))
     elif kind == "arm":
@@ -1355,6 +1358,30 @@ def test_a_jobs_1_run_loads_no_pool_machinery(tmp_path):
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-2:] == ["[]", "True"]
+    assert (tmp_path / "o" / "trace_1.csv").exists()
+
+
+_NO_FUTURES = """
+import sys
+from coverctl import cli
+
+assert cli.main(["run", "--config", sys.argv[1], "--jobs", "1", "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("concurrent", "logging", "traceback")))
+"""
+
+
+def test_a_jobs_1_run_imports_no_concurrent_futures(tmp_path):
+    # cli names the pool's BrokenExecutor only once concurrent.futures is
+    # loaded, so a --jobs 1 run skips it and the logging and traceback modules
+    # it imports; _NO_POOL imports concurrent.futures itself, so this runs alone
+    path = tmp_path / "cfg.json"
+    path.write_text(small_config(replicas=2).to_json())
+    env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _NO_FUTURES, str(path), str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "o" / "trace_1.csv").exists()
 
 

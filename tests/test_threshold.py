@@ -180,11 +180,13 @@ def _ledger_and_series(setting, schedule, T):
     return sim.info["coverage"], coverage_series(sim.trace)[-1]
 
 
-@pytest.mark.parametrize("rows", [7, runner._CHUNK_ROWS])
+@pytest.mark.parametrize("rows", [7, runner._CHUNK_ROWS, 2048])
 @pytest.mark.parametrize("setting", ["threshold", "newsvendor", "chain", "bandit"])
 def test_the_ledger_reads_the_coverage_series_bit_for_bit(monkeypatch, setting, rows):
     # the driver's ledger takes its served and asked sums from coverage_series,
-    # chunk by chunk, so its coverage is the series' final value to the bit
+    # chunk by chunk, so its coverage is the series' final value to the bit;
+    # 7 rows cut a run into many chunks, the default into a few, and 2048 rows
+    # leave the T = 250 run one chunk
     monkeypatch.setattr(runner, "_CHUNK_ROWS", rows)
     for schedule in (StepSchedule.constant(0.05), StepSchedule.power(0.9, 0.5, 1)):
         for T in (250, 5000):
